@@ -150,23 +150,27 @@ fuzz:
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzJoinMergeParallel -fuzztime=$(FUZZTIME)
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzQueryBuilder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/delta/ -run=NONE -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/plan/ -run=NONE -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME)
+	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzWireRequestDecode -fuzztime=$(FUZZTIME)
 
 bench-service:
 	$(GO) run ./cmd/faqload -out BENCH_service.json
 
+# Every smoke recipe backgrounds its daemons under an EXIT trap that
+# kills and reaps them (INT and TERM exit through it), so an interrupted
+# or timed-out `make check` leaves nothing listening; the recipe's
+# status is its last command's.
 smoke-service:
 	$(GO) build -o /tmp/faqd-smoke ./cmd/faqd
 	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
-	@/tmp/faqd-smoke -addr $(SMOKEADDR) -cache 64 & \
-	FAQD_PID=$$!; \
+	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
+	/tmp/faqd-smoke -addr $(SMOKEADDR) -cache 64 & \
+	PIDS=$$!; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://$(SMOKEADDR)/healthz >/dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
-	/tmp/faqload-smoke -url http://$(SMOKEADDR) -requests 6 -n 128; \
-	STATUS=$$?; \
-	kill $$FAQD_PID 2>/dev/null; \
-	exit $$STATUS
+	/tmp/faqload-smoke -url http://$(SMOKEADDR) -requests 6 -n 128
 
 # smoke-metrics gates the observability surface: faqload's -url mode
 # strict-parses /metrics at each phase boundary, derives server-side
@@ -176,16 +180,14 @@ smoke-service:
 smoke-metrics:
 	$(GO) build -o /tmp/faqd-smoke ./cmd/faqd
 	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
-	@/tmp/faqd-smoke -addr $(METRICSADDR) -cache 64 & \
-	FAQD_PID=$$!; \
+	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
+	/tmp/faqd-smoke -addr $(METRICSADDR) -cache 64 & \
+	PIDS=$$!; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://$(METRICSADDR)/healthz >/dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
-	/tmp/faqload-smoke -url http://$(METRICSADDR) -requests 20 -n 128 -out /tmp/faqd-smoke-metrics.json; \
-	STATUS=$$?; \
-	kill $$FAQD_PID 2>/dev/null; \
-	exit $$STATUS
+	/tmp/faqload-smoke -url http://$(METRICSADDR) -requests 20 -n 128 -out /tmp/faqd-smoke-metrics.json
 
 # smoke-cluster boots the real distributed stack on loopback — three
 # faqw shard workers plus a faqd coordinator scattering to them — and
@@ -200,23 +202,18 @@ smoke-cluster:
 	$(GO) build -o /tmp/faqw-smoke ./cmd/faqw
 	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
 	$(GO) build -o /tmp/faqbench-smoke ./cmd/faqbench
-	@/tmp/faqw-smoke -addr $(WORKERADDR1) & \
-	W1=$$!; \
+	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
+	/tmp/faqw-smoke -addr $(WORKERADDR1) & \
+	PIDS="$$PIDS $$!"; \
 	/tmp/faqw-smoke -addr $(WORKERADDR2) & \
-	W2=$$!; \
+	PIDS="$$PIDS $$!"; \
 	/tmp/faqw-smoke -addr $(WORKERADDR3) & \
-	W3=$$!; \
+	PIDS="$$PIDS $$!"; \
 	/tmp/faqd-smoke -addr $(CLUSTERADDR) -cache 64 -workers $(WORKERADDR1),$(WORKERADDR2),$(WORKERADDR3) & \
-	FAQD_PID=$$!; \
+	PIDS="$$PIDS $$!"; \
 	for i in $$(seq 1 50); do \
 		curl -fsS http://$(CLUSTERADDR)/healthz >/dev/null 2>&1 && break; \
 		sleep 0.2; \
 	done; \
-	/tmp/faqload-smoke -url http://$(CLUSTERADDR) -requests 8 -n 128; \
-	STATUS=$$?; \
-	if [ $$STATUS -eq 0 ]; then \
-		/tmp/faqbench-smoke -cluster /tmp/BENCH_cluster_smoke.json 512; \
-		STATUS=$$?; \
-	fi; \
-	kill $$FAQD_PID $$W1 $$W2 $$W3 2>/dev/null; \
-	exit $$STATUS
+	/tmp/faqload-smoke -url http://$(CLUSTERADDR) -requests 8 -n 128 && \
+	/tmp/faqbench-smoke -cluster /tmp/BENCH_cluster_smoke.json 512

@@ -55,6 +55,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -301,15 +302,23 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest reads one bounded JSON WireRequest body.
+// decodeRequest reads one bounded JSON WireRequest body. The body goes
+// to the request's own decoder in one piece: a json.Decoder would scan
+// it twice more, to find where the value ends and again to hand it to
+// UnmarshalJSON.
 func decodeRequest(w http.ResponseWriter, r *http.Request) (*faqs.WireRequest, bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
 		return nil, false
 	}
 	var wr faqs.WireRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&wr); err != nil {
+	var body bytes.Buffer
+	body.Grow(int(max(0, min(r.ContentLength, maxRequestBytes))) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	if err == nil {
+		err = wr.UnmarshalJSON(body.Bytes())
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return nil, false
 	}

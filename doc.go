@@ -120,15 +120,17 @@
 // every request sharing it.
 //
 //   - internal/plan fingerprints a shape up to variable renaming
-//     (Weisfeiler–Leman refinement over the incidence structure with an
-//     exact individualization search; free variables and aggregate
-//     operators seed the colors), compiles a Plan — the canonical GHD,
-//     root choice, internal-node-width y(H), core size n₂(H), per-node
-//     bag bounds, and measured exec.TaskShapes from prior runs — and
-//     caches plans in a concurrent LRU with singleflight compilation (N
-//     concurrent requests for one shape compile once). Binding a plan to
-//     a request is an O(plan) ghd.Relabel, validated so a fingerprint
-//     collision surfaces as an error rather than a wrong execution.
+//     (Weisfeiler–Leman refinement over the incidence structure, then
+//     an exact individualization search that expands one vertex per
+//     automorphism orbit, so a k-leaf star costs k nodes, not k!; free
+//     variables and aggregate operators seed the colors), compiles a
+//     Plan — the canonical GHD, root choice, internal-node-width y(H),
+//     core size n₂(H), per-node bag bounds, and measured
+//     exec.TaskShapes from prior runs — and caches plans in a
+//     concurrent LRU with singleflight compilation (N concurrent
+//     requests for one shape compile once). Binding a plan to a request
+//     is an O(plan) ghd.Relabel, validated so a fingerprint collision
+//     surfaces as an error rather than a wrong execution.
 //   - internal/service admits requests, binds cached plans to fresh
 //     factor data, and executes faq.SolveOnGHDCtx on the shared exec
 //     pool with per-request cancellation (exec.Pool.ForestCtx gates

@@ -35,6 +35,11 @@ type Explain struct {
 	// Fingerprint is the variable-renaming-invariant plan hash; two
 	// queries with the same fingerprint share one compiled plan.
 	Fingerprint string `json:"fingerprint"`
+	// FingerprintExact is false when the canonical-labeling search ran
+	// out of budget: the plan is still correct, but a renamed copy of
+	// the query may fingerprint differently and compile its own
+	// (counted in faq_plan_canon_inexact_total).
+	FingerprintExact bool `json:"fingerprint_exact"`
 	// CacheHit reports whether the plan was already resident (false on
 	// the compile that Explain itself triggered).
 	CacheHit bool `json:"cache_hit"`
@@ -71,16 +76,17 @@ type Explain struct {
 // fallback shapes.
 func buildExplain(q *Query, p *plan.Plan, g *ghd.GHD, info *service.Info) *Explain {
 	ex := &Explain{
-		Semiring:      q.sem.name,
-		Fingerprint:   fmt.Sprintf("%016x", p.Hash),
-		CacheHit:      info.CacheHit,
-		Fallback:      p.Fallback,
-		Y:             p.Y,
-		N2:            p.N2,
-		Depth:         p.Depth,
-		N:             q.n,
-		EstimateBytes: p.EstimateBytes(q.n),
-		CompileNS:     p.CompileNS,
+		Semiring:         q.sem.name,
+		Fingerprint:      fmt.Sprintf("%016x", p.Hash),
+		FingerprintExact: info.Exact,
+		CacheHit:         info.CacheHit,
+		Fallback:         p.Fallback,
+		Y:                p.Y,
+		N2:               p.N2,
+		Depth:            p.Depth,
+		N:                q.n,
+		EstimateBytes:    p.EstimateBytes(q.n),
+		CompileNS:        p.CompileNS,
 	}
 	if p.Fallback || g == nil {
 		ex.Tree = "(no GHD plan: free variables outside every bag — brute-force fallback)"

@@ -122,9 +122,9 @@ func (b *QueryBuilder) Build() (*Query, error) {
 	if b.dom < 1 {
 		return nil, fmt.Errorf("faqs: domain size must be positive (Domain(%d))", b.dom)
 	}
-	// Tuples are stored as int32 columns; a larger domain would let the
-	// range check below pass values that wrap modulo 2^32 into the valid
-	// domain and silently change answers.
+	// Tuples are stored as int32 columns; a larger domain would let
+	// buildTyped's range check pass values that wrap modulo 2^32 into the
+	// valid domain and silently change answers.
 	if b.dom > math.MaxInt32 {
 		return nil, fmt.Errorf("faqs: domain size %d exceeds the int32 tuple range (max %d)", b.dom, math.MaxInt32)
 	}
@@ -144,14 +144,6 @@ func (b *QueryBuilder) Build() (*Query, error) {
 			// Schemas reject duplicate attributes, so the edge's deduped
 			// vertex set always matches; guard against regressions.
 			return nil, fmt.Errorf("faqs: factor %d schema/edge mismatch", e)
-		}
-		for ti, tuple := range r.tuples {
-			for ci, x := range tuple {
-				if x < 0 || x >= b.dom {
-					return nil, fmt.Errorf("faqs: factor %d tuple %d column %q value %d outside domain [0,%d)",
-						e, ti, r.schema.attrs[ci], x, b.dom)
-				}
-			}
 		}
 		spec.edgeIDs = append(spec.edgeIDs, ids)
 	}

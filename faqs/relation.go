@@ -56,7 +56,7 @@ func (s *Schema) String() string { return fmt.Sprintf("%v", s.attrs) }
 // tuples.
 type Relation struct {
 	schema *Schema
-	tuples [][]int
+	rows   []int     // row-major: Arity() ints per tuple, one buffer
 	values []float64 // nil: every tuple is the semiring One
 }
 
@@ -64,25 +64,25 @@ type Relation struct {
 func (r *Relation) Schema() *Schema { return r.schema }
 
 // Len returns the number of listed tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return len(r.rows) / len(r.schema.attrs) }
 
 // String renders the relation for diagnostics.
 func (r *Relation) String() string {
-	return fmt.Sprintf("Relation(%v, n=%d)", r.schema.attrs, len(r.tuples))
+	return fmt.Sprintf("Relation(%v, n=%d)", r.schema.attrs, r.Len())
 }
 
-// RelationBuilder ingests tuples one at a time (streaming: nothing is
-// buffered beyond the tuples themselves, and errors accumulate instead
-// of panicking). A builder is either Boolean-style — every tuple added
-// with Add, annotated with the semiring's 1 at query build time — or
-// value-annotated via AddValued; mixing the two is an error, mirroring
-// the all-or-nothing value encoding of the wire schema.
+// RelationBuilder ingests tuples one at a time into one flat row-major
+// buffer (streaming: nothing is held beyond the tuples themselves, and
+// errors accumulate instead of panicking). A builder is either
+// Boolean-style — every tuple added with Add, annotated with the
+// semiring's 1 at query build time — or value-annotated via AddValued;
+// mixing the two is an error, mirroring the all-or-nothing value
+// encoding of the wire schema.
 type RelationBuilder struct {
 	schema *Schema
-	tuples [][]int
+	rows   []int
 	values []float64
-	plain  bool // Add used
-	valued bool // AddValued used
+	n      int
 	err    error
 }
 
@@ -95,24 +95,29 @@ func NewRelationBuilder(s *Schema) *RelationBuilder {
 	return b
 }
 
-// Add appends one tuple annotated with the semiring's multiplicative
-// identity. The tuple length must match the schema arity; violations are
-// recorded and surface from Relation().
-func (b *RelationBuilder) Add(tuple ...int) *RelationBuilder {
-	if b.err != nil {
-		return b
-	}
-	if len(tuple) != len(b.schema.attrs) {
+// add appends one tuple to the flat buffer. The tuple length must match
+// the schema arity and every tuple must be added the same way (valued
+// or not); violations are recorded and surface from Relation().
+func (b *RelationBuilder) add(tuple []int, valued bool) bool {
+	switch {
+	case b.err != nil:
+	case len(tuple) != len(b.schema.attrs):
 		b.err = fmt.Errorf("faqs: tuple %v has arity %d, schema %v wants %d",
 			tuple, len(tuple), b.schema.attrs, len(b.schema.attrs))
-		return b
-	}
-	if b.valued {
+	case b.n > 0 && valued != (b.values != nil):
 		b.err = fmt.Errorf("faqs: cannot mix Add and AddValued on one relation")
-		return b
+	default:
+		b.rows = append(b.rows, tuple...)
+		b.n++
+		return true
 	}
-	b.plain = true
-	b.tuples = append(b.tuples, append([]int(nil), tuple...))
+	return false
+}
+
+// Add appends one tuple annotated with the semiring's multiplicative
+// identity.
+func (b *RelationBuilder) Add(tuple ...int) *RelationBuilder {
+	b.add(tuple, false)
 	return b
 }
 
@@ -120,26 +125,14 @@ func (b *RelationBuilder) Add(tuple ...int) *RelationBuilder {
 // float64 — exact for Bool/F2/Count within 2^53, native for the float
 // semirings).
 func (b *RelationBuilder) AddValued(value float64, tuple ...int) *RelationBuilder {
-	if b.err != nil {
-		return b
+	if b.add(tuple, true) {
+		b.values = append(b.values, value)
 	}
-	if len(tuple) != len(b.schema.attrs) {
-		b.err = fmt.Errorf("faqs: tuple %v has arity %d, schema %v wants %d",
-			tuple, len(tuple), b.schema.attrs, len(b.schema.attrs))
-		return b
-	}
-	if b.plain {
-		b.err = fmt.Errorf("faqs: cannot mix Add and AddValued on one relation")
-		return b
-	}
-	b.valued = true
-	b.tuples = append(b.tuples, append([]int(nil), tuple...))
-	b.values = append(b.values, value)
 	return b
 }
 
 // Len returns the number of tuples ingested so far.
-func (b *RelationBuilder) Len() int { return len(b.tuples) }
+func (b *RelationBuilder) Len() int { return b.n }
 
 // Err returns the first ingestion error, if any.
 func (b *RelationBuilder) Err() error { return b.err }
@@ -149,5 +142,5 @@ func (b *RelationBuilder) Relation() (*Relation, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	return &Relation{schema: b.schema, tuples: b.tuples, values: b.values}, nil
+	return &Relation{schema: b.schema, rows: b.rows, values: b.values}, nil
 }

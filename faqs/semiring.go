@@ -154,16 +154,25 @@ func (im impl[T]) opOf(a Aggregate) (semiring.Op[T], bool) {
 	return op, ok
 }
 
-// buildTyped assembles the *faq.Query[T] of a validated builtSpec:
-// factor relations via the columnar builder (explicit values through
-// conv, plain tuples annotated with the semiring's 1) and the
-// per-variable aggregate overrides.
+// buildTyped assembles the *faq.Query[T] of a validated builtSpec: one
+// pass over each factor's flat rows checks the domain and feeds the
+// columnar builder (explicit values through conv, plain tuples
+// annotated with the semiring's 1); then the per-variable aggregate
+// overrides.
 func (im impl[T]) buildTyped(spec *builtSpec) (any, int, error) {
 	factors := make([]*relation.Relation[T], len(spec.factors))
 	for e, r := range spec.factors {
-		rb := relation.NewBuilderHint(im.s, spec.edgeIDs[e], len(r.tuples))
-		for ti, tuple := range r.tuples {
-			v := im.s.One()
+		arity := len(spec.edgeIDs[e])
+		rb := relation.NewBuilderHint(im.s, spec.edgeIDs[e], r.Len())
+		v := im.s.One()
+		for ti := 0; ti < r.Len(); ti++ {
+			tuple := r.rows[ti*arity : (ti+1)*arity]
+			for ci, x := range tuple {
+				if x < 0 || x >= spec.dom {
+					return nil, 0, fmt.Errorf("faqs: factor %d tuple %d column %q value %d outside domain [0,%d)",
+						e, ti, r.schema.attrs[ci], x, spec.dom)
+				}
+			}
 			if r.values != nil {
 				v = im.conv(r.values[ti])
 			}

@@ -16,6 +16,10 @@ import (
 type WireFactor struct {
 	Tuples [][]int   `json:"tuples"`
 	Values []float64 `json:"values,omitempty"`
+
+	// flat is the row-major buffer the decoder laid Tuples out over
+	// (Tuples[i] views flat[i*arity:]); nil on a factor built by hand.
+	flat []int
 }
 
 // WireRequest is one /solve (or /explain) request.
@@ -61,8 +65,9 @@ type WireAnswer struct {
 }
 
 // BuildWireQuery assembles a Query from a wire request through the same
-// builders library callers use, so the daemon and the library validate
-// identically.
+// schema and query builders library callers use, so the daemon and the
+// library validate identically. A decoded factor's tuples are used where
+// the decoder put them; hand-built rows are gathered into one buffer.
 func BuildWireQuery(wr *WireRequest) (*Query, error) {
 	sem, ok := SemiringByName(wr.Semiring)
 	if !ok {
@@ -93,26 +98,35 @@ func BuildWireQuery(wr *WireRequest) (*Query, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faqs: edge %d: %w", e, err)
 		}
-		rb := NewRelationBuilder(sch)
-		wf := wr.Factors[e]
+		wf := &wr.Factors[e]
+		// The decoder's buffer stands while Tuples still views it row
+		// for row; a request edited since decoding falls back to a copy.
+		rows := wf.flat
+		if len(rows) != len(wf.Tuples)*len(attrs) {
+			rows = nil
+		}
 		for ti, tuple := range wf.Tuples {
 			if len(tuple) != len(attrs) {
 				return nil, fmt.Errorf("faqs: factor %d tuple %d has arity %d, want %d", e, ti, len(tuple), len(attrs))
 			}
-			if wf.Values == nil {
-				rb.Add(tuple...)
-				continue
+			if rows != nil && &tuple[0] != &rows[ti*len(attrs)] {
+				rows = nil
 			}
-			if ti >= len(wf.Values) {
-				return nil, fmt.Errorf("faqs: factor %d has %d values for %d tuples", e, len(wf.Values), len(wf.Tuples))
+		}
+		if rows == nil {
+			rows = make([]int, 0, len(wf.Tuples)*len(attrs))
+			for _, tuple := range wf.Tuples {
+				rows = append(rows, tuple...)
 			}
-			rb.AddValued(wf.Values[ti], tuple...)
 		}
-		rel, err := rb.Relation()
-		if err != nil {
-			return nil, fmt.Errorf("faqs: factor %d: %w", e, err)
+		values := wf.Values
+		if values != nil {
+			if len(values) < len(wf.Tuples) {
+				return nil, fmt.Errorf("faqs: factor %d has %d values for %d tuples", e, len(values), len(wf.Tuples))
+			}
+			values = values[:len(wf.Tuples)]
 		}
-		qb.Factor(rel)
+		qb.Factor(&Relation{schema: sch, rows: rows, values: values})
 	}
 	qb.Free(wr.Free...)
 	for name, agg := range wr.Aggregates {

@@ -6,14 +6,21 @@
 // simultaneous requests for the same shape trigger exactly one
 // ghd.Minimize. Binding a cached plan to a concrete request is a cheap
 // relabeling (ghd.Relabel), never a re-derivation.
+//
+// Fingerprinting runs on every request, so it is priced by the shape,
+// not by the shape's symmetry: colour refinement over dense integer
+// arrays, then an individualization search that expands one child per
+// known automorphism orbit of each cell (see canonizer). The star — k
+// interchangeable leaves, the paper's y(H)=1 example — costs k−1 search
+// nodes, not k! leaves.
 package plan
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/hypergraph"
 )
@@ -33,7 +40,8 @@ type Fingerprint struct {
 	// Exact reports whether the canonical labeling search completed
 	// within budget. When false the Key is still deterministic for this
 	// exact input, but a renamed twin may fingerprint differently (a
-	// cache miss, never a wrong plan).
+	// cache miss, never a wrong plan). Canonicalize counts these in
+	// faq_plan_canon_inexact_total.
 	Exact bool
 
 	// VarTo maps each request variable id to its canonical id (-1 for
@@ -53,11 +61,15 @@ type Fingerprint struct {
 	CanonOps   map[int]string
 }
 
-// canonBudget bounds the individualization-refinement search (number of
-// recursive refine calls). Query hypergraphs are tiny, so the budget is
-// generous; pathological highly-symmetric shapes fall back to a
-// deterministic (but not renaming-invariant) tie-break instead of
-// blowing up — see Fingerprint.Exact.
+// canonBudget bounds the search in expanded nodes (one individualization
+// plus refinement each). Orbit pruning keeps every shape whose symmetry
+// is generated by interchangeable vertices or shows up as equal leaves —
+// stars, trees, cliques, cycles, disjoint copies — at a node count
+// polynomial in its size, far below the budget. What can still exhaust
+// it is a large shape that refinement cannot split and whose leaves are
+// pairwise non-isomorphic (strongly-regular-like incidence structures):
+// the search then stops at the best leaf found so far and reports
+// Exact=false.
 const canonBudget = 4096
 
 // Canonicalize computes the Fingerprint of a query shape. varOps names
@@ -66,390 +78,470 @@ const canonBudget = 4096
 // structure, free set, and aggregate names enter the Key — factor data,
 // domain size, and semiring are bound at execution time.
 func Canonicalize(h *hypergraph.Hypergraph, free []int, varOps map[int]string) (*Fingerprint, error) {
+	fp, _, err := canonicalize(h, free, varOps, canonBudget)
+	return fp, err
+}
+
+// canonicalize is Canonicalize under an explicit search budget; it also
+// returns the number of search nodes expanded.
+func canonicalize(h *hypergraph.Hypergraph, free []int, varOps map[int]string, budget int) (*Fingerprint, int, error) {
 	if h == nil {
-		return nil, fmt.Errorf("plan: nil hypergraph")
+		return nil, 0, fmt.Errorf("plan: nil hypergraph")
 	}
 	if h.NumEdges() == 0 {
-		return nil, fmt.Errorf("plan: hypergraph has no edges")
+		return nil, 0, fmt.Errorf("plan: hypergraph has no edges")
 	}
-	n := h.NumVertices()
+	n, m, edges := h.NumVertices(), h.NumEdges(), h.Edges()
+	deg := make([]int, n)
+	total := 0
+	for _, vs := range edges {
+		total += len(vs)
+		for _, v := range vs {
+			deg[v]++
+		}
+	}
 	isFree := make([]bool, n)
 	for _, v := range free {
 		if v < 0 || v >= n {
-			return nil, fmt.Errorf("plan: free variable %d out of range", v)
+			return nil, 0, fmt.Errorf("plan: free variable %d out of range", v)
+		}
+		if deg[v] == 0 {
+			return nil, 0, fmt.Errorf("plan: free variable %d appears in no hyperedge", v)
 		}
 		isFree[v] = true
 	}
-	// Only covered vertices participate in the shape.
-	covered := make([]bool, n)
-	incident := make([][]int, n) // vertex -> incident edge indices
-	for e, vs := range h.Edges() {
+
+	// Only covered vertices participate in the shape; they get dense ids
+	// in request order, so edge member lists stay ascending.
+	c := &canonizer{budget: budget, exact: true, jump: math.MaxInt}
+	dense := make([]int, n)
+	c.incOff = make([]int, 1, n+1)
+	for v := range dense {
+		dense[v] = -1
+		if deg[v] > 0 {
+			dense[v] = c.n
+			c.n++
+			c.incOff = append(c.incOff, c.incOff[len(c.incOff)-1]+deg[v])
+		}
+	}
+	c.edgeOff = make([]int, 1, m+1)
+	c.edgeVerts = make([]int, 0, total)
+	c.incEdges = make([]int, total)
+	fill := slices.Clone(c.incOff[:c.n])
+	for e, vs := range edges {
 		for _, v := range vs {
-			covered[v] = true
-			incident[v] = append(incident[v], e)
+			d := dense[v]
+			c.edgeVerts = append(c.edgeVerts, d)
+			c.incEdges[fill[d]] = e
+			fill[d]++
 		}
+		c.edgeOff = append(c.edgeOff, len(c.edgeVerts))
 	}
-	for _, v := range free {
-		if !covered[v] {
-			return nil, fmt.Errorf("plan: free variable %d appears in no hyperedge", v)
-		}
+	c.vOff = make([]int, c.n+1)
+	for v := range c.vOff {
+		c.vOff[v] = c.incOff[v] + v
 	}
-
-	c := &canonizer{
-		h:        h,
-		incident: incident,
-		isFree:   isFree,
-		opName:   make([]string, n),
-		active:   nil,
-		budget:   canonBudget,
-	}
-	for v := 0; v < n; v++ {
-		if covered[v] {
-			c.active = append(c.active, v)
-		}
-		if varOps != nil {
-			c.opName[v] = varOps[v]
-		}
+	c.esig = make([]int, total)
+	c.vsig = make([]int, total+c.n)
+	c.ecol = make([]int, m)
+	c.order = make([]int, max(c.n, m))
+	c.used = make([]bool, m)
+	for _, l := range []*leaf{&c.cur, &c.best} {
+		l.lab, l.order = make([]int, total), make([]int, m)
 	}
 
-	colors := c.initialColors()
-	c.refine(colors)
-	perm, exact := c.search(colors)
+	// Seed colours: every renaming-invariant mark a vertex carries —
+	// free/bound and the aggregate name, ranked in name order.
+	var names []string
+	for v := range dense {
+		if name := varOps[v]; name != "" && dense[v] >= 0 {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	names = slices.Compact(names)
+	col := make([]int, c.n)
+	for v, d := range dense {
+		if d < 0 {
+			continue
+		}
+		if name := varOps[v]; name != "" {
+			col[d] = 2 * (1 + sort.SearchStrings(names, name))
+		}
+		if isFree[v] {
+			col[d]++
+		}
+	}
+	c.search(col, c.refine(col, 0), 0)
+	if !c.exact {
+		metricCanonInexact.Inc()
+	}
 
-	fp := &Fingerprint{Exact: exact, NumVars: len(c.active)}
+	best := &c.best
+	fp := &Fingerprint{Exact: c.exact, NumVars: c.n}
 	fp.VarTo = make([]int, n)
-	for v := range fp.VarTo {
+	fp.CanonOps = make(map[int]string)
+	for v, d := range dense {
 		fp.VarTo[v] = -1
-	}
-	for _, v := range c.active {
-		fp.VarTo[v] = perm[v]
-	}
-
-	// Canonical edges: relabel, sort each, sort the list; ties between
-	// duplicate edges are broken by request index, which cannot affect the
-	// Key (duplicates encode identically).
-	type relEdge struct {
-		vs  []int
-		req int
-	}
-	rel := make([]relEdge, h.NumEdges())
-	for e, vs := range h.Edges() {
-		nv := make([]int, len(vs))
-		for i, v := range vs {
-			nv[i] = fp.VarTo[v]
+		if d >= 0 {
+			fp.VarTo[v] = best.perm[d]
+			if name := varOps[v]; name != "" {
+				fp.CanonOps[best.perm[d]] = name
+			}
 		}
-		sort.Ints(nv)
-		rel[e] = relEdge{nv, e}
 	}
-	sort.Slice(rel, func(i, j int) bool {
-		if c := compareInts(rel[i].vs, rel[j].vs); c != 0 {
-			return c < 0
-		}
-		return rel[i].req < rel[j].req
-	})
-	fp.EdgeTo = make([]int, h.NumEdges())
-	fp.CanonEdges = make([][]int, len(rel))
-	for ci, re := range rel {
-		fp.EdgeTo[re.req] = ci
-		fp.CanonEdges[ci] = re.vs
+	// Canonical edges are the best leaf's relabelled, sorted edge list;
+	// ties between duplicate edges were broken by request index, which
+	// cannot affect the Key (duplicates encode identically).
+	fp.EdgeTo = make([]int, m)
+	fp.CanonEdges = make([][]int, m)
+	for ci, e := range best.order {
+		fp.EdgeTo[e] = ci
+		lo, hi := c.edgeOff[e], c.edgeOff[e+1]
+		fp.CanonEdges[ci] = best.lab[lo:hi:hi]
 	}
-
 	for _, v := range free {
 		fp.CanonFree = append(fp.CanonFree, fp.VarTo[v])
 	}
 	sort.Ints(fp.CanonFree)
-	fp.CanonOps = make(map[int]string)
-	for v, name := range c.opName {
-		if name != "" && fp.VarTo[v] >= 0 {
-			fp.CanonOps[fp.VarTo[v]] = name
-		}
-	}
 
 	fp.Key = encodeKey(fp)
-	hsh := fnv.New64a()
-	hsh.Write([]byte(fp.Key))
-	fp.Hash = hsh.Sum64()
-	return fp, nil
-}
-
-// canonizer runs the individualization-refinement canonical labeling:
-// Weisfeiler–Leman color refinement over the vertex/hyperedge incidence
-// structure (seeded with free-variable and aggregate markers), and — when
-// refinement alone cannot separate symmetric variables — a bounded exact
-// search that individualizes one vertex of the first non-singleton color
-// class per level and keeps the branch with the lexicographically
-// smallest canonical encoding.
-type canonizer struct {
-	h        *hypergraph.Hypergraph
-	incident [][]int
-	isFree   []bool
-	opName   []string
-	active   []int // covered vertices, ascending
-	budget   int
-}
-
-// initialColors seeds the refinement with every renaming-invariant local
-// property: free/bound status, aggregate name, and the multiset of
-// incident edge sizes.
-func (c *canonizer) initialColors() map[int]int {
-	sig := make(map[int]string, len(c.active))
-	for _, v := range c.active {
-		sizes := make([]int, len(c.incident[v]))
-		for i, e := range c.incident[v] {
-			sizes[i] = len(c.h.Edge(e))
-		}
-		sort.Ints(sizes)
-		var sb strings.Builder
-		if c.isFree[v] {
-			sb.WriteString("F|")
-		} else {
-			sb.WriteString("B|")
-		}
-		sb.WriteString(c.opName[v])
-		sb.WriteByte('|')
-		for _, s := range sizes {
-			sb.WriteString(strconv.Itoa(s))
-			sb.WriteByte(',')
-		}
-		sig[v] = sb.String()
+	fp.Hash = 14695981039346656037 // FNV-1a
+	for i := 0; i < len(fp.Key); i++ {
+		fp.Hash = (fp.Hash ^ uint64(fp.Key[i])) * 1099511628211
 	}
-	return rankBySignature(c.active, sig)
+	return fp, c.nodes, nil
 }
 
-// refine iterates WL refinement to a fixpoint: each edge's signature is
-// the sorted multiset of its member colors, each vertex's new color the
-// pair (old color, sorted multiset of incident edge signatures). The
-// number of color classes is non-decreasing, so the loop terminates in at
-// most |active| rounds.
-func (c *canonizer) refine(colors map[int]int) {
-	classes := countClasses(colors)
+// canonizer runs the individualization-refinement canonical labeling over
+// the vertex/hyperedge incidence structure, held as two CSR arrays of
+// dense ids. Colours are dense integer ranks: refinement turns each
+// hyperedge's sorted member colours into an edge rank and each vertex's
+// (colour, sorted incident edge ranks) into its next colour, until the
+// partition is stable. When that leaves symmetric vertices together, the
+// search individualizes members of the first non-singleton cell, one per
+// known orbit, and keeps the leaf whose relabelled edge list is smallest.
+//
+// Two facts prune the search without changing its minimum. Twins — two
+// cell members whose transposition maps the edge multiset onto itself
+// (sibling leaves, parallel pendants, clique vertices) — head identical
+// subtrees, so one is expanded. And a leaf equal to the best leaf is an
+// automorphism γ fixing every individualized vertex the two leaves
+// share: it merges orbits at each common ancestor, so later siblings in
+// a merged orbit are skipped, and the rest of the subtree it closed is
+// γ's image of one already explored, so the search jumps straight back
+// to the deepest common ancestor.
+type canonizer struct {
+	n                  int   // covered vertices
+	edgeOff, edgeVerts []int // edge e's members: edgeVerts[edgeOff[e]:edgeOff[e+1]], ascending
+	incOff, incEdges   []int // vertex v's edges: incEdges[incOff[v]:incOff[v+1]], ascending
+
+	budget int  // search nodes allowed once a first leaf exists
+	nodes  int  // search nodes expanded
+	exact  bool // no subtree was abandoned for budget
+
+	cur, best leaf
+	path      []int   // individualized vertices, root to the current node
+	orbits    [][]int // per depth on the current path: union-find over vertices, nil until an automorphism lands
+	jump      int     // depth to unwind to after an automorphism; MaxInt when idle
+
+	// Scratch: signatures share the CSR offsets (vertex signatures one
+	// slot wider, for the old colour).
+	esig, ecol []int
+	vsig, vOff []int
+	order      []int
+	used       []bool
+}
+
+// leaf is one discrete colouring read as a labeling, with what comparing
+// it costs: the edge list under it and the edge order that sorts that.
+type leaf struct {
+	perm  []int // vertex -> canonical id
+	lab   []int // edge members under perm, each edge ascending (edgeOff layout)
+	order []int // edge indices sorted by (lab, index)
+	path  []int // the individualizations that led here
+}
+
+func (c *canonizer) members(e int) []int  { return c.edgeVerts[c.edgeOff[e]:c.edgeOff[e+1]] }
+func (c *canonizer) incident(v int) []int { return c.incEdges[c.incOff[v]:c.incOff[v+1]] }
+
+// refine iterates colour refinement to a fixpoint and returns the number
+// of colour classes. col may hold any integers; it leaves dense ranks
+// 0..k-1 whose order refines the incoming order. Since a vertex's old
+// colour leads its signature, classes only split, so the loop ends when
+// a round leaves the count at classes (pass 0 to force a first ranking).
+func (c *canonizer) refine(col []int, classes int) int {
 	for {
-		edgeSig := make([]string, c.h.NumEdges())
-		for e, vs := range c.h.Edges() {
-			cs := make([]int, len(vs))
-			for i, v := range vs {
-				cs[i] = colors[v]
+		for e := range c.ecol {
+			sig := c.esig[c.edgeOff[e]:c.edgeOff[e+1]]
+			for i, v := range c.members(e) {
+				sig[i] = col[v]
 			}
-			sort.Ints(cs)
-			var sb strings.Builder
-			for _, x := range cs {
-				sb.WriteString(strconv.Itoa(x))
-				sb.WriteByte(',')
+			slices.Sort(sig)
+		}
+		c.rank(c.edgeOff, c.esig, c.ecol)
+		for v := range col {
+			sig := c.vsig[c.vOff[v]:c.vOff[v+1]]
+			sig[0] = col[v]
+			for i, e := range c.incident(v) {
+				sig[1+i] = c.ecol[e]
 			}
-			edgeSig[e] = sb.String()
+			slices.Sort(sig[1:])
 		}
-		sig := make(map[int]string, len(c.active))
-		for _, v := range c.active {
-			es := make([]string, len(c.incident[v]))
-			for i, e := range c.incident[v] {
-				es[i] = edgeSig[e]
-			}
-			sort.Strings(es)
-			sig[v] = strconv.Itoa(colors[v]) + "#" + strings.Join(es, ";")
+		k := c.rank(c.vOff, c.vsig, col)
+		if k == classes || k == c.n {
+			return k
 		}
-		next := rankBySignature(c.active, sig)
-		nc := countClasses(next)
-		//faqlint:allow mapiter(order-free copy: each vertex's color is written independently, keyed by v)
-		for v, col := range next {
-			colors[v] = col
+		classes = k
+	}
+}
+
+// rank writes into out the dense rank of each item's signature
+// sig[off[i]:off[i+1]] — 0..k-1 in signature order, the step that makes
+// colours renaming-invariant — and returns k.
+func (c *canonizer) rank(off, sig, out []int) int {
+	order := c.order[:len(out)]
+	for i := range order {
+		order[i] = i
+	}
+	at := func(i int) []int { return sig[off[i]:off[i+1]] }
+	slices.SortFunc(order, func(a, b int) int { return slices.Compare(at(a), at(b)) })
+	k := 0
+	for i, x := range order {
+		if i > 0 && slices.Compare(at(order[i-1]), at(x)) != 0 {
+			k++
 		}
-		if nc == classes {
+		out[x] = k
+	}
+	return k + 1
+}
+
+// search completes a stable colouring to discrete ones and feeds each to
+// leaf. It individualizes members of the first non-singleton cell — a
+// colour-based, hence renaming-invariant, choice — skipping any member
+// redundant with one already expanded.
+func (c *canonizer) search(col []int, classes, depth int) {
+	if classes == c.n {
+		c.leaf(col, depth)
+		return
+	}
+	if len(c.orbits) == depth {
+		c.orbits = append(c.orbits, nil)
+	}
+	c.orbits[depth] = nil
+	cell := c.targetCell(col)
+	reps := cell[:0] // expanded members; filters cell in place behind the loop
+	for _, v := range cell {
+		if c.redundant(reps, v, depth) {
+			continue
+		}
+		// The first descent always reaches a leaf; after that an empty
+		// budget abandons what is left, and the minimum may be missed.
+		if c.nodes >= c.budget && c.best.perm != nil {
+			c.exact = false
 			return
 		}
-		classes = nc
+		c.nodes++
+		reps = append(reps, v)
+		// Split v off the front of its cell: order-preserving, so every
+		// seed class keeps its range of canonical ids at every leaf.
+		child := make([]int, c.n)
+		for u, x := range col {
+			child[u] = 2*x + 1
+		}
+		child[v]--
+		c.path = append(c.path[:depth], v)
+		c.search(child, c.refine(child, classes+1), depth+1)
+		if c.jump < depth {
+			return
+		}
+		c.jump = math.MaxInt
 	}
 }
 
-// search completes a stable coloring to a discrete one. If refinement
-// already separated every vertex the ranks are the canonical labeling.
-// Otherwise it individualizes each member of the first non-singleton
-// class in turn, refines, recurses, and keeps the branch whose canonical
-// encoding is smallest — an exact canonical form. When the budget runs
-// out it falls back to breaking the remaining ties by request id
-// (deterministic, not renaming-invariant) and reports exact = false.
-func (c *canonizer) search(colors map[int]int) (perm map[int]int, exact bool) {
-	target := c.targetClass(colors)
-	if target == nil {
-		return colorsAsPerm(colors), true
+// targetCell returns the members of the first (smallest-colour)
+// non-singleton cell, ascending.
+func (c *canonizer) targetCell(col []int) []int {
+	count := c.order[:c.n]
+	clear(count)
+	for _, x := range col {
+		count[x]++
 	}
-	if c.budget <= 0 {
-		return c.fallback(colors), false
+	target := 0
+	for count[target] < 2 {
+		target++
 	}
-	var bestEnc string
-	var bestPerm map[int]int
-	exact = true
-	for _, v := range target {
-		if c.budget <= 0 && bestPerm != nil {
-			// Unexplored siblings remain: the minimum may be missed, so
-			// the result is deterministic but not renaming-invariant.
-			exact = false
-			break
-		}
-		c.budget--
-		branch := cloneColors(colors)
-		branch[v] = len(c.active) // unique marker; refine re-ranks immediately
-		c.refine(branch)
-		p, ex := c.search(branch)
-		if !ex {
-			exact = false
-		}
-		enc := c.encodePerm(p)
-		if bestPerm == nil || enc < bestEnc {
-			bestEnc, bestPerm = enc, p
+	cell := make([]int, 0, count[target])
+	for v, x := range col {
+		if x == target {
+			cell = append(cell, v)
 		}
 	}
-	return bestPerm, exact
+	return cell
 }
 
-// targetClass returns the members of the first (smallest-color)
-// non-singleton color class, or nil when the coloring is discrete. The
-// choice is color-based, hence renaming-invariant.
-func (c *canonizer) targetClass(colors map[int]int) []int {
-	byColor := make(map[int][]int)
-	minMulti := -1
-	for _, v := range c.active {
-		col := colors[v]
-		byColor[col] = append(byColor[col], v)
-		if len(byColor[col]) > 1 && (minMulti == -1 || col < minMulti) {
-			minMulti = col
+// redundant reports whether v's subtree is the image of an expanded
+// sibling's under a known automorphism fixing the current path.
+func (c *canonizer) redundant(reps []int, v, depth int) bool {
+	orb := c.orbits[depth]
+	for _, u := range reps {
+		if (orb != nil && find(orb, u) == find(orb, v)) || c.twins(u, v) {
+			return true
 		}
 	}
-	if minMulti == -1 {
-		return nil
-	}
-	sort.Ints(byColor[minMulti])
-	return byColor[minMulti]
+	return false
 }
 
-// fallback completes a non-discrete coloring deterministically by
-// breaking ties on the request vertex id.
-func (c *canonizer) fallback(colors map[int]int) map[int]int {
-	order := append([]int(nil), c.active...)
-	sort.Slice(order, func(i, j int) bool {
-		if colors[order[i]] != colors[order[j]] {
-			return colors[order[i]] < colors[order[j]]
+// twins reports whether transposing u and v — two members of one cell,
+// so their marks agree — maps the edge multiset onto itself: the edges
+// holding exactly one of them pair off, equal but for u↔v.
+func (c *canonizer) twins(u, v int) bool {
+	eu, ev := c.incident(u), c.incident(v)
+	if len(eu) != len(ev) {
+		return false
+	}
+	used := c.used[:len(ev)]
+	clear(used)
+next:
+	for _, e := range eu {
+		if slices.Contains(c.members(e), v) {
+			continue
 		}
-		return order[i] < order[j]
+		for j, f := range ev {
+			if !used[j] && c.equalBut(e, u, f, v) {
+				used[j] = true
+				continue next
+			}
+		}
+		return false
+	}
+	return true
+}
+
+// equalBut reports whether edge e without u equals edge f without v,
+// for u ∈ e and v ∈ f.
+func (c *canonizer) equalBut(e, u, f, v int) bool {
+	a, b := c.members(e), c.members(f)
+	if len(a) != len(b) {
+		return false
+	}
+	j := 0
+	for _, x := range a {
+		if x == u {
+			continue
+		}
+		if b[j] == v {
+			j++
+		}
+		if j == len(b) || b[j] != x {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// leaf scores a discrete colouring against the best leaf so far.
+func (c *canonizer) leaf(perm []int, depth int) {
+	l := &c.cur
+	l.perm = perm
+	l.path = append(l.path[:0], c.path[:depth]...)
+	for e := range l.order {
+		lab := l.lab[c.edgeOff[e]:c.edgeOff[e+1]]
+		for i, v := range c.members(e) {
+			lab[i] = perm[v]
+		}
+		slices.Sort(lab)
+		l.order[e] = e
+	}
+	slices.SortFunc(l.order, func(a, b int) int {
+		if d := slices.Compare(c.edgeOf(l, a), c.edgeOf(l, b)); d != 0 {
+			return d
+		}
+		return a - b
 	})
-	perm := make(map[int]int, len(order))
-	for rank, v := range order {
-		perm[v] = rank
+	if c.best.perm == nil {
+		c.cur, c.best = c.best, c.cur
+		return
 	}
-	return perm
+	d := 0
+	for i := 0; i < len(l.order) && d == 0; i++ {
+		d = slices.Compare(c.edgeOf(l, l.order[i]), c.edgeOf(&c.best, c.best.order[i]))
+	}
+	switch {
+	case d < 0:
+		c.cur, c.best = c.best, c.cur
+	case d == 0:
+		c.automorphism()
+	}
 }
 
-// encodePerm renders the hypergraph under a candidate labeling — the
-// comparison string of the individualization search.
-func (c *canonizer) encodePerm(perm map[int]int) string {
-	edges := make([][]int, c.h.NumEdges())
-	for e, vs := range c.h.Edges() {
-		nv := make([]int, len(vs))
-		for i, v := range vs {
-			nv[i] = perm[v]
+func (c *canonizer) edgeOf(l *leaf, e int) []int { return l.lab[c.edgeOff[e]:c.edgeOff[e+1]] }
+
+// automorphism records γ = "the vertex holding v's best-leaf id in the
+// current leaf", an automorphism because the two leaves relabel the
+// shape identically (seed classes keep their id ranges, so marks map
+// too). γ fixes the individualized prefix the leaves share, so it merges
+// orbits at every node on that prefix and proves the subtree below the
+// last of them redundant.
+func (c *canonizer) automorphism() {
+	common := 0
+	for common < len(c.best.path) && common < len(c.cur.path) && c.best.path[common] == c.cur.path[common] {
+		common++
+	}
+	holder := c.order[:c.n]
+	for v, id := range c.cur.perm {
+		holder[id] = v
+	}
+	for depth := 0; depth <= common; depth++ {
+		orb := c.orbits[depth]
+		if orb == nil {
+			orb = make([]int, c.n)
+			for v := range orb {
+				orb[v] = v
+			}
+			c.orbits[depth] = orb
 		}
-		sort.Ints(nv)
-		edges[e] = nv
-	}
-	sort.Slice(edges, func(i, j int) bool { return compareInts(edges[i], edges[j]) < 0 })
-	var sb strings.Builder
-	for _, vs := range edges {
-		for _, x := range vs {
-			sb.WriteString(strconv.Itoa(x))
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(';')
-	}
-	return sb.String()
-}
-
-// rankBySignature converts per-vertex signature strings into dense color
-// ranks (0..k-1 in signature order) — the step that makes color values
-// renaming-invariant.
-func rankBySignature(active []int, sig map[int]string) map[int]int {
-	uniq := make([]string, 0, len(sig))
-	seen := make(map[string]bool, len(sig))
-	for _, v := range active {
-		if s := sig[v]; !seen[s] {
-			seen[s] = true
-			uniq = append(uniq, s)
-		}
-	}
-	sort.Strings(uniq)
-	rank := make(map[string]int, len(uniq))
-	for i, s := range uniq {
-		rank[s] = i
-	}
-	colors := make(map[int]int, len(active))
-	for _, v := range active {
-		colors[v] = rank[sig[v]]
-	}
-	return colors
-}
-
-func countClasses(colors map[int]int) int {
-	seen := make(map[int]bool, len(colors))
-	//faqlint:allow mapiter(order-free accumulation into a set; only the cardinality is used)
-	for _, c := range colors {
-		seen[c] = true
-	}
-	return len(seen)
-}
-
-func cloneColors(colors map[int]int) map[int]int {
-	out := make(map[int]int, len(colors))
-	//faqlint:allow mapiter(order-free map copy: writes keyed by k)
-	for k, v := range colors {
-		out[k] = v
-	}
-	return out
-}
-
-// colorsAsPerm reads a discrete coloring as the canonical labeling (the
-// dense ranks are exactly 0..n-1).
-func colorsAsPerm(colors map[int]int) map[int]int {
-	return cloneColors(colors)
-}
-
-func compareInts(a, b []int) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] - b[i]
+		for v, id := range c.best.perm {
+			orb[find(orb, v)] = find(orb, holder[id])
 		}
 	}
-	return len(a) - len(b)
+	c.jump = common
+}
+
+// find is union-find lookup with path halving.
+func find(parent []int, v int) int {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
 }
 
 // encodeKey serializes the canonical shape: vertex count, edge list, free
 // list, aggregate names. This is the complete cache identity (modulo the
 // semiring name the caller prepends).
 func encodeKey(fp *Fingerprint) string {
-	var sb strings.Builder
-	sb.WriteString("v")
-	sb.WriteString(strconv.Itoa(fp.NumVars))
-	sb.WriteString("|E:")
-	for _, vs := range fp.CanonEdges {
+	b := make([]byte, 0, 64)
+	list := func(vs []int) {
 		for _, x := range vs {
-			sb.WriteString(strconv.Itoa(x))
-			sb.WriteByte(',')
+			b = append(strconv.AppendInt(b, int64(x), 10), ',')
 		}
-		sb.WriteByte(';')
 	}
-	sb.WriteString("|F:")
-	for _, v := range fp.CanonFree {
-		sb.WriteString(strconv.Itoa(v))
-		sb.WriteByte(',')
+	b = strconv.AppendInt(append(b, 'v'), int64(fp.NumVars), 10)
+	b = append(b, "|E:"...)
+	for _, vs := range fp.CanonEdges {
+		list(vs)
+		b = append(b, ';')
 	}
-	sb.WriteString("|O:")
-	ops := make([]int, 0, len(fp.CanonOps))
-	for v := range fp.CanonOps {
-		ops = append(ops, v)
+	b = append(b, "|F:"...)
+	list(fp.CanonFree)
+	b = append(b, "|O:"...)
+	for v := 0; v < fp.NumVars; v++ {
+		if name, ok := fp.CanonOps[v]; ok {
+			b = strconv.AppendInt(b, int64(v), 10)
+			b = append(append(append(b, '='), name...), ',')
+		}
 	}
-	sort.Ints(ops)
-	for _, v := range ops {
-		sb.WriteString(strconv.Itoa(v))
-		sb.WriteByte('=')
-		sb.WriteString(fp.CanonOps[v])
-		sb.WriteByte(',')
-	}
-	return sb.String()
+	return string(b)
 }

@@ -2,7 +2,7 @@ package plan
 
 import "repro/internal/obs"
 
-// Plan-cache instrumentation on the process-global registry. The
+// Plan-cache and fingerprint instrumentation on the process-global registry. The
 // registry counters aggregate across every Cache instance in the
 // process and are never reset (Prometheus counters are monotone);
 // per-instance CacheStats remains the /stats snapshot.
@@ -19,4 +19,6 @@ var (
 		"Completed plans evicted by the LRU bound.")
 	metricCacheWaits = obs.Default().NewCounter("faq_plan_cache_singleflight_waits_total",
 		"Lookups that blocked on another goroutine's in-flight compile.")
+	metricCanonInexact = obs.Default().NewCounter("faq_plan_canon_inexact_total",
+		"Fingerprints whose canonical-labeling search ran out of budget (renamed twins may miss the cache).")
 )

@@ -107,6 +107,7 @@ func WithDistributed(solver any) Option {
 // Info reports how one request was served.
 type Info struct {
 	PlanHash uint64  `json:"-"`
+	Exact    bool    `json:"-"` // plan.Fingerprint.Exact: renamed twins share this plan
 	CacheHit bool    `json:"cache_hit"`
 	Fallback bool    `json:"fallback"`
 	CanonNS  int64   `json:"canon_ns"`
@@ -273,6 +274,7 @@ func (sv *Service[T]) solveAdmitted(ctx context.Context, q *faq.Query[T], info *
 		return nil, err
 	}
 	info.CanonNS = time.Since(t0).Nanoseconds()
+	info.Exact = fp.Exact
 
 	tp := time.Now()
 	p, hit, err := sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
@@ -368,6 +370,7 @@ func (sv *Service[T]) Explain(q *faq.Query[T]) (*plan.Plan, *ghd.GHD, Info, erro
 		return nil, nil, info, err
 	}
 	info.CanonNS = time.Since(t0).Nanoseconds()
+	info.Exact = fp.Exact
 	tp := time.Now()
 	p, hit, err := sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
 	if err != nil {
@@ -457,6 +460,7 @@ func (sv *Service[T]) SolveBatch(ctx context.Context, qs []*faq.Query[T]) ([]*re
 		fps[i] = fp
 		infos[i].CanonNS = time.Since(starts[i]).Nanoseconds()
 		infos[i].PlanHash = fp.Hash
+		infos[i].Exact = fp.Exact
 	})
 	groups := make(map[string]*group)
 	var order []*group
