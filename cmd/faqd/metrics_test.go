@@ -89,6 +89,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if len(les) == 0 || cum[len(cum)-1] < 2 {
 		t.Errorf("latency histogram count = %v, want >= 2", cum[len(cum)-1])
 	}
+	// The first solve compiled its plan: the compile histogram saw it.
+	if _, cum, ok := sc.HistBuckets("faq_plan_compile_ns", nil); !ok || cum[len(cum)-1] < 1 {
+		t.Errorf("faq_plan_compile_ns missing or empty (ok=%v)", ok)
+	}
 
 	// A second scrape must be monotone on the counters it re-reads.
 	sc2 := scrape(t, h)

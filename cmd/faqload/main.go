@@ -60,8 +60,8 @@ import (
 	"repro/internal/workload"
 )
 
-// templates are the mixed query shapes: a long path (whose exhaustive
-// width search makes cold planning expensive), a symmetric star, a
+// templates are the mixed query shapes: a long path (the most internal
+// nodes of the four), a symmetric star, a
 // balanced binary tree, and a cyclic triangle with a pendant edge. Free
 // variables sit in a coverable bag, so every shape takes the GHD path.
 var templates = []struct {

@@ -20,7 +20,11 @@ import (
 // plain reduced-GHD rooted at the tree root, matching the paper's
 // Figure 2 decompositions T₁/T₂ of H₂.
 func Construct(h *hypergraph.Hypergraph) (*GHD, error) {
-	d := hypergraph.Decompose(h)
+	return construct(h, hypergraph.Decompose(h))
+}
+
+// construct is Construct for a precomputed decomposition.
+func construct(h *hypergraph.Hypergraph, d *hypergraph.Decomposition) (*GHD, error) {
 	g, err := FromDecomposition(h, d)
 	if err != nil {
 		return nil, err
@@ -47,7 +51,7 @@ func FromDecomposition(h *hypergraph.Hypergraph, d *hypergraph.Decomposition) (*
 		g.NodeOf[i] = -1
 	}
 
-	needFatRoot := !d.CoreIsEmpty() || len(d.Trees) > 1
+	needFatRoot := needsFatRoot(d)
 	if needFatRoot {
 		g.CoreRoot = 0
 		g.Root = 0
@@ -112,6 +116,12 @@ func FromDecomposition(h *hypergraph.Hypergraph, d *hypergraph.Decomposition) (*
 		return nil, fmt.Errorf("ghd: construction produced invalid GHD: %w", err)
 	}
 	return g, nil
+}
+
+// needsFatRoot reports whether Construction 2.8 puts a fat root r′ over
+// d: a nonempty core, or a forest of several trees to join.
+func needsFatRoot(d *hypergraph.Decomposition) bool {
+	return !d.CoreIsEmpty() || len(d.Trees) > 1
 }
 
 // MDTransform applies Construction F.6 to g: for each parent-child pair

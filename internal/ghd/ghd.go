@@ -3,6 +3,16 @@
 // family of Construction 2.8, the paper's new width notion — the
 // internal-node-width y(H) (Definition 2.9) — and the MD-GHD transform of
 // Construction F.6 used by the hypergraph lower bounds.
+//
+// Minimize computes y(H) exactly by searching internal-node sets, not
+// trees: a set I is realisable iff every node outside I has a cover in I
+// (a member holding every vertex it shares) and the bags of I admit a
+// join tree, which a maximum-weight spanning tree decides (the lemma is
+// proved at minimizeExact). Nodes nothing else covers are forced into I,
+// and supersets of the forced set are tried smallest first, so a tree of
+// binary edges takes one candidate. MaxExactCandidates bounds the sets
+// tried; past it Minimize keeps the Construction 2.8 heuristic, an upper
+// bound on y(H).
 package ghd
 
 import (
@@ -242,24 +252,29 @@ func (g *GHD) ReRoot(newRoot int) *GHD {
 			adj[p] = append(adj[p], v)
 		}
 	}
-	for i := range out.Parent {
-		out.Parent[i] = -1
+	orient(out.Parent, adj, newRoot)
+	return out
+}
+
+// orient fills parent with the tree adj rooted at root by BFS (-1 for the
+// root and for nodes it does not reach) and returns the number reached.
+func orient(parent []int, adj [][]int, root int) int {
+	for i := range parent {
+		parent[i] = -1
 	}
-	visited := make([]bool, g.NumNodes())
-	visited[newRoot] = true
-	queue := []int{newRoot}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
+	visited := make([]bool, len(adj))
+	visited[root] = true
+	queue := []int{root}
+	for i := 0; i < len(queue); i++ {
+		for _, v := range adj[queue[i]] {
 			if !visited[v] {
 				visited[v] = true
-				out.Parent[v] = u
+				parent[v] = queue[i]
 				queue = append(queue, v)
 			}
 		}
 	}
-	return out
+	return len(queue)
 }
 
 // Relabel transports g onto an isomorphic hypergraph h: varTo maps each

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -97,6 +98,7 @@ func (c *Cache) Get(key string, compile func() (*Plan, error)) (*Plan, bool, err
 	var p *Plan
 	var err error
 	settled := false
+	start := time.Now()
 	settle := func() {
 		c.mu.Lock()
 		ent.plan, ent.err = p, err
@@ -111,6 +113,7 @@ func (c *Cache) Get(key string, compile func() (*Plan, error)) (*Plan, bool, err
 		} else {
 			c.compiles++
 			metricCacheCompiles.Inc()
+			metricCompileNS.ObserveSince(start)
 			c.evictLocked()
 		}
 		c.mu.Unlock()

@@ -195,6 +195,25 @@ func TestCachePanickingCompileDoesNotPoison(t *testing.T) {
 	}
 }
 
+// TestCacheObservesCompileDuration: every completed compile, and nothing
+// else, lands one sample in faq_plan_compile_ns.
+func TestCacheObservesCompileDuration(t *testing.T) {
+	before := metricCompileNS.Snapshot().Count
+	c := NewCache(4)
+	fp := pathFingerprint(t, 3)
+	for i := 0; i < 2; i++ { // a compiling miss, then a hit
+		if _, _, err := c.Get(fp.Key, func() (*Plan, error) { return Compile(fp) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.Get("k", func() (*Plan, error) { return nil, errors.New("boom") }); err == nil {
+		t.Fatal("failed compile returned no error")
+	}
+	if got := metricCompileNS.Snapshot().Count - before; got != 1 {
+		t.Fatalf("faq_plan_compile_ns observed %d samples, want 1", got)
+	}
+}
+
 func TestCacheReset(t *testing.T) {
 	c := NewCache(4)
 	for i := 0; i < 3; i++ {

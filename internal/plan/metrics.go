@@ -13,6 +13,9 @@ var (
 		"Plan-cache lookups that started a compile.")
 	metricCacheCompiles = obs.Default().NewCounter("faq_plan_cache_compiles_total",
 		"Plan compiles that completed successfully.")
+	metricCompileNS = obs.Default().NewHistogram("faq_plan_compile_ns",
+		"Duration of each plan compile that completed successfully (the cache-miss tail).",
+		obs.DurationBucketsNS)
 	metricCacheFailures = obs.Default().NewCounter("faq_plan_cache_failures_total",
 		"Plan compiles that failed (entry dropped, waiters got the error).")
 	metricCacheEvictions = obs.Default().NewCounter("faq_plan_cache_evictions_total",

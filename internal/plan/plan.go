@@ -78,10 +78,10 @@ type Plan struct {
 	shapes atomic.Pointer[[]exec.TaskShape]
 }
 
-// Compile derives the Plan of a canonical shape. It is the expensive step
-// the cache runs under singleflight: GYO decomposition, width-minimized
-// GHD search (exhaustive for small shapes), re-rooting for the free
-// variables, and the structural bounds.
+// Compile derives the Plan of a canonical shape. It is the step the
+// cache runs under singleflight: one GYO decomposition, the exact y(H)
+// search over it (ghd.MinimizeFrom), re-rooting for the free variables
+// (faq.RootForFree, as faq.PlanGHD does), and the structural bounds.
 func Compile(fp *Fingerprint) (*Plan, error) {
 	t0 := time.Now()
 	h := hypergraph.New(fp.NumVars)
@@ -94,7 +94,11 @@ func Compile(fp *Fingerprint) (*Plan, error) {
 		H:    h,
 		Free: append([]int(nil), fp.CanonFree...),
 	}
-	g, err := faq.PlanGHD(h, p.Free)
+	d := hypergraph.Decompose(h)
+	g, err := ghd.MinimizeFrom(h, d)
+	if err == nil {
+		g, err = faq.RootForFree(g, p.Free)
+	}
 	switch {
 	case errors.Is(err, faq.ErrFreeOutsideRoot):
 		p.Fallback = true
@@ -103,7 +107,7 @@ func Compile(fp *Fingerprint) (*Plan, error) {
 	default:
 		p.G = g
 		p.Y = g.InternalNodes()
-		p.N2 = hypergraph.Decompose(h).N2()
+		p.N2 = d.N2()
 		p.Depth = g.Depth()
 		ch := g.Children()
 		p.NodeBounds = make([]NodeBound, g.NumNodes())
