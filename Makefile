@@ -1,57 +1,32 @@
-# Build / verify / benchmark entry points.
+# Build / verify entry points. Engine performance is measured by the
+# bench/ harness (`bash bench/run.sh`), not from here.
 #
 #   make build  — compile every package
 #   make vet    — static analysis
-#   make test   — full test suite (tier-1 gate: build + test green)
+#   make test   — full test suite (tier-1 gate: build + test green);
+#                 in-process loopback tests cover the daemon, the worker
+#                 fleet, and /metrics, so no target starts a background
+#                 process
 #   make race   — full test suite under the race detector (the parallel
 #                 exec paths must stay race-clean)
-#   make check  — build + vet + test
-#   make bench  — relation-kernel micro-benchmarks → BENCH_relation.json
-#                 (test2json stream of `go test -bench -benchmem`,
-#                 the trajectory artifact later perf PRs diff against)
-#   make bench-parallel — exec-layer scaling curves → BENCH_parallel.json
-#                 (faqbench -parallel: wall clock + simulated makespan,
-#                 atomic and intra-node-shaped, per worker count;
-#                 answers verified bit-identical)
-#   make bench-incremental — point-update latency of materialized views
-#                 vs full re-solve → BENCH_incremental.json (faqbench
-#                 -incremental: path7/star6/tree6 at n = 1e4 and 1e5;
-#                 every measured answer verified bit-identical to a
-#                 from-scratch solve before the artifact is written)
+#   make check  — build + vet + lint + test + chaos
 #   make bench-all — every benchmark in the repo (paper tables + kernel)
 #   make test-workers — re-run the parallel≡sequential equivalence suites
 #                 with the default pool pinned at 1, 2, and 8 workers
 #                 (FAQ_WORKERS, read by internal/exec at init), so every
 #                 public dispatch path is exercised at each width
-#   make bench-service — query-service throughput → BENCH_service.json
-#                 (faqload mixed-shape workload: cold-plan vs warm-cache
-#                 throughput and p50/p99 latency per worker count; every
-#                 answer verified against per-request planning)
-#   make smoke-service — tiny-n end-to-end smoke of faqd + faqload over
-#                 HTTP (wired into CI)
-#   make smoke-metrics — boot faqd, drive 20 requests, and gate the
-#                 /metrics exposition: faqload's -url mode strict-parses
-#                 the scrape at each phase boundary and fails unless the
-#                 key series moved (part of `make check` and CI)
-#   make smoke-cluster — boot three faqw shard workers plus a faqd
-#                 coordinator wired to them (-workers host:port list),
-#                 drive the faqload workload through HTTP (every answer
-#                 verified bit-identical to the local reference), then
-#                 run faqbench -cluster, which gates measured
-#                 bytes-on-wire against the closed-form
-#                 cluster.PayloadBound (part of `make check` and CI)
-#   make bench-cluster — distributed-engine bytes-on-wire vs closed-form
-#                 bounds at full size → BENCH_cluster.json
 #   make examples — build and run every examples/ program (all are
 #                 clients of the public faqs façade; wired into CI)
-#   make lint   — faqlint, the repo's static-analysis suite
+#   make lint   — gofmt (fails if `gofmt -l .` lists any file), then
+#                 faqlint, the repo's static-analysis suite
 #                 (internal/lint): seven analyzers compiling the standing
 #                 contracts — facade, nopanic, mapiter, ctxflow,
 #                 hotpath, failpoint, metricreg — into build failures; zero
 #                 unsuppressed findings required (part of `make check`)
 #   make vet-imports — alias for the facade analyzer alone (the former
-#                 shell-grep target; the faqbench/faqload/ghdtool
-#                 allowlist now lives in internal/lint/facade.go)
+#                 shell-grep target; the faqbench/ghdtool allowlist now
+#                 lives in internal/lint/facade.go)
+#   make fuzz   — every fuzz target for FUZZTIME each
 #   make chaos  — failpoint sweep under the race detector at 1/2/8
 #                 workers: every registered fault-injection site fired
 #                 in every mode must yield a typed error or a
@@ -65,17 +40,11 @@
 GO        ?= go
 BENCHTIME ?= 0.5s
 FUZZTIME  ?= 30s
-SMOKEADDR ?= 127.0.0.1:18080
-METRICSADDR ?= 127.0.0.1:18081
-CLUSTERADDR ?= 127.0.0.1:18082
-WORKERADDR1 ?= 127.0.0.1:18091
-WORKERADDR2 ?= 127.0.0.1:18092
-WORKERADDR3 ?= 127.0.0.1:18093
 
 # The packages holding the parallel≡sequential equivalence suites.
 WORKER_PKGS = ./internal/relation/ ./internal/protocol/ ./internal/faq/ ./internal/exec/ ./internal/flow/ ./internal/plan/ ./internal/service/ ./internal/delta/ ./internal/delta/churn/ ./faqs/
 
-.PHONY: build test vet lint vet-imports race check chaos bench bench-parallel bench-incremental bench-cluster bench-all fuzz test-workers bench-service smoke-service smoke-metrics smoke-cluster examples
+.PHONY: build test vet lint vet-imports race check chaos bench-all fuzz test-workers examples
 
 # The packages holding chaos (failpoint-sweep) TestChaos* suites: the
 # serving path, the incremental-maintenance engine, the kernels, the
@@ -99,6 +68,7 @@ vet:
 	$(GO) vet ./...
 
 lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/faqlint ./...
 
 # Alias for the retired shell-grep target: same contract, now enforced
@@ -109,7 +79,7 @@ vet-imports:
 race:
 	$(GO) test -race ./...
 
-check: build vet lint test chaos smoke-metrics smoke-cluster
+check: build vet lint test chaos
 
 chaos:
 	FAQ_WORKERS=1 $(GO) test -race -count=1 -run '^TestChaos' $(CHAOS_PKGS)
@@ -122,20 +92,6 @@ examples:
 		echo "== go run ./$$d"; \
 		$(GO) run ./$$d; \
 	done
-
-bench:
-	$(GO) test -run=NONE -bench=. -benchmem -benchtime=$(BENCHTIME) -json \
-		./internal/relation/ > BENCH_relation.json
-	@echo "wrote BENCH_relation.json"
-
-bench-parallel:
-	$(GO) run ./cmd/faqbench -parallel
-
-bench-incremental:
-	$(GO) run ./cmd/faqbench -incremental
-
-bench-cluster:
-	$(GO) run ./cmd/faqbench -cluster
 
 bench-all:
 	$(GO) test -run=NONE -bench=. -benchmem -benchtime=$(BENCHTIME) ./...
@@ -153,68 +109,4 @@ fuzz:
 	$(GO) test ./internal/plan/ -run=NONE -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME)
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzWireRequestDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ghd/ -run=NONE -fuzz=FuzzMinimize -fuzztime=$(FUZZTIME)
-
-bench-service:
-	$(GO) run ./cmd/faqload -out BENCH_service.json
-
-# Every smoke recipe backgrounds its daemons under an EXIT trap that
-# kills and reaps them (INT and TERM exit through it), so an interrupted
-# or timed-out `make check` leaves nothing listening; the recipe's
-# status is its last command's.
-smoke-service:
-	$(GO) build -o /tmp/faqd-smoke ./cmd/faqd
-	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
-	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
-	/tmp/faqd-smoke -addr $(SMOKEADDR) -cache 64 & \
-	PIDS=$$!; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://$(SMOKEADDR)/healthz >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	/tmp/faqload-smoke -url http://$(SMOKEADDR) -requests 6 -n 128
-
-# smoke-metrics gates the observability surface: faqload's -url mode
-# strict-parses /metrics at each phase boundary, derives server-side
-# latency quantiles from the histogram deltas, and fails if the
-# exposition is malformed or a key series (requests, exec tasks, cache
-# misses, runtime gauges, HTTP counters) never moved.
-smoke-metrics:
-	$(GO) build -o /tmp/faqd-smoke ./cmd/faqd
-	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
-	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
-	/tmp/faqd-smoke -addr $(METRICSADDR) -cache 64 & \
-	PIDS=$$!; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://$(METRICSADDR)/healthz >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	/tmp/faqload-smoke -url http://$(METRICSADDR) -requests 20 -n 128 -out /tmp/faqd-smoke-metrics.json
-
-# smoke-cluster boots the real distributed stack on loopback — three
-# faqw shard workers plus a faqd coordinator scattering to them — and
-# drives the faqload workload through it: every served answer is
-# verified bit-identical to faqload's local reference, so a sharding or
-# merge bug in the cluster path is a smoke failure, not a silent wrong
-# answer. It then runs faqbench -cluster at a small n, which re-gates
-# measured bytes-on-wire against the closed-form cluster.PayloadBound
-# on fleets of 1/2/4/8 workers.
-smoke-cluster:
-	$(GO) build -o /tmp/faqd-smoke ./cmd/faqd
-	$(GO) build -o /tmp/faqw-smoke ./cmd/faqw
-	$(GO) build -o /tmp/faqload-smoke ./cmd/faqload
-	$(GO) build -o /tmp/faqbench-smoke ./cmd/faqbench
-	@PIDS=; trap 'kill $$PIDS 2>/dev/null; wait' EXIT; trap 'exit 130' INT TERM; \
-	/tmp/faqw-smoke -addr $(WORKERADDR1) & \
-	PIDS="$$PIDS $$!"; \
-	/tmp/faqw-smoke -addr $(WORKERADDR2) & \
-	PIDS="$$PIDS $$!"; \
-	/tmp/faqw-smoke -addr $(WORKERADDR3) & \
-	PIDS="$$PIDS $$!"; \
-	/tmp/faqd-smoke -addr $(CLUSTERADDR) -cache 64 -workers $(WORKERADDR1),$(WORKERADDR2),$(WORKERADDR3) & \
-	PIDS="$$PIDS $$!"; \
-	for i in $$(seq 1 50); do \
-		curl -fsS http://$(CLUSTERADDR)/healthz >/dev/null 2>&1 && break; \
-		sleep 0.2; \
-	done; \
-	/tmp/faqload-smoke -url http://$(CLUSTERADDR) -requests 8 -n 128 && \
-	/tmp/faqbench-smoke -cluster /tmp/BENCH_cluster_smoke.json 512
+	$(GO) test ./internal/rpc/ -run=NONE -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)

@@ -4,35 +4,17 @@
 // Usage:
 //
 //	faqbench [experiment ...]
-//	faqbench -parallel [out.json]
-//	faqbench -incremental [out.json]
-//	faqbench -cluster [out.json [n]]
 //
 // With no arguments every experiment runs. Available experiment ids:
 // widths, table1, examples, example24, setint, taumcf, mcm, entropy,
 // shannon, mpc, pgm.
 //
-// -parallel instead benchmarks the exec-layer parallel GHD engine on a
-// multi-subtree workload at n = 1e4 and 1e5, sweeping 1/2/4/8 workers,
-// and writes the speedup-vs-workers curves to BENCH_parallel.json (or
-// the given path). See parallel.go for the methodology.
-//
-// -incremental benchmarks the delta maintenance engine: point-update
-// latency of a materialized view vs a full from-scratch re-solve on
-// path7/star6/tree6 at n = 1e4 and 1e5, written to
-// BENCH_incremental.json. See incremental.go for the methodology.
-//
-// -cluster benchmarks the real distributed engine: loopback TCP fleets
-// of 1/2/4/8 shard workers run the scatter/gather GHD pass per workload
-// template, the measured bytes-on-wire are gated against the
-// closed-form cluster.PayloadBound, and the netsim/paper-model costs
-// are reported alongside in BENCH_cluster.json. See cluster.go.
+// Engine performance is measured by the bench/ harness, not here.
 package main
 
 import (
 	"fmt"
 	"os"
-	"strconv"
 
 	"repro/internal/experiments"
 )
@@ -45,35 +27,6 @@ func main() {
 }
 
 func run(args []string) error {
-	if len(args) > 0 && args[0] == "-parallel" {
-		out := "BENCH_parallel.json"
-		if len(args) > 1 {
-			out = args[1]
-		}
-		return runParallel(out)
-	}
-	if len(args) > 0 && args[0] == "-incremental" {
-		out := "BENCH_incremental.json"
-		if len(args) > 1 {
-			out = args[1]
-		}
-		return runIncremental(out)
-	}
-	if len(args) > 0 && args[0] == "-cluster" {
-		out := "BENCH_cluster.json"
-		n := 2000
-		if len(args) > 1 {
-			out = args[1]
-		}
-		if len(args) > 2 {
-			v, err := strconv.Atoi(args[2])
-			if err != nil || v <= 0 {
-				return fmt.Errorf("-cluster: bad n %q", args[2])
-			}
-			n = v
-		}
-		return runCluster(out, n)
-	}
 	registry := map[string]func() (*experiments.Table, error){
 		"widths":    experiments.WidthTable,
 		"table1":    func() (*experiments.Table, error) { return experiments.Table1(128) },

@@ -80,8 +80,8 @@ import (
 // maxRequestBytes bounds /solve bodies (64 MiB: ~1M tuples of arity 8).
 const maxRequestBytes = 64 << 20
 
-// retryAfterSeconds is the backoff hint sent with every 503 (the
-// faqload client honors it; the value is a hint, not a promise).
+// retryAfterSeconds is the backoff hint sent with every 503 (a hint to
+// clients, not a promise).
 const retryAfterSeconds = 1
 
 // solveFailpoint is the daemon's own chaos site, hit at the top of

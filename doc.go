@@ -16,8 +16,9 @@
 // layers (internal/pgm, internal/mpc, internal/workload).
 //
 // Every table, figure, and worked example of the paper is regenerated by
-// cmd/faqbench and by the benchmarks in bench_test.go; EXPERIMENTS.md
-// records paper-vs-measured values. See README.md and DESIGN.md.
+// `go run ./cmd/faqbench` (paper-claim vs measured tables) and by the
+// benchmarks in bench_test.go. Engine performance is measured by the
+// one harness in bench/ (bench/README.md). See README.md.
 //
 // # Public library API (package faqs)
 //
@@ -30,13 +31,13 @@
 // options (WithWorkers, WithPlanCache, WithMemoryBudget,
 // WithBruteForceFallback) — serves Solve, SolveBatch, Explain, and
 // SolveOnNetwork. Engines route through internal/plan + internal/service,
-// so the library and the cmd/faqd daemon share one execution path; the
-// old faq.SolveOnGHD* variants are thin wrappers over the single
-// faq.SolveGHD ctx+options core. Explain surfaces the paper's bounds as
-// planning output — the GHD tree, y(H)/n₂(H)/width/depth, and per-node
-// output bounds (≤ N for label-covered nodes per eq. 24, N^|χ(v)| for
-// the fat core root) — and the same bounds drive WithMemoryBudget's
-// admission control (typed ErrOverBudget rejections before execution).
+// so the library and the cmd/faqd daemon share one execution path, which
+// ends in the single faq.SolveGHD ctx+options core. Explain surfaces the
+// paper's bounds as planning output — the GHD tree, y(H)/n₂(H)/width/
+// depth, and per-node output bounds (≤ N for label-covered nodes per
+// eq. 24, N^|χ(v)| for the fat core root) — and the same bounds drive
+// WithMemoryBudget's admission control (typed ErrOverBudget rejections
+// before execution).
 // cmd/ and examples/ programs import only this façade, enforced at
 // build time by the facade analyzer (`make lint`, with `make
 // vet-imports` as the alias running just that analyzer); see README.md
@@ -56,9 +57,8 @@
 // maps when grouping by a schema prefix, and Builder batches row growth
 // (NewBuilderHint presizes from known cardinalities). The protocol
 // engine's converge-cast streams key on the same packed integers. The
-// micro-benchmarks in internal/relation/bench_test.go track these hot
-// paths; `make bench` regenerates BENCH_relation.json, the artifact
-// performance PRs diff against (before/after history in CHANGES.md).
+// micro-benchmarks in internal/relation/bench_test.go isolate these hot
+// paths; bench/'s kernel_large workload measures them end to end.
 //
 // # Execution layer (internal/exec)
 //
@@ -100,15 +100,10 @@
 // adversarial key distributions; `make test-workers` re-runs the suites
 // with the pool pinned at 1/2/8 workers (FAQ_WORKERS).
 //
-// For accounting, a node task is no longer atomic: exec.TaskShape
-// records the portion of a task's cost spent inside partitionable
-// kernels (exec.Divisible regions, measured by exec.ForestShaped /
-// faq.SolveOnGHDShaped), and exec.MakespanShaped replays that portion
-// as parallel chunks plus a serial tail. `faqbench -parallel` (`make
-// bench-parallel`) emits BENCH_parallel.json: speedup-vs-workers curves
-// combining measured wall clock with both the atomic and the shaped
-// schedule replays — the same simulated-ledger methodology netsim uses
-// for communication rounds.
+// For accounting, exec.ForestTimed records each node task's wall clock
+// and exec.Makespan replays those costs under a simulated worker
+// budget — the same simulated-ledger methodology netsim uses for
+// communication rounds (bench/ reports it as exec.makespan_ratio).
 //
 // # Plan cache and query service (internal/plan, internal/service, cmd/faqd)
 //
@@ -125,14 +120,14 @@
 //     automorphism orbit, so a k-leaf star costs k nodes, not k!; free
 //     variables and aggregate operators seed the colors), compiles a
 //     Plan — the canonical GHD, root choice, internal-node-width y(H),
-//     core size n₂(H), per-node bag bounds, and measured
-//     exec.TaskShapes from prior runs — and caches plans in a
+//     core size n₂(H), per-node bag bounds, and measured per-node
+//     costs from prior runs — and caches plans in a
 //     concurrent LRU with singleflight compilation (N concurrent
 //     requests for one shape compile once). Binding a plan to a request
 //     is an O(plan) ghd.Relabel, validated so a fingerprint collision
 //     surfaces as an error rather than a wrong execution.
 //   - internal/service admits requests, binds cached plans to fresh
-//     factor data, and executes faq.SolveOnGHDCtx on the shared exec
+//     factor data, and executes a timed faq.SolveGHD on the shared exec
 //     pool with per-request cancellation (exec.Pool.ForestCtx gates
 //     every node task on ctx). A batching path groups same-plan requests
 //     into
@@ -140,11 +135,9 @@
 //     violating the paper's free-variable restriction fall back to
 //     faq.BruteForce (the fallback plan is itself cached).
 //   - cmd/faqd serves /solve and /stats over HTTP/JSON (one service per
-//     semiring over one shared cache); cmd/faqload is the deterministic
-//     load generator emitting BENCH_service.json — cold-plan vs
-//     warm-cache throughput and p50/p99 latency per worker count — and
-//     doubles as the CI smoke driver against a live faqd (`make
-//     bench-service`, `make smoke-service`).
+//     semiring over one shared cache). Its loopback test drives the real
+//     handler over a socket with a worker fleet behind it; bench/'s
+//     serve_http and plan_churn workloads measure it.
 //
 // Answer contract: a served answer is exactly faq.SolveOnGHD(q, g) for
 // the bound plan g. Exact semirings (Bool, Count, F2) are bit-identical

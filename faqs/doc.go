@@ -94,8 +94,7 @@
 // The engine also keeps a bounded ring of per-request traces
 // (Engine.RecentTraces): canonicalize → cache → admission → bind →
 // exec phase spans plus one measured span per GHD node. The per-node
-// durations fold back into the cached plan as exec.TaskShapes, so a
-// shape's second solve already carries real measurements for /stats
-// and schedule replay. cmd/faqd exposes all of it as GET /metrics and
-// GET /debug/trace.
+// durations fold back into the cached plan, so a shape's second solve
+// already carries real measurements for /stats and schedule replay.
+// cmd/faqd exposes all of it as GET /metrics and GET /debug/trace.
 package faqs

@@ -14,7 +14,7 @@ import (
 	"repro/internal/service"
 )
 
-// templates are the faqload mixed workload shapes: a long path, a
+// templates are the mixed-workload query shapes: a long path, a
 // symmetric star, a balanced binary tree, and a cyclic triangle with a
 // pendant edge.
 var templates = []struct {

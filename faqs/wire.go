@@ -6,11 +6,10 @@ import (
 )
 
 // Wire types: the JSON request/response schema of cmd/faqd's /solve and
-// /explain endpoints, shared with cmd/faqload's HTTP smoke mode. Values
-// travel as float64 for every semiring (exact for bool/f2, for count
-// within 2^53; the float semirings are float64 natively); a nil Values
-// slice annotates every tuple with the semiring's 1 — the natural
-// encoding of ordinary database tuples.
+// /explain endpoints. Values travel as float64 for every semiring
+// (exact for bool/f2, for count within 2^53; the float semirings are
+// float64 natively); a nil Values slice annotates every tuple with the
+// semiring's 1 — the natural encoding of ordinary database tuples.
 
 // WireFactor is one input relation in listing representation.
 type WireFactor struct {

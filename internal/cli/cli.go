@@ -1,6 +1,6 @@
-// Package cli holds the input-parsing helpers shared by the internal
-// command-line harnesses (cmd/ghdtool, cmd/faqload): the ';'/','-separated
-// query hypergraph syntax and the kind:size topology syntax. Parsers
+// Package cli holds the input-parsing helpers of the internal
+// command-line harness cmd/ghdtool: the ';'/','-separated query
+// hypergraph syntax and the kind:size topology syntax. Parsers
 // return errors — never panic — so commands can print a usage message and
 // exit nonzero on malformed input. (cmd/faqrun is a client of the public
 // faqs façade and carries its own copy of this tiny grammar; keep the

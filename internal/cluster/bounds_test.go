@@ -13,8 +13,7 @@ import (
 
 // TestPayloadBoundDominatesMeasured: the closed-form bound must cover
 // the measured solve payload for every standing template at every fleet
-// width — the same gate faqbench -cluster enforces before writing its
-// artifact.
+// width.
 func TestPayloadBoundDominatesMeasured(t *testing.T) {
 	sc := semiring.Count{}
 	gen := func(r *rand.Rand) int64 { return int64(1 + r.Intn(4)) }

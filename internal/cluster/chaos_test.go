@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/faq"
+	"repro/internal/fault"
 	"repro/internal/relation"
 	"repro/internal/semiring"
 )

@@ -19,7 +19,8 @@
 // Point deltas probe the retained relations through per-site cached
 // hash indexes (relation.HashIndex) instead of rebuilding a hash side
 // per hop, so a steady-state one-tuple update costs O(path · (log n +
-// fanout)) probe work plus the values copies — see BENCH_incremental.
+// fanout)) probe work plus the values copies — bench/'s view_churn
+// workload measures it.
 //
 // provided deletions can be expressed as ⊕-inverses:
 //

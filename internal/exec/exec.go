@@ -18,25 +18,38 @@
 // stops dispatch of not-yet-started tasks, in-flight tasks complete, and
 // the recorded error is returned.
 //
-// The package also provides the schedule-replay accounting used by
-// `faqbench -parallel`: per-task costs measured on a real run (ForestTimed)
-// are replayed under a simulated worker budget (Makespan), mirroring how
-// internal/netsim books communication rounds on a simulated capacity
-// ledger rather than on wall clocks.
+// The package also provides schedule-replay accounting: per-task costs
+// measured on a real run (ForestTimed) are replayed under a simulated
+// worker budget (Makespan), mirroring how internal/netsim books
+// communication rounds on a simulated capacity ledger rather than on
+// wall clocks.
 package exec
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
 )
+
+func init() {
+	// FAQ_WORKERS pins the default pool's parallelism for the whole
+	// process — the hook `make test-workers` uses to re-run the
+	// equivalence suites at 1/2/8 workers without editing any test.
+	if v := os.Getenv("FAQ_WORKERS"); v != "" {
+		if n, err := strconv.Atoi(v); err == nil && n > 0 {
+			SetWorkers(n)
+		}
+	}
+}
 
 // taskSite is the failpoint on Forest task dispatch: every node task of
 // a GHD pass passes through it, so chaos runs can fail, delay, or cancel
@@ -391,6 +404,32 @@ func (p *Pool) Forest(parent []int, run func(v int) error) error {
 	return firstErr
 }
 
+// seqOrder returns the deterministic children-before-parents order the
+// sequential scheduler executes a forest in.
+func seqOrder(parent []int) []int {
+	n := len(parent)
+	pending := make([]int, n)
+	for _, pa := range parent {
+		if pa >= 0 {
+			pending[pa]++
+		}
+	}
+	order := make([]int, 0, n)
+	for v := 0; v < n; v++ {
+		if pending[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for i := 0; i < len(order); i++ {
+		if pa := parent[order[i]]; pa >= 0 {
+			if pending[pa]--; pending[pa] == 0 {
+				order = append(order, pa)
+			}
+		}
+	}
+	return order
+}
+
 // ForestCtx is Forest with cooperative cancellation: each node task
 // first checks ctx and fails with ctx.Err() once the context is done, so
 // a canceled request stops dispatching new GHD node tasks while in-flight
@@ -410,8 +449,7 @@ func (p *Pool) ForestCtx(ctx context.Context, parent []int, run func(v int) erro
 
 // ForestTimed is Forest, additionally recording each task's wall-clock
 // duration in nanoseconds (indexed by node). The cost vector feeds
-// Makespan, the hardware-independent scalability accounting of
-// `faqbench -parallel`.
+// Makespan, the hardware-independent scalability accounting.
 func (p *Pool) ForestTimed(parent []int, run func(v int) error) ([]int64, error) {
 	costs := make([]int64, len(parent))
 	err := p.Forest(parent, func(v int) error {
@@ -472,9 +510,9 @@ func (h *int64Heap) Pop() any {
 // list scheduling, ready tasks dispatched in (ready time, node id) order
 // onto the earliest-free worker. With the costs recorded by ForestTimed
 // on a sequential run, TotalCost(cost)/Makespan(...) is the speedup the
-// DAG admits at that worker count — the work/span accounting emitted to
-// BENCH_parallel.json, deterministic and independent of the number of
-// physical cores the measuring host happens to have.
+// DAG admits at that worker count — work/span accounting that is
+// deterministic and independent of the number of physical cores the
+// measuring host happens to have.
 func Makespan(parent []int, cost []int64, workers int) int64 {
 	n := len(parent)
 	if n == 0 {

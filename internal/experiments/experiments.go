@@ -2,9 +2,9 @@
 // paper — Table 1, the Figure 1/2 width values, the worked Examples
 // 2.1–2.4, the theorem-level round bounds, the MCM trade-off curves, the
 // entropy experiments of Section 6, and the Appendix A MPC comparison —
-// as text tables of paper-claim vs. measured values. cmd/faqbench
-// renders them; bench_test.go wraps the same runners as Go benchmarks;
-// EXPERIMENTS.md records their output.
+// as text tables of paper-claim vs. measured values. `go run
+// ./cmd/faqbench` renders them; bench_test.go wraps the same runners as
+// Go benchmarks.
 package experiments
 
 import (

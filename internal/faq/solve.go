@@ -148,9 +148,7 @@ func RootForFree(g *ghd.GHD, free []int) (*ghd.GHD, error) {
 }
 
 // SolveOptions configures one GHD bottom-up pass. The zero value is the
-// plain parallel solve on the process-default pool; every solver entry
-// point of this package is a thin wrapper over SolveGHD with a fixed
-// option set.
+// plain parallel solve on the process-default pool.
 type SolveOptions struct {
 	// Pool schedules the forest pass; nil uses exec.Default(). Engines
 	// configured with a private worker budget (faqs.WithWorkers) thread
@@ -159,12 +157,8 @@ type SolveOptions struct {
 	Pool *exec.Pool
 	// Timed collects the wall-clock cost of every node task (indexed by
 	// GHD node), the vector exec.Makespan replays and the plan cache
-	// folds into its measured task shapes.
+	// keeps as its measured costs.
 	Timed bool
-	// Shaped collects exec.TaskShape intra-node divisibility accounting
-	// instead; the pass runs strictly sequentially (exec.ForestShaped is
-	// a measurement harness). Takes precedence over Timed.
-	Shaped bool
 	// Distributed, when non-nil, must be a DistributedSolver[T] for the
 	// query's value type; SolveGHD then delegates the validated pass to
 	// it (cluster-backed execution). A solver rejecting the query shape
@@ -191,10 +185,9 @@ type DistributedSolver[T any] interface {
 var ErrNotDistributable = errors.New("faq: query not distributable")
 
 // SolveMetrics carries the optional measurements of a SolveGHD run:
-// Costs when SolveOptions.Timed was set, Shapes when Shaped was.
+// Costs when SolveOptions.Timed was set.
 type SolveMetrics struct {
-	Costs  []int64
-	Shapes []exec.TaskShape
+	Costs []int64
 }
 
 // SolveOnGHD is Solve with a caller-chosen decomposition (used by the
@@ -213,45 +206,10 @@ func SolveOnGHD[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], error) {
 	return rel, err
 }
 
-// SolveOnGHDCtx is SolveOnGHD with per-request cancellation and cost
-// measurement — the service layer's execution entry point. Each node task
-// checks ctx before running (exec.Pool.ForestCtx), so a canceled request
-// stops dispatching GHD nodes and returns ctx.Err() while in-flight node
-// tasks complete. The returned cost vector is ForestTimed's per-node
-// wall clock (indexed by GHD node), which the plan cache folds into its
-// measured task shapes for /stats and schedule-replay accounting.
-func SolveOnGHDCtx[T any](ctx context.Context, q *Query[T], g *ghd.GHD) (*relation.Relation[T], []int64, error) {
-	rel, m, err := SolveGHD(ctx, q, g, SolveOptions{Timed: true})
-	return rel, m.Costs, err
-}
-
-// SolveOnGHDTimed is SolveOnGHD, additionally returning the wall-clock
-// cost of every node task of the bottom-up pass (indexed by GHD node).
-// The cost vector feeds exec.Makespan's schedule replay — the
-// hardware-independent speedup accounting of `faqbench -parallel`.
-func SolveOnGHDTimed[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], []int64, error) {
-	rel, m, err := SolveGHD(nil, q, g, SolveOptions{Timed: true})
-	return rel, m.Costs, err
-}
-
-// SolveOnGHDShaped is SolveOnGHDTimed with intra-node divisibility
-// accounting: the pass runs strictly sequentially (exec.ForestShaped is
-// a measurement harness) and each node's shape records, besides its
-// total wall cost, the time spent inside relation kernels that would
-// have partitioned across workers (the exec.Divisible regions — merge
-// and hash joins, Builder sorts, packed grouping) and their maximum
-// split count. The shapes feed exec.MakespanShaped's refined schedule
-// replay. Meaningful with the default pool at 1 worker, so the kernels
-// take the sequential paths that mark those regions.
-func SolveOnGHDShaped[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], []exec.TaskShape, error) {
-	rel, m, err := SolveGHD(nil, q, g, SolveOptions{Shaped: true})
-	return rel, m.Shapes, err
-}
-
-// SolveGHD is the single bottom-up-pass entry point behind every
-// SolveOnGHD* wrapper: one ctx+options core instead of per-mode
-// variants. ctx may be nil (background); opts selects the pool and the
-// measurement mode.
+// SolveGHD is the single bottom-up-pass entry point: one ctx+options
+// core instead of per-mode variants (SolveOnGHD is its zero-option
+// shorthand). ctx may be nil (background); opts selects the pool and
+// the measurement mode.
 func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOptions) (*relation.Relation[T], SolveMetrics, error) {
 	var metrics SolveMetrics
 	if err := q.Validate(); err != nil {
@@ -328,7 +286,7 @@ func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOpt
 	run := task
 	if ctx != nil {
 		// The same per-task ctx gate ForestCtx applies, threaded here so
-		// the timed/shaped variants stay cancellable too.
+		// the timed pass stays cancellable too.
 		run = func(v int) error {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -341,12 +299,9 @@ func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOpt
 		pool = exec.Default()
 	}
 	var err error
-	switch {
-	case opts.Shaped:
-		metrics.Shapes, err = pool.ForestShaped(g.Parent, run)
-	case opts.Timed:
+	if opts.Timed {
 		metrics.Costs, err = pool.ForestTimed(g.Parent, run)
-	default:
+	} else {
 		err = pool.ForestCtx(ctx, g.Parent, task)
 	}
 	if err != nil {

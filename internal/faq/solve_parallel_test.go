@@ -146,45 +146,3 @@ func TestSolveParallelPropagatesErrors(t *testing.T) {
 		t.Fatal("expected validation error through parallel path")
 	}
 }
-
-// TestSolveOnGHDShapedMatchesPlain pins the shaped measurement run:
-// identical answer bits to the plain sequential solve, one well-formed
-// TaskShape per GHD node (Div ≤ Work, Parts ≥ 1), and small inputs stay
-// atomic (below the kernel partition threshold nothing marks Divisible).
-func TestSolveOnGHDShapedMatchesPlain(t *testing.T) {
-	r := rand.New(rand.NewSource(79))
-	for trial := 0; trial < 10; trial++ {
-		h, factors := randomTreeQuery(r, 4+r.Intn(6), 4, 2+r.Intn(8))
-		q := &Query[float64]{S: sp, H: h, Factors: factors, Free: nil, DomSize: 4}
-		g, err := ghd.Minimize(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev := exec.SetWorkers(1)
-		want, err1 := SolveOnGHD(q, g)
-		got, shapes, err2 := SolveOnGHDShaped(q, g)
-		exec.SetWorkers(prev)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if !relation.Equal(sp, got, want) {
-			t.Fatalf("trial %d: shaped solve != plain solve", trial)
-		}
-		for i := 0; i < got.Len(); i++ {
-			if got.Value(i) != want.Value(i) {
-				t.Fatalf("trial %d tuple %d: value bit drift", trial, i)
-			}
-		}
-		if len(shapes) != g.NumNodes() {
-			t.Fatalf("trial %d: %d shapes for %d nodes", trial, len(shapes), g.NumNodes())
-		}
-		for v, sh := range shapes {
-			if sh.Div > sh.Work || sh.Parts < 1 {
-				t.Fatalf("trial %d node %d: malformed shape %+v", trial, v, sh)
-			}
-			if sh.Div != 0 {
-				t.Fatalf("trial %d node %d: tiny input marked divisible: %+v", trial, v, sh)
-			}
-		}
-	}
-}

@@ -37,7 +37,6 @@ func DefaultFacadeConfig() FacadeConfig {
 		},
 		Exempt: map[string]string{
 			"repro/cmd/faqbench": "regenerates the paper tables from the internals",
-			"repro/cmd/faqload":  "verifies served answers against the internal reference solvers",
 			"repro/cmd/ghdtool":  "dumps GYO traces no public API exposes",
 		},
 	}

@@ -34,9 +34,8 @@ type Scrape struct {
 // a malformed writer could emit: samples without a preceding TYPE,
 // duplicate HELP/TYPE/series, unknown comment lines, label syntax
 // errors, non-contiguous families, and histograms whose cumulative
-// buckets decrease, lack le="+Inf", or disagree with _count. Tests use
-// it to round-trip /metrics; faqload uses it to fold server-side
-// histograms into load reports.
+// buckets decrease, lack le="+Inf", or disagree with _count. The
+// daemon and service tests use it to round-trip /metrics.
 func ParseText(r io.Reader) (*Scrape, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package obs is the repository's dependency-free observability layer:
 // an atomic metrics registry with Prometheus text exposition, a strict
-// exposition parser (shared by tests and faqload's /metrics scraping),
-// a bounded-ring solve tracer, and a runtime/metrics collector. The
+// exposition parser (the tests' /metrics round trip), a bounded-ring
+// solve tracer, and a runtime/metrics collector. The
 // offline build has no module cache, so — like internal/lint hand-rolled
 // its go/analysis — this package hand-rolls the metric primitives on
 // sync/atomic.

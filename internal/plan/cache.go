@@ -173,25 +173,6 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// Reset drops every completed entry and all counters. In-flight entries
-// survive (their compilers hold references), keeping Reset safe under
-// concurrency; the cold-start measurement path of cmd/faqload calls this
-// between requests.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var el *list.Element
-	for el = c.lru.Back(); el != nil; {
-		prev := el.Prev()
-		if ent := el.Value.(*cacheEntry); entryReady(ent) {
-			c.lru.Remove(el)
-			delete(c.entries, ent.key)
-		}
-		el = prev
-	}
-	c.hits, c.misses, c.compiles, c.failures, c.evictions, c.waits = 0, 0, 0, 0, 0, 0
-}
-
 // CacheStats is the JSON-friendly counter snapshot for /stats.
 type CacheStats struct {
 	Capacity  int   `json:"capacity"`

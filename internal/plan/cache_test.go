@@ -214,23 +214,6 @@ func TestCacheObservesCompileDuration(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := NewCache(4)
-	for i := 0; i < 3; i++ {
-		fp := pathFingerprint(t, i+2)
-		if _, _, err := c.Get(fp.Key, func() (*Plan, error) { return Compile(fp) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Reset()
-	if got := c.Len(); got != 0 {
-		t.Fatalf("Len after Reset = %d", got)
-	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Compiles != 0 {
-		t.Fatalf("counters survived Reset: %+v", s)
-	}
-}
-
 // TestCompileFallback pins the free-variable-restriction path: a shape
 // whose free set fits no bag compiles into a Fallback plan (cached, no
 // GHD) instead of erroring.
@@ -261,7 +244,7 @@ func TestPlanSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.RecordExec([]int64{10, 20, 30, 40})
-	p.RecordExec(nil) // exec without measurement keeps prior shapes
+	p.RecordExec(nil) // exec without measurement keeps prior costs
 	s := p.Snapshot()
 	if s.Execs != 2 || s.WorkNS != 100 || s.Nodes != 4 {
 		t.Fatalf("snapshot = %+v", s)

@@ -73,9 +73,9 @@ type Plan struct {
 	// a cache hit saves.
 	CompileNS int64
 
-	hits   atomic.Int64
-	execs  atomic.Int64
-	shapes atomic.Pointer[[]exec.TaskShape]
+	hits  atomic.Int64
+	execs atomic.Int64
+	costs atomic.Pointer[[]int64]
 }
 
 // Compile derives the Plan of a canonical shape. It is the step the
@@ -183,30 +183,20 @@ func (p *Plan) EstimateBytes(n int) float64 {
 	return total
 }
 
-// RecordExec books one execution of the plan and folds the measured
-// per-node costs (faq.SolveOnGHDCtx's ForestTimed vector) into the
-// plan's task shapes — the "measured TaskShapes from prior runs" that
-// /stats and schedule-replay accounting read. Latest run wins; callers
-// pass nil costs to count an execution without a measurement.
+// RecordExec books one execution of the plan and keeps the measured
+// per-node costs (the ForestTimed vector of a timed faq.SolveGHD pass)
+// that /stats renders as work and critical path. Latest run wins;
+// callers pass nil costs to count an execution without a measurement.
+// The plan keeps costs, so callers must not modify it afterwards.
 func (p *Plan) RecordExec(costs []int64) {
 	p.execs.Add(1)
 	if len(costs) > 0 {
-		shapes := exec.AtomicShapes(costs)
-		p.shapes.Store(&shapes)
+		p.costs.Store(&costs)
 	}
 }
 
 // recordHit books one cache hit (called by the Cache).
 func (p *Plan) recordHit() { p.hits.Add(1) }
-
-// Shapes returns the most recently measured task shapes, or nil before
-// the first measured execution.
-func (p *Plan) Shapes() []exec.TaskShape {
-	if s := p.shapes.Load(); s != nil {
-		return *s
-	}
-	return nil
-}
 
 // Snapshot is the JSON-friendly view of a plan for /stats.
 type Snapshot struct {
@@ -240,13 +230,9 @@ func (p *Plan) Snapshot() Snapshot {
 	if p.G != nil {
 		s.Nodes = p.G.NumNodes()
 	}
-	if shapes := p.Shapes(); shapes != nil && p.G != nil {
-		costs := make([]int64, len(shapes))
-		for i, sh := range shapes {
-			costs[i] = sh.Work
-		}
-		s.WorkNS = exec.TotalCost(costs)
-		s.CritPathNS = exec.Makespan(p.G.Parent, costs, len(costs))
+	if c := p.costs.Load(); c != nil && p.G != nil {
+		s.WorkNS = exec.TotalCost(*c)
+		s.CritPathNS = exec.Makespan(p.G.Parent, *c, len(*c))
 	}
 	return s
 }

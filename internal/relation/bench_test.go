@@ -12,8 +12,9 @@ import (
 // Project, EliminateVar, and Builder.Build at n ∈ {1e3, 1e4, 1e5}.
 // These are the per-tuple constant factors behind every protocol round
 // in the paper's evaluation (each GHD node of a Theorem 4.1 run calls
-// Semijoin/Project/Join once per star reduction), so `make bench`
-// tracks them in BENCH_relation.json across PRs.
+// Semijoin/Project/Join once per star reduction). CI runs each once so
+// they cannot rot; bench/'s kernel_large workload measures the same
+// kernels end to end.
 
 var benchSizes = []int{1_000, 10_000, 100_000}
 

@@ -146,16 +146,7 @@ func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	na, nb := a.Len(), b.Len()
-	var rows []int32
-	var vals []T
-	divN := 0
-	if p >= 1 {
-		divN = na + nb // the range-split twin serves exactly p ≥ 1
-	}
-	markDivisible(divN, func() {
-		rows, vals = joinMergeRange(s, a, b, p, srcs, len(outSchema), 0, na, 0, nb)
-	})
+	rows, vals := joinMergeRange(s, a, b, p, srcs, len(outSchema), 0, a.Len(), 0, b.Len())
 	return mergeEmit(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
 }
 
@@ -264,30 +255,24 @@ func joinHash[T any](s semiring.Semiring[T], a, b *Relation[T], shared []int) *R
 	}
 
 	if len(shared) <= keys.MaxPacked {
-		divN := 0
-		if len(shared) >= 1 {
-			divN = na + nb // joinHashParallel is the partitioned twin
+		head := make(map[uint64]int32, nb)
+		next := make([]int32, nb)
+		for i := nb - 1; i >= 0; i-- {
+			k := keys.PackCols(b.Tuple(i), bCols)
+			if h, ok := head[k]; ok {
+				next[i] = h
+			} else {
+				next[i] = -1
+			}
+			head[k] = int32(i)
 		}
-		markDivisible(divN, func() {
-			head := make(map[uint64]int32, nb)
-			next := make([]int32, nb)
-			for i := nb - 1; i >= 0; i-- {
-				k := keys.PackCols(b.Tuple(i), bCols)
-				if h, ok := head[k]; ok {
-					next[i] = h
-				} else {
-					next[i] = -1
-				}
-				head[k] = int32(i)
-			}
-			for i := 0; i < na; i++ {
-				if h, ok := head[keys.PackCols(a.Tuple(i), aCols)]; ok {
-					for j := h; j >= 0; j = next[j] {
-						emit(i, int(j))
-					}
+		for i := 0; i < na; i++ {
+			if h, ok := head[keys.PackCols(a.Tuple(i), aCols)]; ok {
+				for j := h; j >= 0; j = next[j] {
+					emit(i, int(j))
 				}
 			}
-		})
+		}
 		return out.Build()
 	}
 
@@ -341,16 +326,7 @@ func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 // semijoinMerge filters a against b with a galloping two-pointer scan on
 // the shared prefix; the output is a's row order, already sorted.
 func semijoinMerge[T any](a, b *Relation[T], p int) *Relation[T] {
-	na, nb := a.Len(), b.Len()
-	var rows []int32
-	var vals []T
-	divN := 0
-	if p >= 1 {
-		divN = na + nb
-	}
-	markDivisible(divN, func() {
-		rows, vals = semijoinMergeRange(a, b, p, 0, na, 0, nb)
-	})
+	rows, vals := semijoinMergeRange(a, b, p, 0, a.Len(), 0, b.Len())
 	return fromSorted(a.schema, rows, vals)
 }
 
@@ -387,22 +363,16 @@ func semijoinHash[T any](a, b *Relation[T], shared []int) *Relation[T] {
 	out := &Relation[T]{schema: a.schema}
 
 	if len(shared) <= keys.MaxPacked {
-		divN := 0
-		if len(shared) >= 1 {
-			divN = a.Len() + b.Len() // semijoinHashParallel is the partitioned twin
+		seen := make(map[uint64]struct{}, b.Len())
+		for i := 0; i < b.Len(); i++ {
+			seen[keys.PackCols(b.Tuple(i), bCols)] = struct{}{}
 		}
-		markDivisible(divN, func() {
-			seen := make(map[uint64]struct{}, b.Len())
-			for i := 0; i < b.Len(); i++ {
-				seen[keys.PackCols(b.Tuple(i), bCols)] = struct{}{}
+		for i := 0; i < a.Len(); i++ {
+			if _, ok := seen[keys.PackCols(a.Tuple(i), aCols)]; ok {
+				out.rows = append(out.rows, a.Tuple(i)...)
+				out.vals = append(out.vals, a.vals[i])
 			}
-			for i := 0; i < a.Len(); i++ {
-				if _, ok := seen[keys.PackCols(a.Tuple(i), aCols)]; ok {
-					out.rows = append(out.rows, a.Tuple(i)...)
-					out.vals = append(out.vals, a.vals[i])
-				}
-			}
-		})
+		}
 		return out
 	}
 

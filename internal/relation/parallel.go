@@ -62,20 +62,6 @@ func parallelParts(n int) int {
 	return w
 }
 
-// markDivisible brackets a sequential kernel region in exec.Divisible
-// when its input size n crosses the partition threshold — i.e. exactly
-// when a multi-worker run would have dispatched the region's partitioned
-// twin. Callers pass n = 0 for shapes that have no parallel twin. The
-// bracket feeds exec.ForestShaped's work/div accounting (the intra-node
-// partitioning model of exec.MakespanShaped); it never changes results.
-func markDivisible(n int, f func()) {
-	if n >= parallelMinTuples {
-		exec.Divisible(maxParts, f)
-		return
-	}
-	f()
-}
-
 // partitionByKey buckets tuple indices of r by keys.Chunk of the given
 // key columns, returning for each partition the ascending tuple indices
 // and, aligned with them, the tuples' packed keys (computed once here;

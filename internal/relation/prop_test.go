@@ -266,8 +266,8 @@ func TestPublicDispatchWorkerSweep(t *testing.T) {
 // output to their sequential twins at every partition count, in both the
 // ordered and the Builder (unordered) orientation.
 func FuzzJoinMergeParallel(f *testing.F) {
-	f.Add([]byte{3}, bytes.Repeat([]byte{5, 1}, 40))         // all-equal keys: one giant group on both sides
-	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))         // all-equal at a different parts count
+	f.Add([]byte{3}, bytes.Repeat([]byte{5, 1}, 40))                        // all-equal keys: one giant group on both sides
+	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))                        // all-equal at a different parts count
 	giant := append(bytes.Repeat([]byte{3, 0}, 45), 200, 1, 201, 2, 202, 3) // one giant group plus outliers
 	f.Add([]byte{5}, giant)
 	alt := make([]byte, 96) // alternating runs: key flips 1/17 every tuple

@@ -230,7 +230,7 @@ func (b *Builder[T]) buildPacked() *Relation[T] {
 	if parts := parallelParts(n); parts > 1 {
 		parallelSortFunc(pr, cmp, parts)
 	} else {
-		markDivisible(n, func() { slices.SortFunc(pr, cmp) })
+		slices.SortFunc(pr, cmp)
 	}
 	rows := make([]int32, 0, n*a)
 	vals := make([]T, 0, n)
@@ -279,7 +279,7 @@ func (b *Builder[T]) buildGeneric() *Relation[T] {
 	if parts := parallelParts(n); parts > 1 {
 		parallelSortFunc(idx, cmp, parts)
 	} else {
-		markDivisible(n, func() { slices.SortFunc(idx, cmp) })
+		slices.SortFunc(idx, cmp)
 	}
 	rowEq := func(x, y int32) bool {
 		rx := all[int(x)*a : int(x)*a+a]
@@ -389,15 +389,7 @@ func Project[T any](s semiring.Semiring[T], r *Relation[T], vs []int) (*Relation
 				return projectPrefixParallel(s, r, sorted, p, parts), nil
 			}
 		}
-		divN := 0
-		if p >= 1 {
-			divN = n // projectPrefixParallel is the partitioned twin
-		}
-		var rows []int32
-		var vals []T
-		markDivisible(divN, func() {
-			rows, vals = projectPrefixRange(s, r, p, 0, n)
-		})
+		rows, vals := projectPrefixRange(s, r, p, 0, n)
 		return fromSorted(sorted, rows, vals), nil
 	}
 	b := NewBuilderHint(s, sorted, n)
@@ -442,15 +434,7 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 				return eliminatePrefixParallel(s, r, rest, op, domSize, p, parts), nil
 			}
 		}
-		divN := 0
-		if p >= 1 {
-			divN = n // eliminatePrefixParallel is the partitioned twin
-		}
-		var rows []int32
-		var vals []T
-		markDivisible(divN, func() {
-			rows, vals = eliminatePrefixRange(s, r, op, domSize, p, 0, n)
-		})
+		rows, vals := eliminatePrefixRange(s, r, op, domSize, p, 0, n)
 		return fromSorted(rest, rows, vals), nil
 	}
 
@@ -459,58 +443,49 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 		if parts := parallelParts(n); parts > 1 && p >= 1 {
 			return eliminatePackedParallel(s, r, rest, restCols, op, domSize, parts), nil
 		}
-		divN := 0
-		if p >= 1 {
-			divN = n // eliminatePackedParallel is the partitioned twin
+		// Group on a packed key; packed order is lexicographic order, so
+		// sorting the groups by key yields the output layout directly.
+		groupOf := make(map[uint64]int32, n)
+		var gkeys []uint64
+		var gvals []T
+		var gcounts []int32
+		for i := 0; i < n; i++ {
+			k := keys.PackCols(r.Tuple(i), restCols)
+			g, ok := groupOf[k]
+			if !ok {
+				g = int32(len(gkeys))
+				groupOf[k] = g
+				gkeys = append(gkeys, k)
+				gvals = append(gvals, op.Identity())
+				gcounts = append(gcounts, 0)
+			}
+			gvals[g] = op.Combine(gvals[g], r.vals[i])
+			gcounts[g]++
 		}
-		var out *Relation[T]
-		markDivisible(divN, func() {
-			// Group on a packed key; packed order is lexicographic order,
-			// so sorting the groups by key yields the output layout
-			// directly.
-			groupOf := make(map[uint64]int32, n)
-			var gkeys []uint64
-			var gvals []T
-			var gcounts []int32
-			for i := 0; i < n; i++ {
-				k := keys.PackCols(r.Tuple(i), restCols)
-				g, ok := groupOf[k]
-				if !ok {
-					g = int32(len(gkeys))
-					groupOf[k] = g
-					gkeys = append(gkeys, k)
-					gvals = append(gvals, op.Identity())
-					gcounts = append(gcounts, 0)
-				}
-				gvals[g] = op.Combine(gvals[g], r.vals[i])
-				gcounts[g]++
+		order := make([]int32, len(gkeys))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sortByKey(order, gkeys)
+		rows := make([]int32, 0, len(gkeys)*p)
+		vals := make([]T, 0, len(gkeys))
+		for _, g := range order {
+			if op.IsProduct() && int(gcounts[g]) < domSize {
+				continue // an unlisted zero annihilates the product aggregate
 			}
-			order := make([]int32, len(gkeys))
-			for i := range order {
-				order[i] = int32(i)
+			if s.IsZero(gvals[g]) {
+				continue
 			}
-			sortByKey(order, gkeys)
-			rows := make([]int32, 0, len(gkeys)*p)
-			vals := make([]T, 0, len(gkeys))
-			for _, g := range order {
-				if op.IsProduct() && int(gcounts[g]) < domSize {
-					continue // an unlisted zero annihilates the product aggregate
-				}
-				if s.IsZero(gvals[g]) {
-					continue
-				}
-				switch p {
-				case 1:
-					rows = append(rows, keys.Unpack1(gkeys[g]))
-				case 2:
-					x, y := keys.Unpack2(gkeys[g])
-					rows = append(rows, x, y)
-				}
-				vals = append(vals, gvals[g])
+			switch p {
+			case 1:
+				rows = append(rows, keys.Unpack1(gkeys[g]))
+			case 2:
+				x, y := keys.Unpack2(gkeys[g])
+				rows = append(rows, x, y)
 			}
-			out = fromSorted(rest, rows, vals)
-		})
-		return out, nil
+			vals = append(vals, gvals[g])
+		}
+		return fromSorted(rest, rows, vals), nil
 	}
 
 	// Arbitrary-arity fallback (> MaxPacked remaining columns): string

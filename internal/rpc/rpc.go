@@ -10,8 +10,8 @@
 //
 // where the payload length counts everything after the length word
 // (9 header bytes + the body). Frames above MaxFrameBytes are rejected
-// on both ends, so a corrupt length word cannot trigger an unbounded
-// allocation.
+// on both ends, and the reader allocates a frame's buffer as its bytes
+// arrive, so a corrupt length word cannot trigger a large allocation.
 //
 // Clients speak strict request/response over a connection: RoundTrip
 // holds the connection for one exchange, applies the per-message
@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,22 +94,38 @@ func appendFrame(dst []byte, f *Frame) ([]byte, error) {
 	return dst, nil
 }
 
+// readChunk caps readFrame's first allocation. Frames up to this size
+// are read into one exactly-sized buffer; larger ones grow as bytes
+// arrive, so a length word alone cannot commit MaxFrameBytes of memory.
+const readChunk = 1 << 20
+
 // readFrame decodes one frame from r.
 func readFrame(r *bufio.Reader) (*Frame, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n < frameHeaderBytes {
 		return nil, fmt.Errorf("rpc: short frame payload (%d bytes)", n)
 	}
 	if n > MaxFrameBytes {
 		return nil, fmt.Errorf("%w: payload %d bytes", ErrFrameTooLarge, n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	// Each growth step at most doubles what the peer already delivered.
+	buf := make([]byte, min(n, readChunk))
+	for got := 0; ; {
+		if _, err := io.ReadFull(r, buf[got:]); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got = len(buf); got == n {
+			break
+		}
+		grow := min(n-got, got)
+		buf = slices.Grow(buf, grow)[:got+grow]
 	}
 	f := &Frame{
 		Kind: buf[0],

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -51,6 +53,85 @@ func TestFrameSizeLimit(t *testing.T) {
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(buf[:]))); err == nil {
 		t.Fatal("short payload length was accepted")
 	}
+}
+
+// allocDuring returns the bytes the heap allocated while f ran.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length word claiming the
+// largest legal frame, followed by nothing, must not commit the claimed
+// size — the reader allocates as body bytes arrive.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrameBytes)
+	br := bufio.NewReader(bytes.NewReader(hdr[:]))
+	var err error
+	alloc := allocDuring(func() { _, err = readFrame(br) })
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("truncated frame returned %v, want io.EOF", err)
+	}
+	if alloc >= 2<<20 {
+		t.Fatalf("header-only frame allocated %d bytes, want < 2 MiB", alloc)
+	}
+
+	// A body cut off past the first chunk is an unexpected EOF, and a
+	// frame spanning several growth steps still decodes intact.
+	big := &Frame{Kind: 3, A: 1, B: 2, Body: bytes.Repeat([]byte{0xab}, 3*readChunk+5)}
+	enc, err := appendFrame(nil, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(enc[:4+readChunk]))); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("frame cut at a chunk boundary returned %v, want io.ErrUnexpectedEOF", err)
+	}
+	got, err := readFrame(bufio.NewReader(bytes.NewReader(enc)))
+	if err != nil || got.Kind != big.Kind || got.A != big.A || got.B != big.B || !bytes.Equal(got.Body, big.Body) {
+		t.Fatalf("multi-chunk frame did not round trip: err=%v", err)
+	}
+}
+
+// FuzzReadFrame: on arbitrary bytes the reader returns an error or
+// exactly the frame appendFrame encoded at the head of the input —
+// never a panic — and allocates at most the first chunk plus a small
+// multiple of the bytes it was given.
+func FuzzReadFrame(f *testing.F) {
+	for _, fr := range []Frame{{Kind: 1}, {Kind: 7, A: 3, B: -1, Body: []byte("hello")}} {
+		enc, err := appendFrame(nil, &fr)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+	}
+	var huge [4]byte
+	binary.BigEndian.PutUint32(huge[:], MaxFrameBytes)
+	f.Add(huge[:])
+	f.Add([]byte{0, 0, 0, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		var fr *Frame
+		var err error
+		alloc := allocDuring(func() { fr, err = readFrame(br) })
+		if limit := uint64(readChunk + 8*len(data) + 4096); alloc > limit {
+			t.Fatalf("readFrame allocated %d bytes on %d input bytes (limit %d)", alloc, len(data), limit)
+		}
+		if err != nil {
+			return
+		}
+		enc, err := appendFrame(nil, fr)
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if !bytes.HasPrefix(data, enc) {
+			t.Fatalf("decoded frame %+v re-encodes to %x, input %x", fr, enc, data)
+		}
+	})
 }
 
 // echoServer serves frames that echo the request with Kind+1.

@@ -53,7 +53,7 @@ func TestCachedPlanCarriesMeasuredShapes(t *testing.T) {
 		t.Errorf("plan execs = %d, want >= 2", snaps[0].Execs)
 	}
 	if snaps[0].WorkNS <= 0 {
-		t.Errorf("cached plan WorkNS = %d, want > 0: measured TaskShapes did not reach the plan", snaps[0].WorkNS)
+		t.Errorf("cached plan WorkNS = %d, want > 0: measured costs did not reach the plan", snaps[0].WorkNS)
 	}
 	if snaps[0].CritPathNS <= 0 {
 		t.Errorf("cached plan CritPathNS = %d, want > 0", snaps[0].CritPathNS)

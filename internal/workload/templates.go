@@ -5,10 +5,9 @@ import (
 )
 
 // Template is one of the standing benchmark query shapes shared by the
-// churn differential harness (internal/delta/churn), the incremental
-// benchmark (faqbench -incremental), and the service load generator's
-// HTTP templates (cmd/faqload keeps wire-level copies of the same
-// shapes). Spec lists hyperedges as ';'-separated ','-joined attribute
+// churn differential harness (internal/delta/churn), the cluster tests,
+// and the bench/ harness (the faqs and cmd/faqd tests keep wire-level
+// copies of the same shapes). Spec lists hyperedges as ';'-separated ','-joined attribute
 // names; Free lists the free variables by name.
 type Template struct {
 	Name string
