@@ -78,9 +78,10 @@
 //     sorted-merge Join/Semijoin range-split on shared-prefix key
 //     boundaries (binary-searched lower bounds, so no key group
 //     straddles a chunk) and concatenate chunk outputs in key order;
-//     Builder.Build sorts via concurrent sub-sorts plus pairwise merges
-//     over the strict (key, input-index) order, whose sorted permutation
-//     is unique.
+//     Builder.Build radix-sorts packed keys (arity ≤ 2) sequentially
+//     with a stable LSD sort, and sorts wider rows via concurrent
+//     sub-sorts plus pairwise merges; both yield the strict (key,
+//     input-index) order, whose sorted permutation is unique.
 //   - The protocol engine reduces star children (child messages) in
 //     parallel and shards its per-factor flow.MaxFlow analyses
 //     (RunTrivial and the cyclic-core phase) across the pool — MaxFlow

@@ -1,9 +1,6 @@
 package cli
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestParseQuery(t *testing.T) {
 	h, err := ParseQuery("A,B; A,C ;A,D")
@@ -22,39 +19,6 @@ func TestParseQueryMalformed(t *testing.T) {
 	for _, spec := range []string{"", "   ", "A,B;;A,C", "A,B; ,", ";"} {
 		if _, err := ParseQuery(spec); err == nil {
 			t.Errorf("ParseQuery(%q): want error, got nil", spec)
-		}
-	}
-}
-
-func TestParseTopology(t *testing.T) {
-	cases := []struct {
-		spec string
-		n, m int
-	}{
-		{"line:4", 4, 3},
-		{"clique:4", 4, 6},
-		{"star:5", 5, 4},
-		{"ring:6", 6, 6},
-		{"grid:2x3", 6, 7},
-	}
-	for _, c := range cases {
-		g, err := ParseTopology(c.spec)
-		if err != nil {
-			t.Fatalf("ParseTopology(%q): %v", c.spec, err)
-		}
-		if g.N() != c.n || g.M() != c.m {
-			t.Errorf("%s: got n=%d m=%d, want n=%d m=%d", c.spec, g.N(), g.M(), c.n, c.m)
-		}
-	}
-}
-
-func TestParseTopologyMalformed(t *testing.T) {
-	for _, spec := range []string{"", "line", "line:", "line:x", "line:0", "line:-3",
-		"grid:3", "grid:3x", "grid:0x4", "torus:4"} {
-		if _, err := ParseTopology(spec); err == nil {
-			t.Errorf("ParseTopology(%q): want error, got nil", spec)
-		} else if spec == "torus:4" && !strings.Contains(err.Error(), "unknown topology kind") {
-			t.Errorf("ParseTopology(%q): err %v does not name the unknown kind", spec, err)
 		}
 	}
 }

@@ -44,7 +44,9 @@ import (
 	"repro/internal/shard"
 )
 
-// Frame kinds of the cluster protocol (rpc.Frame.Kind).
+// Frame kinds of the cluster protocol (rpc.Frame.Kind). The body of
+// every session frame (kindReset through kindCompute) opens with the
+// solve's epoch (see appendEpoch); the bodies described below follow it.
 const (
 	kindPing    uint8 = iota + 1 // liveness probe → kindOK
 	kindReset                    // drop all session state → kindOK
@@ -103,6 +105,26 @@ func Profile[T any](name string) (semiring.Semiring[T], shard.Codec[T], error) {
 
 func floatCodec() shard.Codec[float64] {
 	return shard.Codec[float64]{Enc: math.Float64bits, Dec: math.Float64frombits}
+}
+
+// epochBytes is the size of the epoch that opens every session frame.
+const epochBytes = 8
+
+// appendEpoch appends a solve's epoch as a big-endian u64. The
+// coordinator gives every solve a larger epoch than the last, and a
+// worker refuses frames older than its session (errStaleEpoch): a
+// request left on a connection an earlier solve abandoned can then
+// neither wipe nor pollute the current session.
+func appendEpoch(dst []byte, epoch uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, epoch)
+}
+
+// splitEpoch separates a session frame's epoch from the rest of its body.
+func splitEpoch(body []byte) (uint64, []byte, error) {
+	if len(body) < epochBytes {
+		return 0, nil, fmt.Errorf("cluster: truncated session epoch (%d bytes)", len(body))
+	}
+	return binary.BigEndian.Uint64(body), body[epochBytes:], nil
 }
 
 // encodeQuery serializes a session header: [u32 domSize][name bytes].

@@ -13,6 +13,7 @@ import (
 	"repro/internal/relation"
 	"repro/internal/rpc"
 	"repro/internal/semiring"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -259,7 +260,7 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	if resp := w.Handle(ctx, &rpc.Frame{Kind: 99}); resp.Kind != kindErr {
 		t.Fatalf("unknown kind returned kind %d", resp.Kind)
 	}
-	if resp := w.Handle(ctx, &rpc.Frame{Kind: kindQuery, Body: encodeQuery("no-such", 4)}); resp.Kind != kindErr {
+	if resp := w.Handle(ctx, &rpc.Frame{Kind: kindQuery, Body: append(appendEpoch(nil, 1), encodeQuery("no-such", 4)...)}); resp.Kind != kindErr {
 		t.Fatalf("unknown semiring returned kind %d", resp.Kind)
 	}
 	if resp := w.Handle(ctx, &rpc.Frame{Kind: kindPing}); resp.Kind != kindOK {
@@ -280,6 +281,54 @@ func TestWorkerProtocolErrors(t *testing.T) {
 	}
 	if err := c.Ping(ctx); err != nil {
 		t.Fatalf("fleet unusable after worker error: %v", err)
+	}
+}
+
+// TestWorkerRefusesStaleEpoch: a session frame from an older solve —
+// one left on a connection that solve abandoned — is refused with
+// errStaleEpoch and leaves the current session intact, while frames of
+// the current epoch keep working.
+func TestWorkerRefusesStaleEpoch(t *testing.T) {
+	w := NewWorker()
+	body := func(epoch uint64, rest []byte) []byte { return append(appendEpoch(nil, epoch), rest...) }
+	sc, cod, err := Profile[int64]("count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardBody := func(epoch uint64) []byte {
+		b := relation.NewBuilder(sc, []int{0})
+		b.Add([]int{1}, 2)
+		return shard.AppendEncode(appendEpoch(nil, epoch), b.Build(), cod)
+	}
+	mustOK := func(label string, f *rpc.Frame) {
+		t.Helper()
+		if resp, err := w.handle(f); err != nil || resp.Kind == kindErr {
+			t.Fatalf("%s: %v", label, err)
+		}
+	}
+	mustStale := func(label string, f *rpc.Frame) {
+		t.Helper()
+		if _, err := w.handle(f); !errors.Is(err, errStaleEpoch) {
+			t.Fatalf("%s: got %v, want errStaleEpoch", label, err)
+		}
+	}
+	mustOK("reset 5", &rpc.Frame{Kind: kindReset, Body: body(5, nil)})
+	mustOK("query 5", &rpc.Frame{Kind: kindQuery, Body: body(5, encodeQuery("count", 4))})
+	mustStale("stale reset", &rpc.Frame{Kind: kindReset, Body: body(4, nil)})
+	mustStale("stale query", &rpc.Frame{Kind: kindQuery, Body: body(4, encodeQuery("count", 4))})
+	mustStale("stale load", &rpc.Frame{Kind: kindLoad, A: 0, Body: shardBody(4)})
+	mustStale("stale store", &rpc.Frame{Kind: kindStore, A: 0, Body: shardBody(4)})
+	mustStale("stale compute", &rpc.Frame{Kind: kindCompute, A: 0, Body: body(4, encodeVars([]int{0}))})
+	// The session survived every stale frame: load and compute at epoch 5.
+	mustOK("load 5", &rpc.Frame{Kind: kindLoad, A: 0, Body: shardBody(5)})
+	mustOK("compute 5", &rpc.Frame{Kind: kindCompute, A: 0, Body: body(5, encodeVars([]int{0}))})
+	// A frame ahead of the session is not stale, but has no session yet.
+	if _, err := w.handle(&rpc.Frame{Kind: kindLoad, Body: shardBody(6)}); err == nil || errors.Is(err, errStaleEpoch) {
+		t.Fatalf("load ahead of the session: got %v, want a setup error", err)
+	}
+	// Through Handle the refusal is a kindErr reply.
+	if resp := w.Handle(context.Background(), &rpc.Frame{Kind: kindReset, Body: body(1, nil)}); resp.Kind != kindErr {
+		t.Fatalf("stale reset through Handle returned kind %d", resp.Kind)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/faq"
 	"repro/internal/ghd"
@@ -59,6 +61,7 @@ type Client struct {
 	inflight int
 
 	solveMu sync.Mutex // serializes SolveGHD passes
+	epoch   uint64     // last solve's session epoch; guarded by solveMu
 
 	solves        atomic.Int64
 	frames        atomic.Int64
@@ -329,10 +332,13 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	phasesBefore, payloadBefore := c.phases.Load(), c.solvePayload.Load()
 
 	// Session setup: clear worker state, then bind the semiring profile.
-	if err := c.broadcast(ctx, &rpc.Frame{Kind: kindReset}); err != nil {
+	// Every session frame of this solve carries its epoch.
+	c.epoch = max(c.epoch+1, uint64(time.Now().UnixNano()))
+	epoch := appendEpoch(nil, c.epoch)
+	if err := c.broadcast(ctx, &rpc.Frame{Kind: kindReset, Body: epoch}); err != nil {
 		return nil, err
 	}
-	qbody := encodeQuery(s.name, q.DomSize)
+	qbody := append(slices.Clip(epoch), encodeQuery(s.name, q.DomSize)...)
 	if err := c.broadcast(ctx, &rpc.Frame{Kind: kindQuery, Body: qbody}); err != nil {
 		return nil, err
 	}
@@ -351,9 +357,9 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 			return nil, fmt.Errorf("cluster: sharding factor of node %d: %w", v, err)
 		}
 		for w, sh := range shards {
-			body := shard.Encode(sh, s.cod)
+			body := shard.AppendEncode(slices.Clip(epoch), sh, s.cod)
 			c.loadShards.Add(1)
-			c.loadPayload.Add(int64(len(body)))
+			c.loadPayload.Add(int64(len(body) - epochBytes))
 			loads = append(loads, workerReq{worker: w, frame: &rpc.Frame{Kind: kindLoad, A: int32(v), Body: body}})
 		}
 	}
@@ -388,15 +394,15 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		// holding the matching shard rows.
 		var stores []workerReq
 		for i, ch := range plan.children[v] {
-			slices, err := shard.Split(q.S, msgs[ch], plan.key[v], W)
+			routed, err := shard.Split(q.S, msgs[ch], plan.key[v], W)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: routing message %d→%d: %w", ch, v, err)
 			}
 			msgs[ch] = nil
-			for w, sl := range slices {
-				body := shard.Encode(sl, s.cod)
+			for w, sl := range routed {
+				body := shard.AppendEncode(slices.Clip(epoch), sl, s.cod)
 				c.solveMessages.Add(1)
-				c.solvePayload.Add(int64(len(body)))
+				c.solvePayload.Add(int64(len(body) - epochBytes))
 				stores = append(stores, workerReq{worker: w, frame: &rpc.Frame{
 					Kind: kindStore, A: int32(v), B: int32(i), Body: body,
 				}})
@@ -409,7 +415,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		}
 		// Gather: every worker runs its local star and returns the
 		// partial message; merge in worker order.
-		keepBody := encodeVars(plan.keep[v])
+		keepBody := append(slices.Clip(epoch), encodeVars(plan.keep[v])...)
 		computes := make([]workerReq, W)
 		for w := 0; w < W; w++ {
 			computes[w] = workerReq{worker: w, frame: &rpc.Frame{

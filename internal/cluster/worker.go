@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -20,9 +21,15 @@ import (
 // double. A Worker serves one coordinator session at a time (the
 // coordinator serializes solves); Handle is safe for concurrent calls.
 type Worker struct {
-	mu   sync.Mutex
-	sess session
+	mu    sync.Mutex
+	epoch uint64 // newest session epoch seen; older frames are stale
+	sess  session
 }
+
+// errStaleEpoch rejects a session frame from a solve older than the
+// worker's current session. The reply goes back on the frame's own
+// connection, so the superseded solve, not the current one, sees it.
+var errStaleEpoch = errors.New("cluster: frame from a superseded solve")
 
 // NewWorker returns an idle worker with no session.
 func NewWorker() *Worker { return &Worker{} }
@@ -41,14 +48,25 @@ func (w *Worker) Handle(ctx context.Context, req *rpc.Frame) *rpc.Frame {
 }
 
 func (w *Worker) handle(req *rpc.Frame) (*rpc.Frame, error) {
-	switch req.Kind {
-	case kindPing:
+	if req.Kind == kindPing {
 		return &rpc.Frame{Kind: kindOK}, nil
+	}
+	if req.Kind < kindReset || req.Kind > kindCompute {
+		return nil, fmt.Errorf("cluster: unknown frame kind %d", req.Kind)
+	}
+	epoch, body, err := splitEpoch(req.Body)
+	if err != nil {
+		return nil, err
+	}
+	if epoch < w.epoch {
+		return nil, fmt.Errorf("%w: frame kind %d epoch %d, session epoch %d", errStaleEpoch, req.Kind, epoch, w.epoch)
+	}
+	switch req.Kind {
 	case kindReset:
-		w.sess = nil
+		w.epoch, w.sess = epoch, nil
 		return &rpc.Frame{Kind: kindOK}, nil
 	case kindQuery:
-		name, dom, err := decodeQuery(req.Body)
+		name, dom, err := decodeQuery(body)
 		if err != nil {
 			return nil, err
 		}
@@ -56,32 +74,29 @@ func (w *Worker) handle(req *rpc.Frame) (*rpc.Frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		w.sess = sess
+		w.epoch, w.sess = epoch, sess
 		return &rpc.Frame{Kind: kindOK}, nil
-	case kindLoad, kindStore, kindCompute:
-		if w.sess == nil {
-			return nil, fmt.Errorf("cluster: frame kind %d before session setup", req.Kind)
+	}
+	if w.sess == nil || epoch != w.epoch {
+		return nil, fmt.Errorf("cluster: frame kind %d before session setup", req.Kind)
+	}
+	switch req.Kind {
+	case kindLoad:
+		if err := w.sess.load(req.A, body); err != nil {
+			return nil, err
 		}
-		switch req.Kind {
-		case kindLoad:
-			if err := w.sess.load(req.A, req.Body); err != nil {
-				return nil, err
-			}
-			return &rpc.Frame{Kind: kindOK}, nil
-		case kindStore:
-			if err := w.sess.store(req.A, req.B, req.Body); err != nil {
-				return nil, err
-			}
-			return &rpc.Frame{Kind: kindOK}, nil
-		default:
-			body, err := w.sess.compute(req.A, int(req.B), req.Body)
-			if err != nil {
-				return nil, err
-			}
-			return &rpc.Frame{Kind: kindRel, Body: body}, nil
+		return &rpc.Frame{Kind: kindOK}, nil
+	case kindStore:
+		if err := w.sess.store(req.A, req.B, body); err != nil {
+			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("cluster: unknown frame kind %d", req.Kind)
+		return &rpc.Frame{Kind: kindOK}, nil
+	default: // kindCompute
+		out, err := w.sess.compute(req.A, int(req.B), body)
+		if err != nil {
+			return nil, err
+		}
+		return &rpc.Frame{Kind: kindRel, Body: out}, nil
 	}
 }
 

@@ -406,37 +406,3 @@ func (s *Scrape) HistBuckets(name string, labels map[string]string) (les, cum []
 	cum = append(cum, inf)
 	return les, cum, true
 }
-
-// QuantileFromBuckets estimates quantile q (in [0,1]) from cumulative
-// histogram buckets: les are the finite upper bounds, cum the matching
-// cumulative counts with the +Inf bucket appended last (as returned by
-// HistBuckets; callers computing a delta between two scrapes subtract
-// element-wise first). Linear interpolation within the landing bucket;
-// observations in the +Inf bucket clamp to the last finite bound.
-// Returns 0 when the histogram is empty.
-func QuantileFromBuckets(les, cum []float64, q float64) float64 {
-	if len(cum) == 0 || len(cum) != len(les)+1 {
-		return 0
-	}
-	total := cum[len(cum)-1]
-	if total <= 0 {
-		return 0
-	}
-	rank := q * total
-	lower := 0.0
-	prev := 0.0
-	for i, bound := range les {
-		if cum[i] >= rank {
-			in := cum[i] - prev
-			if in <= 0 {
-				return bound
-			}
-			return lower + (bound-lower)*(rank-prev)/in
-		}
-		lower, prev = bound, cum[i]
-	}
-	if len(les) == 0 {
-		return 0
-	}
-	return les[len(les)-1] // landed in +Inf: clamp to last finite bound
-}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -99,29 +98,6 @@ func TestParseAcceptsHistogramWithLabels(t *testing.T) {
 	les, cum, ok := s.HistBuckets("m", map[string]string{"s": "a"})
 	if !ok || len(les) != 1 || cum[1] != 2 {
 		t.Fatalf("labelled HistBuckets = %v %v %v", les, cum, ok)
-	}
-}
-
-func TestQuantileFromBuckets(t *testing.T) {
-	// 100 observations: 50 in (0,10], 40 in (10,100], 10 in (100,+Inf].
-	les := []float64{10, 100}
-	cum := []float64{50, 90, 100}
-	if got := QuantileFromBuckets(les, cum, 0.5); got != 10 {
-		t.Fatalf("p50 = %v, want 10 (exact bucket edge)", got)
-	}
-	p75 := QuantileFromBuckets(les, cum, 0.75)
-	want := 10 + 90*(75.0-50.0)/40.0 // interpolated inside (10,100]
-	if math.Abs(p75-want) > 1e-9 {
-		t.Fatalf("p75 = %v, want %v", p75, want)
-	}
-	if got := QuantileFromBuckets(les, cum, 0.99); got != 100 {
-		t.Fatalf("p99 in +Inf bucket should clamp to 100, got %v", got)
-	}
-	if got := QuantileFromBuckets(nil, nil, 0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	if got := QuantileFromBuckets(les, []float64{0, 0, 0}, 0.5); got != 0 {
-		t.Fatalf("zero-count quantile = %v, want 0", got)
 	}
 }
 

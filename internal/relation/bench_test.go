@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/semiring"
@@ -119,28 +121,41 @@ func BenchmarkEliminateVar(b *testing.B) {
 	}
 }
 
+// BenchmarkBuilderBuild measures Build on random arity-2 and arity-1
+// input and on arity-2 input already in key order — the shape
+// mergeEmit's unordered branch often feeds in. n=16 covers the small
+// relations a size cutoff in the radix sort would be for.
 func BenchmarkBuilderBuild(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := rand.New(rand.NewSource(5))
-			dom := n / 4
-			if dom < 4 {
-				dom = 4
-			}
-			tuples := make([][2]int, n)
-			for i := range tuples {
-				tuples[i] = [2]int{r.Intn(dom), r.Intn(dom)}
-			}
-			s := semiring.SumProduct{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bd := NewBuilder[float64](s, []int{0, 1})
-				for _, t := range tuples {
-					bd.Add(t[:], 1)
+	for _, c := range []struct {
+		name   string
+		arity  int
+		sorted bool
+	}{{"a2", 2, false}, {"a1", 1, false}, {"a2-sorted", 2, true}} {
+		for _, n := range append([]int{16}, benchSizes...) {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				r := rand.New(rand.NewSource(5))
+				dom := max(n/4, 4)
+				tuples := make([][2]int, n)
+				for i := range tuples {
+					tuples[i] = [2]int{r.Intn(dom), r.Intn(dom)}
 				}
-				bd.Build()
-			}
-		})
+				if c.sorted {
+					slices.SortFunc(tuples, func(x, y [2]int) int {
+						return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+					})
+				}
+				schema := []int{0, 1}[:c.arity]
+				s := semiring.SumProduct{}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bd := NewBuilder[float64](s, schema)
+					for _, t := range tuples {
+						bd.Add(t[:c.arity], 1)
+					}
+					bd.Build()
+				}
+			})
+		}
 	}
 }

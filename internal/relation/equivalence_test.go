@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -224,47 +225,103 @@ func TestEliminateVarPathsAgree(t *testing.T) {
 	}
 }
 
+// fuzzCoords are the column values the Builder fuzzer draws from: few
+// enough to breed duplicates, spread across every byte of a packed key
+// and both sides of the int32 sign bias.
+var fuzzCoords = [8]int32{math.MinInt32, -65536, -1, 0, 1, 255, 256, math.MaxInt32}
+
 // FuzzBuilderDuplicateMerge fuzzes Builder's duplicate merging against a
-// map-based reference aggregation over the counting semiring.
+// map-based reference aggregation. The first byte selects arity 1, 2
+// (the packed radix path) or 3 (the comparator path); each following
+// group of arity bytes is one tuple. The counting pass checks zero-drop;
+// the sum-product pass compares float bits against a reference folding
+// each tuple's duplicates in input order, so an unstable sort — any
+// reordering of a duplicate group — fails.
 func FuzzBuilderDuplicateMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 4})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{5, 1, 2, 1, 5, 2, 2, 5, 1})
 	f.Add([]byte{255, 0, 255, 0, 255, 0})
+	f.Add([]byte{0, 7, 0, 7, 0, 7, 1, 0, 7, 1})
+	f.Add([]byte{1, 3, 4, 7, 0, 3, 4, 0, 7, 3, 4})
 	f.Add([]byte{7})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := semiring.Count{}
-		b := NewBuilder[int64](s, []int{0, 1, 2})
-		ref := make(map[[3]int]int64)
-		for i := 0; i+2 < len(data); i += 3 {
-			tup := [3]int{int(data[i]) % 7, int(data[i+1]) % 7, int(data[i+2]) % 7}
-			val := int64(data[i]%3) - 1 // values in {-1, 0, 1}: exercises zero-drop
-			b.Add(tup[:], val)
-			ref[tup] += val
+		if len(data) == 0 {
+			return
 		}
-		rel := b.Build()
+		arity := 1 + int(data[0])%3
+		data = data[1:]
+		schema := []int{0, 1, 2}[:arity]
+		type key [3]int32
+		cs, ss := semiring.Count{}, semiring.SumProduct{}
+		cb := NewBuilder[int64](cs, schema)
+		sb := NewBuilder[float64](ss, schema)
+		cref := make(map[key]int64)
+		sref := make(map[key]float64)
+		tup := make([]int, arity)
+		for i := 0; i+arity <= len(data); i += arity {
+			var k key
+			for j := range tup {
+				k[j] = fuzzCoords[data[i+j]&7]
+				tup[j] = int(k[j])
+			}
+			hi := int(data[i] >> 3) // 0..31, independent of the key bits
+			// Counting values in {-1, 0, 1} exercise zero-drop.
+			cval := int64(hi%3) - 1
+			cb.Add(tup, cval)
+			cref[k] += cval
+			// Sum-product magnitudes far apart make the float addition
+			// order visible in the result bits.
+			sval := math.Ldexp(1+float64(i%7)/7, hi-16)
+			sb.Add(tup, sval)
+			if prev, ok := sref[k]; ok {
+				sref[k] = ss.Add(prev, sval)
+			} else {
+				sref[k] = sval
+			}
+		}
+		keyOf := func(row []int32) key {
+			var k key
+			copy(k[:], row)
+			return k
+		}
+		checkSorted := func(n int, tuple func(int) []int32) {
+			for i := 1; i < n; i++ {
+				if compareShared(tuple(i-1), tuple(i), arity) >= 0 {
+					t.Fatalf("arity %d: Build output not strictly sorted at %d", arity, i)
+				}
+			}
+		}
+
+		crel := cb.Build()
 		nonzero := 0
-		for _, v := range ref {
+		for _, v := range cref {
 			if v != 0 {
 				nonzero++
 			}
 		}
-		if rel.Len() != nonzero {
-			t.Fatalf("Build kept %d tuples, reference has %d non-zero groups", rel.Len(), nonzero)
+		if crel.Len() != nonzero {
+			t.Fatalf("arity %d: Build kept %d tuples, reference has %d non-zero groups", arity, crel.Len(), nonzero)
 		}
-		for i := 0; i < rel.Len(); i++ {
-			tup := rel.Tuple(i)
-			key := [3]int{int(tup[0]), int(tup[1]), int(tup[2])}
-			if ref[key] != rel.Value(i) {
-				t.Fatalf("tuple %v: merged value %d, reference %d", tup, rel.Value(i), ref[key])
+		for i := 0; i < crel.Len(); i++ {
+			if want := cref[keyOf(crel.Tuple(i))]; want != crel.Value(i) {
+				t.Fatalf("arity %d: tuple %v: merged value %d, reference %d", arity, crel.Tuple(i), crel.Value(i), want)
 			}
 		}
-		for i := 1; i < rel.Len(); i++ {
-			if compareShared(rel.Tuple(i-1), rel.Tuple(i), 3) >= 0 {
-				t.Fatalf("Build output not strictly sorted at %d", i)
+		checkSorted(crel.Len(), crel.Tuple)
+
+		srel := sb.Build()
+		if srel.Len() != len(sref) {
+			t.Fatalf("arity %d: sum-product Build kept %d tuples, reference has %d groups", arity, srel.Len(), len(sref))
+		}
+		for i := 0; i < srel.Len(); i++ {
+			want := sref[keyOf(srel.Tuple(i))]
+			if math.Float64bits(want) != math.Float64bits(srel.Value(i)) {
+				t.Fatalf("arity %d: tuple %v: merged value %v, input-order fold %v", arity, srel.Tuple(i), srel.Value(i), want)
 			}
 		}
+		checkSorted(srel.Len(), srel.Tuple)
 	})
 }
 

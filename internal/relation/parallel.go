@@ -9,18 +9,14 @@ import (
 	"repro/internal/semiring"
 )
 
-// sortByKey sorts a group permutation by packed key (keys are unique, so
-// no tiebreak is needed).
-func sortByKey(order []int32, gkeys []uint64) {
-	slices.SortFunc(order, func(x, y int32) int {
-		if gkeys[x] < gkeys[y] {
-			return -1
-		}
-		if gkeys[x] > gkeys[y] {
-			return 1
-		}
-		return 0
-	})
+// sortByKey returns the groups as (key, group index) rows in ascending
+// key order (keys are unique, so the order is total).
+func sortByKey(gkeys []uint64) []packedRow {
+	pr := make([]packedRow, len(gkeys))
+	for g, k := range gkeys {
+		pr[g] = packedRow{k, int32(g)}
+	}
+	return radixSortPacked(pr)
 }
 
 // Parallel partitioned variants of the packed-key hash join and of
@@ -33,8 +29,9 @@ func sortByKey(order []int32, gkeys []uint64) {
 // Bit-identical guarantee: equal keys land in the same partition, and
 // each partition scans its tuple list in ascending input order, so every
 // duplicate group reaches Build's ⊕-merge in exactly the order the
-// sequential operator produces. Build then sorts by key, making the
-// final layout independent of the partitioning altogether. The
+// sequential operator produces. Build then stably radix-sorts by key,
+// which keeps that order within each key and makes the final layout
+// independent of the partitioning altogether. The
 // equivalence tests in parallel_test.go pin this per semiring.
 
 // parallelMinTuples is the size threshold below which partitioned
@@ -423,9 +420,11 @@ func eliminatePrefixParallel[T any](s semiring.Semiring[T], r *Relation[T], rest
 
 // parallelSortFunc sorts s by cmp with concurrent sub-sorts followed by
 // rounds of pairwise parallel merges (ping-pong between s and one
-// scratch buffer). cmp must induce a strict total order — the Builder
-// comparators tiebreak on input index — so the sorted permutation is
-// unique and the result is bit-identical to a sequential slices.SortFunc.
+// scratch buffer). Only buildGeneric (arity > keys.MaxPacked) uses it;
+// packed keys take radixSortPacked. cmp must induce a strict total order
+// — buildGeneric's comparator tiebreaks on input index — so the sorted
+// permutation is unique and the result is bit-identical to a sequential
+// slices.SortFunc.
 func parallelSortFunc[E any](s []E, cmp func(a, b E) int, parts int) {
 	n := len(s)
 	if parts > n {
@@ -469,9 +468,9 @@ func parallelSortFunc[E any](s []E, cmp func(a, b E) int, parts int) {
 	}
 }
 
-// mergeSorted merges two sorted runs into out (len(out) = len(a)+len(b)),
-// taking from a on ties — immaterial under a strict total order but kept
-// for stability.
+// mergeSorted merges two sorted runs into out (len(out) = len(a)+len(b))
+// for parallelSortFunc, taking from a on ties — immaterial under a strict
+// total order but kept for stability.
 func mergeSorted[E any](out, a, b []E, cmp func(x, y E) int) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
@@ -542,14 +541,10 @@ func eliminatePackedParallel[T any](s semiring.Semiring[T], r *Relation[T], rest
 		gvals = append(gvals, o.vals...)
 		gcounts = append(gcounts, o.counts...)
 	}
-	order := make([]int32, ng)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortByKey(order, gkeys)
 	rows := make([]int32, 0, ng*p)
 	vals := make([]T, 0, ng)
-	for _, g := range order {
+	for _, pg := range sortByKey(gkeys) {
+		g := pg.idx
 		if op.IsProduct() && int(gcounts[g]) < domSize {
 			continue // an unlisted zero annihilates the product aggregate
 		}

@@ -2,11 +2,13 @@ package relation
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/keys"
 	"repro/internal/semiring"
 )
 
@@ -173,11 +175,12 @@ func TestParallelKernelEquivalenceMinPlus(t *testing.T) {
 	checkParallelEquivalence[float64](t, semiring.MinPlus{}, func(r *rand.Rand) float64 { return float64(r.Intn(40)) / 8 }, 304)
 }
 
-// TestParallelSortFuncMatchesSequential drives the Builder's concurrent
-// sub-sort + pairwise-merge path directly against slices.SortFunc on the
-// same strict total order, across the distribution grid and partition
-// counts (including parts > len).
-func TestParallelSortFuncMatchesSequential(t *testing.T) {
+// TestRadixSortPackedMatchesComparison pins the Builder's packed-key
+// radix sort against slices.SortFunc by (key, idx) — the order the
+// stable sort must reproduce — across the distribution grid plus key
+// sets that vary only in the high byte, only in the low byte, not at
+// all, and at the Pack2 sign-bias boundary.
+func TestRadixSortPackedMatchesComparison(t *testing.T) {
 	r := rand.New(rand.NewSource(305))
 	cmp := func(p, q packedRow) int {
 		if p.key != q.key {
@@ -188,16 +191,59 @@ func TestParallelSortFuncMatchesSequential(t *testing.T) {
 		}
 		return int(p.idx) - int(q.idx)
 	}
-	for _, dist := range keyDists {
-		for _, n := range []int{0, 1, 2, 3, 17, 100, 1000} {
+	extremes := []int32{math.MinInt32, math.MinInt32 + 1, -1, 0, 1, math.MaxInt32 - 1, math.MaxInt32}
+	dists := append(slices.Clone(keyDists),
+		keyDist{"high-byte-only", func(r *rand.Rand, i, n int) int { return r.Intn(256) << 56 }},
+		keyDist{"low-byte-only", func(r *rand.Rand, i, n int) int { return 0x1234_5600 | r.Intn(256) }},
+		keyDist{"pack2-int32-extremes", func(r *rand.Rand, i, n int) int {
+			return int(keys.Pack2(extremes[r.Intn(len(extremes))], extremes[r.Intn(len(extremes))]))
+		}},
+	)
+	for _, dist := range dists {
+		for _, n := range []int{0, 1, 2, 3, 17, radixMinRows - 1, radixMinRows, 100, 1000, 1 << 15} {
 			pr := make([]packedRow, n)
 			for i := range pr {
 				pr[i] = packedRow{key: uint64(dist.key(r, i, n)), idx: int32(i)}
 			}
 			want := slices.Clone(pr)
 			slices.SortFunc(want, cmp)
+			if got := radixSortPacked(slices.Clone(pr)); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d: radix sort != comparison sort", dist.name, n)
+			}
+		}
+	}
+}
+
+// TestParallelSortFuncMatchesSequential drives buildGeneric's concurrent
+// sub-sort + pairwise-merge path directly against slices.SortFunc on the
+// same strict total order (value, then index, as buildGeneric's
+// comparator tiebreaks), across the distribution grid and partition
+// counts (including parts > len).
+func TestParallelSortFuncMatchesSequential(t *testing.T) {
+	r := rand.New(rand.NewSource(308))
+	for _, dist := range keyDists {
+		for _, n := range []int{0, 1, 2, 3, 17, 100, 1000} {
+			vals := make([]int32, n)
+			for i := range vals {
+				vals[i] = int32(dist.key(r, i, n))
+			}
+			cmp := func(x, y int32) int {
+				if vals[x] != vals[y] {
+					if vals[x] < vals[y] {
+						return -1
+					}
+					return 1
+				}
+				return int(x) - int(y)
+			}
+			idx := make([]int32, n)
+			for i := range idx {
+				idx[i] = int32(i)
+			}
+			want := slices.Clone(idx)
+			slices.SortFunc(want, cmp)
 			for _, parts := range []int{2, 3, 7, 64, n + 1} {
-				got := slices.Clone(pr)
+				got := slices.Clone(idx)
 				parallelSortFunc(got, cmp, parts)
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s n=%d parts=%d: parallel sort != sequential sort", dist.name, n, parts)

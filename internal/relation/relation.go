@@ -24,8 +24,9 @@
 //     schema prefix (projections onto leading variables, elimination of
 //     the innermost variable) and reduce contiguous runs in one linear
 //     pass with no map and no re-sort.
-//   - Builder batches row growth, sorts by packed key for arity ≤ 2, and
-//     can be presized via NewBuilderHint.
+//   - Builder batches row growth, radix-sorts packed keys for arity ≤ 2
+//     (a stable LSD sort, so duplicates merge in input order), and can be
+//     presized via NewBuilderHint.
 package relation
 
 import (
@@ -202,6 +203,63 @@ type packedRow struct {
 	idx int32
 }
 
+// radixMinRows is the length below which radixSortPacked insertion-sorts
+// instead: a pass's 256-bucket prefix sum outweighs a few dozen moves.
+const radixMinRows = 32
+
+// radixSortPacked stably sorts pr by key with an LSD radix sort on 8-bit
+// digits and returns the sorted rows: pr itself or one scratch slice of
+// the same length, whichever the last pass wrote (no copy-back). Digit
+// positions on which every key agrees are skipped, an input already in
+// key order is returned untouched, and short inputs take a stable
+// insertion sort in place. Stability makes the result the unique
+// (key, idx) order of rows listed in idx order.
+func radixSortPacked(pr []packedRow) []packedRow {
+	n := len(pr)
+	if n < radixMinRows {
+		for i := 1; i < n; i++ {
+			p, j := pr[i], i
+			for ; j > 0 && pr[j-1].key > p.key; j-- {
+				pr[j] = pr[j-1]
+			}
+			pr[j] = p
+		}
+		return pr
+	}
+	var diff uint64
+	sorted := true
+	k0 := pr[0].key
+	for i := 1; i < n; i++ {
+		diff |= pr[i].key ^ k0
+		sorted = sorted && pr[i-1].key <= pr[i].key
+	}
+	if sorted {
+		return pr
+	}
+	src, dst := pr, make([]packedRow, n)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (diff>>shift)&0xff == 0 {
+			continue
+		}
+		var pos [256]int
+		for _, p := range src {
+			pos[byte(p.key>>shift)]++
+		}
+		off := 0
+		for d, c := range pos {
+			pos[d] = off
+			off += c
+		}
+		for _, p := range src {
+			d := byte(p.key >> shift)
+			dst[pos[d]] = p
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	return src
+}
+
 func (b *Builder[T]) buildPacked() *Relation[T] {
 	a := len(b.schema)
 	n := len(b.vals)
@@ -215,23 +273,9 @@ func (b *Builder[T]) buildPacked() *Relation[T] {
 			pr[i] = packedRow{keys.Pack2(b.rows[2*i], b.rows[2*i+1]), int32(i)}
 		}
 	}
-	cmp := func(p, q packedRow) int {
-		if p.key != q.key {
-			if p.key < q.key {
-				return -1
-			}
-			return 1
-		}
-		return int(p.idx) - int(q.idx)
-	}
-	// Sorting by (key, idx) is a strict total order, so the sorted
-	// permutation is unique: the concurrent sub-sort + k-way merge path
-	// is bit-identical to the sequential sort by construction.
-	if parts := parallelParts(n); parts > 1 {
-		parallelSortFunc(pr, cmp, parts)
-	} else {
-		slices.SortFunc(pr, cmp)
-	}
+	// pr is filled in idx order, so the stable radix sort yields the
+	// (key, idx) order: duplicates reach ⊕ in input order.
+	pr = radixSortPacked(pr)
 	rows := make([]int32, 0, n*a)
 	vals := make([]T, 0, n)
 	for i := 0; i < n; {
@@ -462,14 +506,10 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 			gvals[g] = op.Combine(gvals[g], r.vals[i])
 			gcounts[g]++
 		}
-		order := make([]int32, len(gkeys))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sortByKey(order, gkeys)
 		rows := make([]int32, 0, len(gkeys)*p)
 		vals := make([]T, 0, len(gkeys))
-		for _, g := range order {
+		for _, pg := range sortByKey(gkeys) {
+			g := pg.idx
 			if op.IsProduct() && int(gcounts[g]) < domSize {
 				continue // an unlisted zero annihilates the product aggregate
 			}

@@ -226,7 +226,14 @@ func (c *Conn) RoundTrip(ctx context.Context, req *Frame) (*Frame, error) {
 	// Abort blocked I/O promptly on cancellation by expiring the
 	// deadline; fail() maps the resulting timeout back to ctx.Err().
 	stop := context.AfterFunc(ctx, func() { c.nc.SetDeadline(time.Now()) })
-	defer stop()
+	defer func() {
+		// A watcher that already fired may expire the deadline after this
+		// exchange returns, failing the connection's next one: retire it.
+		if !stop() {
+			c.broken.Store(true)
+			c.nc.Close()
+		}
+	}()
 
 	buf, err := appendFrame(c.wbuf[:0], req)
 	if err != nil {

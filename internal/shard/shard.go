@@ -20,6 +20,7 @@ package shard
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/keys"
@@ -102,10 +103,15 @@ func RowWireBytes(arity int) int { return 4*arity + 8 }
 // Encode serializes r: [u32 arity][schema u32...][u32 rows]
 // [per row: arity×u32 columns, u64 value], all big-endian.
 func Encode[T any](r *relation.Relation[T], cod Codec[T]) []byte {
+	return AppendEncode(make([]byte, 0, EncodedBytes(len(r.Schema()), r.Len())), r, cod)
+}
+
+// AppendEncode appends Encode's wire form of r to buf.
+func AppendEncode[T any](buf []byte, r *relation.Relation[T], cod Codec[T]) []byte {
 	schema := r.Schema()
 	a := len(schema)
 	n := r.Len()
-	buf := make([]byte, 0, EncodedBytes(a, n))
+	buf = slices.Grow(buf, EncodedBytes(a, n))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(a))
 	for _, v := range schema {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(int32(v)))
