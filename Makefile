@@ -23,9 +23,6 @@
 #                 contracts — facade, nopanic, mapiter, ctxflow,
 #                 hotpath, failpoint, metricreg — into build failures; zero
 #                 unsuppressed findings required (part of `make check`)
-#   make vet-imports — alias for the facade analyzer alone (the former
-#                 shell-grep target; the faqbench/ghdtool allowlist now
-#                 lives in internal/lint/facade.go)
 #   make fuzz   — every fuzz target for FUZZTIME each
 #   make chaos  — failpoint sweep under the race detector at 1/2/8
 #                 workers: every registered fault-injection site fired
@@ -42,9 +39,9 @@ BENCHTIME ?= 0.5s
 FUZZTIME  ?= 30s
 
 # The packages holding the parallel≡sequential equivalence suites.
-WORKER_PKGS = ./internal/relation/ ./internal/protocol/ ./internal/faq/ ./internal/exec/ ./internal/flow/ ./internal/plan/ ./internal/service/ ./internal/delta/ ./internal/delta/churn/ ./faqs/
+WORKER_PKGS = ./internal/relation/ ./internal/protocol/ ./internal/faq/ ./internal/exec/ ./internal/flow/ ./internal/plan/ ./internal/service/ ./internal/delta/ ./internal/delta/churn/ ./internal/cluster/ ./faqs/
 
-.PHONY: build test vet lint vet-imports race check chaos bench-all fuzz test-workers examples
+.PHONY: build test vet lint race check chaos bench-all fuzz test-workers examples
 
 # The packages holding chaos (failpoint-sweep) TestChaos* suites: the
 # serving path, the incremental-maintenance engine, the kernels, the
@@ -70,11 +67,6 @@ vet:
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/faqlint ./...
-
-# Alias for the retired shell-grep target: same contract, now enforced
-# by the facade analyzer (allowlist in internal/lint/facade.go).
-vet-imports:
-	$(GO) run ./cmd/faqlint -only facade ./...
 
 race:
 	$(GO) test -race ./...

@@ -8,8 +8,8 @@
 //	faqlint [-only a,b] [-list] [packages...]
 //
 // With no packages, ./... is analyzed. -only restricts the run to a
-// comma-separated subset of analyzers (e.g. `-only facade` is the
-// Makefile's vet-imports alias). -list prints the analyzer catalogue.
+// comma-separated subset of analyzers (e.g. `-only facade` checks the
+// public-API contract alone). -list prints the analyzer catalogue.
 // Intentional violations are suppressed in source with
 // //faqlint:allow <analyzer>(<reason>); the reason is mandatory.
 package main

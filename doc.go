@@ -39,9 +39,25 @@
 // WithMemoryBudget's admission control (typed ErrOverBudget rejections
 // before execution).
 // cmd/ and examples/ programs import only this façade, enforced at
-// build time by the facade analyzer (`make lint`, with `make
-// vet-imports` as the alias running just that analyzer); see README.md
-// for a quickstart.
+// build time by the facade analyzer (`make lint`; `go run ./cmd/faqlint
+// -only facade ./...` runs just that analyzer); see README.md for a
+// quickstart.
+//
+// # One bottom-up pass (faq.Pass)
+//
+// Theorem G.3's pass is planned once per solve. faq.NewPass derives,
+// from a bound GHD and the free variables F, each node's factor edges,
+// its children in join order, the postorder, and its keep set
+// χ(v) ∩ (F ∪ χ(parent)); it is the only place F ⊆ χ(root) is checked
+// (a wrapped faq.ErrFreeOutsideRoot). faq.EvalNode is the one node
+// evaluator: start from the node's factor (the unit when factorless),
+// join the children's relations in order, aggregate to the keep set.
+// Four walkers run over that plan: the local forest pass (faq.SolveGHD
+// via faq.Messages); the retaining pass of delta.Materialize and the
+// root-path walks of its updates; the cluster's scatter/gather stars,
+// whose plan adds only partition keys and whose workers run EvalNode on
+// their rows; and the protocol runner, whose core phase evaluates a
+// factorless node wherever it sits in the tree.
 //
 // # Relation-layer performance
 //
@@ -66,7 +82,7 @@
 // scheduler (GOMAXPROCS-defaulted, overridable via exec.SetWorkers,
 // errgroup-style cancellation). Three layers use it:
 //
-//   - faq.SolveOnGHD dispatches sibling subtrees of the bottom-up
+//   - faq.SolveGHD dispatches sibling subtrees of the bottom-up
 //     Theorem G.3 pass concurrently (exec.Pool.Forest orders children
 //     before parents), joining each node only when its children's
 //     messages resolved.
@@ -140,7 +156,7 @@
 //     handler over a socket with a worker fleet behind it; bench/'s
 //     serve_http and plan_churn workloads measure it.
 //
-// Answer contract: a served answer is exactly faq.SolveOnGHD(q, g) for
+// Answer contract: a served answer is exactly faq.SolveGHD(ctx, q, g, opts) for
 // the bound plan g. Exact semirings (Bool, Count, F2) are bit-identical
 // to per-request planning at every worker count; float semirings are
 // equal modulo the semiring's re-association tolerance — the same

@@ -54,7 +54,7 @@
 // # Answer contract
 //
 // Engine.Solve is exactly the solver contract of the internal layers: a
-// served answer equals faq.SolveOnGHD on the bound cached plan, which
+// served answer equals faq.SolveGHD on the bound cached plan, which
 // for exact semirings (Bool, Count, F2) is bit-identical to per-request
 // planning at every worker count; float semirings agree modulo the
 // semiring's re-association tolerance. Values cross the façade as

@@ -33,14 +33,13 @@ func PayloadBound[T any](q *faq.Query[T], g *ghd.GHD, workers int) (int64, error
 	}
 	W := int64(workers)
 	var bound int64
-	for v := 0; v < g.NumNodes(); v++ {
-		e := p.factorEdge[v]
-		if e == -1 {
+	for v, es := range p.Edges {
+		if len(es) == 0 {
 			continue // computed at the coordinator: no frames
 		}
-		k := len(p.keep[v])
+		k := len(p.Keep[v])
 		rwb, hdr := int64(shard.RowWireBytes(k)), int64(shard.EncodedBytes(k, 0))
-		gatherRows := int64(q.Factors[e].Len())
+		gatherRows := int64(q.Factors[es[0]].Len())
 		scatterRows := gatherRows
 		if cap, ok := domPow(q.DomSize, k); ok {
 			if W*cap < gatherRows {
@@ -52,7 +51,7 @@ func PayloadBound[T any](q *faq.Query[T], g *ghd.GHD, workers int) (int64, error
 		}
 		// The gather producing msgs[v].
 		bound += W*hdr + gatherRows*rwb
-		if v != g.Root && p.factorEdge[g.Parent[v]] != -1 {
+		if v != p.Root && len(p.Edges[p.Parent[v]]) != 0 {
 			// The scatter routing msgs[v] to the parent's workers.
 			bound += W*hdr + scatterRows*rwb
 		}

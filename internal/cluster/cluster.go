@@ -5,8 +5,9 @@
 //
 // # Execution scheme
 //
-// Planning mirrors faq.SolveGHD exactly. Each GHD node v carrying a
-// factor gets a static partition key K_v:
+// Child order, keep sets and factor placement come from faq.NewPass,
+// the pass plan faq.SolveGHD runs over. Each GHD node v carrying a
+// factor also gets a static partition key K_v:
 //
 //   - a leaf partitions its factor on the columns its message keeps
 //     (χ(v) ∩ (free ∪ χ(parent)));
@@ -17,9 +18,9 @@
 //   - an empty key (including any node with a factorless child) sends
 //     all rows to worker 0, the correct serialized fallback.
 //
-// Factorless nodes (the fat core root of Construction 2.8) are computed
-// at the coordinator from the already-gathered child messages, exactly
-// as the netsim protocols run their core phase at one player.
+// Factorless nodes (the fat core root of Construction 2.8) are evaluated
+// at the coordinator (faq.EvalNode) from the already-gathered child
+// messages, as the protocol runner runs its core phase at one player.
 //
 // Per star, the coordinator scatters each merged child message as
 // routed slices (StoreMsg), asks every worker to join its shard with

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,15 +225,12 @@ func NewSolver[T any](c *Client, semiringName string) (*Solver[T], error) {
 	return &Solver[T]{c: c, name: semiringName, cod: cod}, nil
 }
 
-// starPlan is the static distribution plan for one GHD: which edge (if
-// any) each node carries, the partition key each distributed node
-// shards on, and the columns each node's message keeps.
+// starPlan is the cluster half of one GHD's pass plan: the partition
+// key each factor node shards its rows and routed messages on. Child
+// order, keep sets and factor placement come from the embedded faq.Pass.
 type starPlan struct {
-	factorEdge []int   // node → hyperedge id, -1 for factorless nodes
-	key        [][]int // node → partition key (nil only semantically for factorless)
-	keep       [][]int // node → sorted columns the node's message keeps
-	children   [][]int
-	order      []int // postorder
+	*faq.Pass
+	key [][]int // node → partition key (nil for factorless nodes)
 }
 
 // planStars validates distributability and derives the per-node keys.
@@ -244,68 +240,37 @@ func planStars[T any](q *faq.Query[T], g *ghd.GHD) (*starPlan, error) {
 	if len(q.VarOps) != 0 {
 		return nil, fmt.Errorf("%w: per-variable aggregate operators", faq.ErrNotDistributable)
 	}
-	n := g.NumNodes()
-	p := &starPlan{
-		factorEdge: make([]int, n),
-		key:        make([][]int, n),
-		keep:       make([][]int, n),
-		children:   g.Children(),
-		order:      g.PostOrder(),
+	pass, err := faq.NewPass(g, q.Free)
+	if err != nil {
+		return nil, err
 	}
-	for v := range p.factorEdge {
-		p.factorEdge[v] = -1
-	}
-	for e, v := range g.NodeOf {
-		if p.factorEdge[v] != -1 {
-			return nil, fmt.Errorf("%w: GHD node %d carries multiple factors", faq.ErrNotDistributable, v)
-		}
-		p.factorEdge[v] = e
-	}
-	free := append([]int(nil), q.Free...)
-	sort.Ints(free)
-	// keep[v]: the variables of χ(v) surviving v's aggregation — free
-	// variables and (below the root) those shared with the parent bag.
-	// This is exactly the keep predicate of faq.SolveGHD's node task
-	// restricted to the bag, which covers every schema the node can see.
-	for v := 0; v < n; v++ {
-		var keep []int
-		parentBag := []int(nil)
-		if v != g.Root {
-			parentBag = g.Bags[g.Parent[v]]
-		}
-		for _, x := range g.Bags[v] {
-			if hypergraph.ContainsSorted(free, x) || (v != g.Root && hypergraph.ContainsSorted(parentBag, x)) {
-				keep = append(keep, x)
-			}
-		}
-		p.keep[v] = keep
-	}
+	p := &starPlan{Pass: pass, key: make([][]int, len(pass.Edges))}
 	// key[v] for a factor node: a column set contained in the node's own
 	// schema and in every child message's schema, so hash-routing rows
 	// and message slices by it co-locates all joining pairs. A factor
-	// child c's message schema is statically keep[c] (its bag is its
+	// child c's message schema is statically Keep[c] (its bag is its
 	// factor's schema); a factorless child's is data-dependent, so any
 	// such child forces the empty key — the worker-0 serialization.
-	for v := 0; v < n; v++ {
-		if p.factorEdge[v] == -1 {
+	for v, es := range p.Edges {
+		switch {
+		case len(es) > 1:
+			return nil, fmt.Errorf("%w: GHD node %d carries multiple factors", faq.ErrNotDistributable, v)
+		case len(es) == 0:
 			continue // computed at the coordinator
-		}
-		if len(p.children[v]) == 0 {
-			p.key[v] = append([]int(nil), p.keep[v]...)
+		case len(p.Children[v]) == 0:
+			p.key[v] = append([]int(nil), p.Keep[v]...)
 			continue
 		}
 		key := []int(nil)
-		first := true
-		for _, ch := range p.children[v] {
-			if p.factorEdge[ch] == -1 {
+		for i, ch := range p.Children[v] {
+			if len(p.Edges[ch]) == 0 {
 				key = nil
 				break
 			}
-			if first {
-				key = append([]int(nil), p.keep[ch]...)
-				first = false
+			if i == 0 {
+				key = append([]int(nil), p.Keep[ch]...)
 			} else {
-				key = hypergraph.IntersectSorted(key, p.keep[ch])
+				key = hypergraph.IntersectSorted(key, p.Keep[ch])
 			}
 		}
 		p.key[v] = key
@@ -347,12 +312,12 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	// scatter the shards. Every worker gets a (possibly empty) shard so
 	// it knows each relation's schema.
 	var loads []workerReq
-	for _, v := range plan.order {
-		e := plan.factorEdge[v]
-		if e == -1 {
+	for _, v := range plan.Order {
+		f := faq.NodeFactor(q, plan.Pass, v, q.Factors)
+		if f == nil {
 			continue
 		}
-		shards, err := shard.Split(q.S, q.Factors[e], plan.key[v], W)
+		shards, err := shard.Split(q.S, f, plan.key[v], W)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: sharding factor of node %d: %w", v, err)
 		}
@@ -368,24 +333,19 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	}
 
 	// Bottom-up pass: one scatter/gather per star, in postorder.
-	msgs := make([]*relation.Relation[T], g.NumNodes())
-	for _, v := range plan.order {
-		if plan.factorEdge[v] == -1 {
+	msgs := make([]*relation.Relation[T], len(plan.Parent))
+	for _, v := range plan.Order {
+		if len(plan.Edges[v]) == 0 {
 			// Factorless node (the fat core root of Construction 2.8):
-			// its children's merged messages are already here — join and
-			// aggregate at the coordinator, exactly as the netsim
-			// protocols run their core phase at one player.
-			cur := relation.Unit(q.S, q.S.One())
-			for _, ch := range plan.children[v] {
-				cur = relation.Join(q.S, cur, msgs[ch])
-				msgs[ch] = nil
-			}
-			keep := plan.keep[v]
-			cur, err := faq.AggregateOut(q, cur, func(x int) bool {
-				return hypergraph.ContainsSorted(keep, x)
-			})
+			// its children's merged messages are already here — evaluate
+			// it at the coordinator, as the protocol runner runs its core
+			// phase at one player.
+			cur, err := faq.EvalAt(q, plan.Pass, v, nil, msgs)
 			if err != nil {
 				return nil, err
+			}
+			for _, ch := range plan.Children[v] {
+				msgs[ch] = nil
 			}
 			msgs[v] = cur
 			continue
@@ -393,7 +353,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		// Scatter: route each child's merged message to the workers
 		// holding the matching shard rows.
 		var stores []workerReq
-		for i, ch := range plan.children[v] {
+		for i, ch := range plan.Children[v] {
 			routed, err := shard.Split(q.S, msgs[ch], plan.key[v], W)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: routing message %d→%d: %w", ch, v, err)
@@ -415,11 +375,11 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 		}
 		// Gather: every worker runs its local star and returns the
 		// partial message; merge in worker order.
-		keepBody := append(slices.Clip(epoch), encodeVars(plan.keep[v])...)
+		keepBody := append(slices.Clip(epoch), encodeVars(plan.Keep[v])...)
 		computes := make([]workerReq, W)
 		for w := 0; w < W; w++ {
 			computes[w] = workerReq{worker: w, frame: &rpc.Frame{
-				Kind: kindCompute, A: int32(v), B: int32(len(plan.children[v])), Body: keepBody,
+				Kind: kindCompute, A: int32(v), B: int32(len(plan.Children[v])), Body: keepBody,
 			}}
 		}
 		resps, err := c.fanout(ctx, computes)
@@ -441,7 +401,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	c.solves.Add(1)
 	protocol.RecordComms("cluster",
 		int(c.phases.Load()-phasesBefore), c.solvePayload.Load()-payloadBefore)
-	return msgs[g.Root], nil
+	return msgs[plan.Root], nil
 }
 
 // broadcast sends the same frame to every worker.

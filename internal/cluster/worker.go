@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/faq"
-	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/rpc"
 	"repro/internal/semiring"
@@ -169,16 +168,16 @@ func (t *typedSession[T]) store(node, idx int32, body []byte) error {
 	return nil
 }
 
-// compute runs the local half of one star reduction: join the node's
-// shard with its stored message slices in child order, then aggregate
-// out every variable not in the keep list, innermost first — exactly
-// the per-node task of faq.SolveGHD restricted to this worker's rows.
+// compute runs the local half of one star reduction: the pass's node
+// evaluator (faq.EvalNode) over the node's shard and its stored message
+// slices in child order — the per-node task of faq.SolveGHD restricted
+// to this worker's rows.
 func (t *typedSession[T]) compute(node int32, children int, keepBody []byte) ([]byte, error) {
 	keep, err := decodeVars(keepBody)
 	if err != nil {
 		return nil, err
 	}
-	cur, ok := t.shards[node]
+	sh, ok := t.shards[node]
 	if !ok {
 		return nil, fmt.Errorf("cluster: compute on node %d with no loaded shard", node)
 	}
@@ -187,14 +186,11 @@ func (t *typedSession[T]) compute(node int32, children int, keepBody []byte) ([]
 		if i >= len(slots) || slots[i] == nil {
 			return nil, fmt.Errorf("cluster: compute on node %d missing message slice %d/%d", node, i, children)
 		}
-		cur = relation.Join(t.s, cur, slots[i])
 	}
-	// A minimal query context: AggregateOut only consults S, Op (always
+	// A minimal query context: the evaluator only consults S, Op (always
 	// ⊕ — the coordinator rejects VarOps queries), and DomSize.
 	q := &faq.Query[T]{S: t.s, DomSize: t.dom}
-	out, err := faq.AggregateOut(q, cur, func(x int) bool {
-		return hypergraph.ContainsSorted(keep, x)
-	})
+	out, err := faq.EvalNode(q, sh, slots[:children], keep)
 	if err != nil {
 		return nil, err
 	}

@@ -136,16 +136,10 @@ type Materialized[T any] struct {
 	mu     sync.Mutex
 	closed bool
 
-	s       semiring.Semiring[T]
-	q       *faq.Query[T] // owned clone; Factors tracks applied updates
-	g       *ghd.GHD
-	ch      [][]int
-	free    map[int]bool
-	edgesAt [][]int // node -> designated hyperedges, ascending
-	pool    *exec.Pool
-
-	nodeRel []*relation.Relation[T] // per node: join of its designated factors
-	msgs    []*relation.Relation[T] // per node: its bottom-up message
+	s    semiring.Semiring[T]
+	q    *faq.Query[T] // owned clone; Factors tracks applied updates
+	p    *faq.Pass
+	msgs []*relation.Relation[T] // per node: its bottom-up message
 
 	strategy    Strategy
 	neg         func(T) T            // ⊕-inverse (ring strategies)
@@ -197,12 +191,13 @@ func negOf[T any](s semiring.Semiring[T]) func(T) T {
 	return nil
 }
 
-// Materialize runs one bottom-up pass of q over the bound decomposition
-// g (mirroring faq.SolveGHD node for node, so the retained messages are
-// bit-identical to a from-scratch pass for exact semirings) and returns
-// the maintenance handle. The paper's free-variable restriction applies
-// exactly as in SolveGHD: F ⊆ the root bag, else ErrFreeOutsideRoot.
-// The handle clones the factor list; the caller's query is not retained.
+// Materialize runs faq.Messages — the pass faq.SolveGHD runs — over the
+// bound decomposition g and keeps every node's message, so the retained
+// state is bit-identical to a from-scratch pass for exact semirings. It
+// returns the maintenance handle. The paper's free-variable restriction
+// applies exactly as in SolveGHD: F ⊆ the root bag, else
+// ErrFreeOutsideRoot. The handle clones the factor list; the caller's
+// query is not retained.
 func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts Options) (*Materialized[T], error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -210,30 +205,18 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	rootBag := g.Bags[g.Root]
-	for _, v := range q.Free {
-		if !hypergraph.ContainsSorted(rootBag, v) {
-			return nil, fmt.Errorf("delta: free variable %d outside root bag %v: %w", v, rootBag, faq.ErrFreeOutsideRoot)
-		}
+	p, err := faq.NewPass(g, q.Free)
+	if err != nil {
+		return nil, err
 	}
 	qc := *q
 	qc.Factors = append([]*relation.Relation[T](nil), q.Factors...)
 	m := &Materialized[T]{
 		s:        q.S,
 		q:        &qc,
-		g:        g,
-		ch:       g.Children(),
-		free:     make(map[int]bool, len(q.Free)),
-		edgesAt:  make([][]int, g.NumNodes()),
-		pool:     opts.Pool,
+		p:        p,
 		strategy: strategyOf(q),
 		jidx:     make(map[[3]int32]*relation.HashIndex),
-	}
-	for _, v := range q.Free {
-		m.free[v] = true
-	}
-	for e, v := range g.NodeOf {
-		m.edgesAt[v] = append(m.edgesAt[v], e)
 	}
 	switch m.strategy {
 	case StrategySupport:
@@ -253,7 +236,8 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 			m.ledgers[e] = ledgerOf(f)
 		}
 	}
-	if err := m.solveAll(ctx); err != nil {
+	m.msgs, _, err = faq.Messages(ctx, &qc, p, faq.SolveOptions{Pool: opts.Pool})
+	if err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -273,61 +257,6 @@ func liftBoolQuery[T any](q *faq.Query[T]) *faq.Query[int64] {
 		factors[e] = b.Build()
 	}
 	return &faq.Query[int64]{S: cs, H: q.H, Factors: factors, Free: q.Free, DomSize: q.DomSize}
-}
-
-// solveAll runs the bottom-up pass retaining every node's message —
-// the same per-node work as faq.SolveGHD (joins in fixed child order,
-// innermost-first aggregation), so the retained state is exactly what a
-// from-scratch pass produces.
-func (m *Materialized[T]) solveAll(ctx context.Context) error {
-	nodeRel := make([]*relation.Relation[T], m.g.NumNodes())
-	for e, v := range m.g.NodeOf {
-		if nodeRel[v] == nil {
-			nodeRel[v] = m.q.Factors[e]
-		} else {
-			nodeRel[v] = relation.Join(m.s, nodeRel[v], m.q.Factors[e])
-		}
-	}
-	msgs := make([]*relation.Relation[T], m.g.NumNodes())
-	task := func(v int) error {
-		cur := nodeRel[v]
-		if cur == nil {
-			cur = relation.Unit(m.s, m.s.One())
-		}
-		for _, c := range m.ch[v] {
-			cur = relation.Join(m.s, cur, msgs[c])
-		}
-		cur, err := m.aggregateNode(v, cur)
-		if err != nil {
-			return err
-		}
-		msgs[v] = cur
-		return nil
-	}
-	pool := m.pool
-	if pool == nil {
-		pool = exec.Default()
-	}
-	if err := pool.ForestCtx(ctx, m.g.Parent, task); err != nil {
-		return err
-	}
-	m.nodeRel = nodeRel
-	m.msgs = msgs
-	return nil
-}
-
-// aggregateNode applies node v's aggregation step: keep free variables
-// and (below the root) the parent bag, eliminate everything else
-// innermost-first — identical to the SolveGHD task.
-func (m *Materialized[T]) aggregateNode(v int, cur *relation.Relation[T]) (*relation.Relation[T], error) {
-	var parentBag []int
-	atRoot := v == m.g.Root
-	if !atRoot {
-		parentBag = m.g.Bags[m.g.Parent[v]]
-	}
-	return faq.AggregateOut(m.q, cur, func(x int) bool {
-		return m.free[x] || (!atRoot && hypergraph.ContainsSorted(parentBag, x))
-	})
 }
 
 // Strategy reports how the handle maintains its state.
@@ -365,7 +294,7 @@ func (m *Materialized[T]) Answer() (*relation.Relation[T], error) {
 		}
 		return m.boolAnswer, nil
 	}
-	return m.msgs[m.g.Root], nil
+	return m.msgs[m.p.Root], nil
 }
 
 // Factor returns the handle's current view of base relation e (the
@@ -409,7 +338,7 @@ func (m *Materialized[T]) Close() {
 		return
 	}
 	m.closed = true
-	m.nodeRel, m.msgs, m.ledgers, m.boolAnswer, m.jidx = nil, nil, nil, nil, nil
+	m.msgs, m.ledgers, m.boolAnswer, m.jidx = nil, nil, nil, nil
 	if m.lift != nil {
 		m.lift.Close()
 	}
@@ -546,15 +475,13 @@ const patchMax = 128
 
 // applyRing stages and commits one ring-strategy update: per batch,
 // fold the delta into the base factor with PatchAdd (MergeAdd with a
-// point fast path), then walk the
-// edge's node path to the root propagating Δmsg — joining the delta
-// first (it is small, so every intermediate stays small), then the
-// node's own relation and the unchanged sibling messages, aggregating
-// with the node's own keep set, and ⊕-merging into the retained
-// message. Propagation stops early when a Δmsg cancels to empty.
+// point fast path), then walk the edge's node path to the root
+// propagating Δmsg — joining the delta first (it is small, so every
+// intermediate stays small), then the node's factor and the unchanged
+// sibling messages, aggregating to the node's keep set (faq.EvalNode),
+// and ⊕-merging into the retained message. Propagation stops early when a Δmsg cancels to empty.
 func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) error {
 	factors := append([]*relation.Relation[T](nil), m.q.Factors...)
-	nodeRel := append([]*relation.Relation[T](nil), m.nodeRel...)
 	msgs := append([]*relation.Relation[T](nil), m.msgs...)
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
@@ -576,48 +503,36 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 			}
 		}
 		factors[b.Edge] = nf
-		u := m.g.NodeOf[b.Edge]
 		// Node-local delta: join the factor delta with the node's other
 		// designated factors (unchanged in this batch, so the product's
-		// delta is Join(Δ, siblings) by distributivity). Multi-factor
-		// nodes exist only at a fat core root (cyclic shapes).
+		// delta is Join(Δ, siblings) by distributivity).
+		u := m.p.NodeOf[b.Edge]
 		dn := d
-		if len(m.edgesAt[u]) > 1 {
-			for _, e := range m.edgesAt[u] {
-				if e != b.Edge {
-					dn = relation.Join(m.s, dn, factors[e])
-				}
+		for _, e := range m.p.Edges[u] {
+			if e != b.Edge {
+				dn = relation.Join(m.s, dn, factors[e])
 			}
-			var cur *relation.Relation[T]
-			for _, e := range m.edgesAt[u] {
-				if cur == nil {
-					cur = factors[e]
-				} else {
-					cur = relation.Join(m.s, cur, factors[e])
-				}
-			}
-			nodeRel[u] = cur
-		} else {
-			nodeRel[u] = nf
 		}
 		// Walk the root path. from == -1 means the delta replaces the
 		// node's own factor slot; otherwise it replaces child `from`'s
-		// message and the node's relation joins in.
+		// message and the node's factor joins in.
 		dcur, v, from := dn, u, -1
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			cur := dcur
-			if from != -1 && nodeRel[v] != nil {
-				cur = m.joinAt([3]int32{0, int32(v), int32(from)}, cur, nodeRel[v])
+			if from != -1 {
+				if f := faq.NodeFactor(m.q, m.p, v, factors); f != nil {
+					cur = m.joinAt([3]int32{0, int32(v), int32(from)}, cur, f)
+				}
 			}
-			for _, c := range m.ch[v] {
+			for _, c := range m.p.Children[v] {
 				if c != from {
 					cur = m.joinAt([3]int32{1, int32(v), int32(c)}, cur, msgs[c])
 				}
 			}
-			dm, err := m.aggregateNode(v, cur)
+			dm, err := faq.EvalNode(m.q, cur, nil, m.p.Keep[v])
 			if err != nil {
 				return err
 			}
@@ -626,13 +541,13 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 				return err
 			}
 			msgs[v] = nm
-			if dm.Len() == 0 || v == m.g.Root {
+			if dm.Len() == 0 || v == m.p.Root {
 				break
 			}
-			dcur, from, v = dm, v, m.g.Parent[v]
+			dcur, from, v = dm, v, m.p.Parent[v]
 		}
 	}
-	m.q.Factors, m.nodeRel, m.msgs = factors, nodeRel, msgs
+	m.q.Factors, m.msgs = factors, msgs
 	return nil
 }
 
@@ -674,7 +589,6 @@ func isNegative[T any](s semiring.Semiring[T], v T) bool {
 // the documented O(path × node) fallback for idempotent ⊕.
 func (m *Materialized[T]) applyRecompute(ctx context.Context, batches []Batch[T]) error {
 	factors := append([]*relation.Relation[T](nil), m.q.Factors...)
-	nodeRel := append([]*relation.Relation[T](nil), m.nodeRel...)
 	msgs := append([]*relation.Relation[T](nil), m.msgs...)
 	ledgers := append([]*ledger[T](nil), m.ledgers...)
 	staged := make([]bool, len(ledgers))
@@ -697,37 +611,20 @@ func (m *Materialized[T]) applyRecompute(ctx context.Context, batches []Batch[T]
 			}
 		}
 		factors[b.Edge] = lg.build(m.s, m.q.H.Edge(b.Edge))
-		u := m.g.NodeOf[b.Edge]
-		var cur *relation.Relation[T]
-		for _, e := range m.edgesAt[u] {
-			if cur == nil {
-				cur = factors[e]
-			} else {
-				cur = relation.Join(m.s, cur, factors[e])
-			}
-		}
-		nodeRel[u] = cur
-		for v := u; ; v = m.g.Parent[v] {
+		for v := m.p.NodeOf[b.Edge]; ; v = m.p.Parent[v] {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			cur := nodeRel[v]
-			if cur == nil {
-				cur = relation.Unit(m.s, m.s.One())
-			}
-			for _, c := range m.ch[v] {
-				cur = relation.Join(m.s, cur, msgs[c])
-			}
-			nm, err := m.aggregateNode(v, cur)
+			nm, err := faq.EvalAt(m.q, m.p, v, faq.NodeFactor(m.q, m.p, v, factors), msgs)
 			if err != nil {
 				return err
 			}
 			msgs[v] = nm
-			if v == m.g.Root {
+			if v == m.p.Root {
 				break
 			}
 		}
 	}
-	m.q.Factors, m.nodeRel, m.msgs, m.ledgers = factors, nodeRel, msgs, ledgers
+	m.q.Factors, m.msgs, m.ledgers = factors, msgs, ledgers
 	return nil
 }

@@ -170,7 +170,7 @@ func TestMixedAggregatesSeparableVars(t *testing.T) {
 	}
 }
 
-func TestSolveOnGHDRejectsInvalidQuery(t *testing.T) {
+func TestSolveGHDRejectsInvalidQuery(t *testing.T) {
 	h := hypergraph.PathGraph(3)
 	q := &Query[bool]{S: sb, H: h, Factors: emptyFactors(h), DomSize: 0}
 	if _, err := Solve(q); err == nil {

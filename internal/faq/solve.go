@@ -21,9 +21,8 @@ var ErrFreeOutsideRoot = errors.New("faq: free variables not contained in any ba
 
 // AggregateOut eliminates, innermost (largest id) first, every schema
 // variable of r for which keep reports false, applying each variable's
-// per-query aggregate operator (eq. 4). It is the shared push-down step
-// of Corollary G.2 used by every solver and by the protocol engine's
-// child messages, core phase, and finalization.
+// per-query aggregate operator (eq. 4). It is the push-down step of
+// Corollary G.2 behind BruteForce and the pass's node evaluator EvalNode.
 func AggregateOut[T any](q *Query[T], r *relation.Relation[T], keep func(v int) bool) (*relation.Relation[T], error) {
 	schema := r.Schema()
 	var err error
@@ -76,7 +75,8 @@ func Solve[T any](q *Query[T]) (*relation.Relation[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	return SolveOnGHD(q, g)
+	ans, _, err := SolveGHD(nil, q, g, SolveOptions{})
+	return ans, err
 }
 
 // PlanGHD is the query-planning primitive shared by the centralized
@@ -190,124 +190,38 @@ type SolveMetrics struct {
 	Costs []int64
 }
 
-// SolveOnGHD is Solve with a caller-chosen decomposition (used by the
-// distributed protocols, which must run on the same tree they schedule
-// communication for).
-//
-// Execution is parallel across independent subtrees: the bottom-up pass
-// dispatches sibling subtrees onto the exec default pool and joins each
-// node only once its children's messages resolved (exec.Pool.Forest
-// provides the child-completion happens-before edge). Per-node work —
-// the child-message joins in fixed child order, then the innermost-first
-// aggregation — is unchanged from the sequential pass, so the result is
-// bit-identical at any worker count.
-func SolveOnGHD[T any](q *Query[T], g *ghd.GHD) (*relation.Relation[T], error) {
-	rel, _, err := SolveGHD(nil, q, g, SolveOptions{})
-	return rel, err
-}
-
-// SolveGHD is the single bottom-up-pass entry point: one ctx+options
-// core instead of per-mode variants (SolveOnGHD is its zero-option
-// shorthand). ctx may be nil (background); opts selects the pool and
-// the measurement mode.
+// SolveGHD is the single bottom-up-pass entry point: Solve with a
+// caller-chosen decomposition (the plan cache's bound plan, or the tree a
+// distributed protocol schedules communication for). ctx may be nil
+// (background); opts selects the pool, the measurement mode and an
+// optional cluster backend. The pass itself is Messages over the Pass of
+// g, so the answer is bit-identical at any worker count.
 func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOptions) (*relation.Relation[T], SolveMetrics, error) {
-	var metrics SolveMetrics
 	if err := q.Validate(); err != nil {
-		return nil, metrics, err
+		return nil, SolveMetrics{}, err
 	}
-	rootBag := g.Bags[g.Root]
-	for _, v := range q.Free {
-		if !hypergraph.ContainsSorted(rootBag, v) {
-			return nil, metrics, fmt.Errorf("faq: free variable %d outside root bag %v: %w", v, rootBag, ErrFreeOutsideRoot)
-		}
+	p, err := NewPass(g, q.Free)
+	if err != nil {
+		return nil, SolveMetrics{}, err
 	}
-
 	if opts.Distributed != nil {
 		if ds, ok := opts.Distributed.(DistributedSolver[T]); ok {
 			ans, err := ds.SolveGHD(ctx, q, g)
 			if err == nil {
 				// No per-node cost vector: the work ran on the cluster.
-				return ans, metrics, nil
+				return ans, SolveMetrics{}, nil
 			}
 			if !errors.Is(err, ErrNotDistributable) {
-				return nil, metrics, err
+				return nil, SolveMetrics{}, err
 			}
 			// Shape not distributable: run the local pass below.
 		}
 	}
-
-	// Factor assigned to each node: its designated hyperedge's relation;
-	// the fat root (if any) starts from the multiplicative unit.
-	nodeRel := make([]*relation.Relation[T], g.NumNodes())
-	for e, v := range g.NodeOf {
-		if nodeRel[v] == nil {
-			nodeRel[v] = q.Factors[e]
-		} else {
-			// Multiple hyperedges can share a node only via duplicate
-			// edges mapped elsewhere; NodeOf is injective by Validate,
-			// but guard anyway.
-			nodeRel[v] = relation.Join(q.S, nodeRel[v], q.Factors[e])
-		}
-	}
-
-	free := make(map[int]bool, len(q.Free))
-	for _, v := range q.Free {
-		free[v] = true
-	}
-
-	msgs := make([]*relation.Relation[T], g.NumNodes())
-	ch := g.Children()
-	task := func(v int) error {
-		cur := nodeRel[v]
-		if cur == nil {
-			cur = relation.Unit(q.S, q.S.One())
-		}
-		for _, c := range ch[v] {
-			cur = relation.Join(q.S, cur, msgs[c])
-		}
-		// Aggregate out the variables private to this subtree: those not
-		// in the parent's bag (running intersection guarantees a
-		// variable escaping the subtree appears in the parent bag) and
-		// not free. Innermost (highest id) first, per eq. 4.
-		var parentBag []int
-		if v != g.Root {
-			parentBag = g.Bags[g.Parent[v]]
-		}
-		atRoot := v == g.Root
-		cur, err := AggregateOut(q, cur, func(x int) bool {
-			return free[x] || (!atRoot && hypergraph.ContainsSorted(parentBag, x))
-		})
-		if err != nil {
-			return err
-		}
-		msgs[v] = cur
-		return nil
-	}
-	run := task
-	if ctx != nil {
-		// The same per-task ctx gate ForestCtx applies, threaded here so
-		// the timed pass stays cancellable too.
-		run = func(v int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return task(v)
-		}
-	}
-	pool := opts.Pool
-	if pool == nil {
-		pool = exec.Default()
-	}
-	var err error
-	if opts.Timed {
-		metrics.Costs, err = pool.ForestTimed(g.Parent, run)
-	} else {
-		err = pool.ForestCtx(ctx, g.Parent, task)
-	}
+	msgs, metrics, err := Messages(ctx, q, p, opts)
 	if err != nil {
 		return nil, SolveMetrics{}, err
 	}
-	return msgs[g.Root], metrics, nil
+	return msgs[p.Root], metrics, nil
 }
 
 // BCQValue extracts the Boolean answer of a BCQ result (a scalar

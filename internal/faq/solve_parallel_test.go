@@ -14,7 +14,7 @@ import (
 
 // TestErrFreeOutsideRootSentinel pins the sentinel contract that
 // protocol.solveCentral's fallback decision relies on: both RootForFree
-// and SolveOnGHD must wrap ErrFreeOutsideRoot when the free-variable
+// and SolveGHD must wrap ErrFreeOutsideRoot when the free-variable
 // restriction fails, and nothing else may.
 func TestErrFreeOutsideRootSentinel(t *testing.T) {
 	h := hypergraph.PathGraph(5)
@@ -37,13 +37,13 @@ func TestErrFreeOutsideRootSentinel(t *testing.T) {
 	if _, err := RootForFree(g, []int{0, 4}); !errors.Is(err, ErrFreeOutsideRoot) {
 		t.Errorf("RootForFree error = %v, want wrapped ErrFreeOutsideRoot", err)
 	}
-	if _, err := SolveOnGHD(q, g); !errors.Is(err, ErrFreeOutsideRoot) {
-		t.Errorf("SolveOnGHD error = %v, want wrapped ErrFreeOutsideRoot", err)
+	if _, _, err := SolveGHD(nil, q, g, SolveOptions{}); !errors.Is(err, ErrFreeOutsideRoot) {
+		t.Errorf("SolveGHD error = %v, want wrapped ErrFreeOutsideRoot", err)
 	}
 	// A validation failure must NOT satisfy the sentinel: callers would
 	// otherwise mask real errors behind the brute-force fallback.
 	bad := &Query[bool]{S: sb, H: h, Factors: factors, Free: nil, DomSize: 0}
-	if _, err := SolveOnGHD(bad, g); err == nil || errors.Is(err, ErrFreeOutsideRoot) {
+	if _, _, err := SolveGHD(nil, bad, g, SolveOptions{}); err == nil || errors.Is(err, ErrFreeOutsideRoot) {
 		t.Errorf("validation error = %v must not wrap the sentinel", err)
 	}
 }
@@ -98,11 +98,11 @@ func TestRootForFreeMatchesRerootScan(t *testing.T) {
 	}
 }
 
-// TestSolveOnGHDParallelBitIdentical is the parallel≡sequential axis of
+// TestSolveGHDParallelBitIdentical is the parallel≡sequential axis of
 // the solver: the same query solved at 1 and at 8 workers must produce
 // bit-identical relations (schema, row buffer, values), not merely
 // semiring-equal ones.
-func TestSolveOnGHDParallelBitIdentical(t *testing.T) {
+func TestSolveGHDParallelBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 30; trial++ {
 		h, factors := randomTreeQuery(r, 4+r.Intn(8), 4, 2+r.Intn(10))
@@ -114,9 +114,9 @@ func TestSolveOnGHDParallelBitIdentical(t *testing.T) {
 		}
 
 		prev := exec.SetWorkers(1)
-		want, err1 := SolveOnGHD(q, g)
+		want, _, err1 := SolveGHD(nil, q, g, SolveOptions{})
 		exec.SetWorkers(8)
-		got, err2 := SolveOnGHD(q, g)
+		got, _, err2 := SolveGHD(nil, q, g, SolveOptions{})
 		exec.SetWorkers(prev)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)

@@ -127,7 +127,7 @@ func Compile(fp *Fingerprint) (*Plan, error) {
 // via the Fingerprint that matched this plan: an O(plan size) relabeling
 // (ghd.Relabel), validated so that a fingerprint collision surfaces as an
 // error instead of a silently wrong execution. The bound GHD feeds
-// faq.SolveOnGHD / protocol.RunOnGHD directly.
+// faq.SolveGHD / protocol.RunOnGHD directly.
 func (p *Plan) Bind(fp *Fingerprint, h *hypergraph.Hypergraph) (*ghd.GHD, error) {
 	if p.Fallback {
 		return nil, fmt.Errorf("plan: %w", faq.ErrFreeOutsideRoot)

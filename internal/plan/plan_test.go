@@ -97,7 +97,7 @@ func checkCachedEqualsFresh[T comparable](t *testing.T, s semiring.Semiring[T], 
 			if err != nil {
 				t.Fatalf("%s/%s trial %d: bind: %v", semName, sh.name, trial, err)
 			}
-			got, err := faq.SolveOnGHD(q, g)
+			got, _, err := faq.SolveGHD(nil, q, g, faq.SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s/%s trial %d: cached-plan solve: %v", semName, sh.name, trial, err)
 			}

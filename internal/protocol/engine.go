@@ -9,7 +9,6 @@ import (
 	"repro/internal/faq"
 	"repro/internal/flow"
 	"repro/internal/ghd"
-	"repro/internal/hypergraph"
 	"repro/internal/keys"
 	"repro/internal/netsim"
 	"repro/internal/relation"
@@ -18,13 +17,14 @@ import (
 
 // runner executes the paper's main protocol (Theorem 4.1 / F.1 / G.4) on
 // one GYO-GHD: bottom-up star reductions over the forest part
-// (Lemma 4.1, Algorithms 1–3), then the trivial protocol on the cyclic
-// core (Lemma 4.2), with every transmission booked on the simulator's
-// capacity ledger.
+// (Lemma 4.1, Algorithms 1–3) and the trivial protocol on the cyclic
+// core (Lemma 4.2), wherever the core sits in the tree, with every
+// transmission booked on the simulator's capacity ledger. Node order,
+// factor placement and keep sets come from the pass plan p.
 type runner[T any] struct {
 	s   *Setup[T]
 	net *netsim.Network
-	g   *ghd.GHD
+	p   *faq.Pass
 
 	rel    []*relation.Relation[T] // current relation per GHD node
 	owner  []int                   // current holder per GHD node (-1: none)
@@ -78,38 +78,39 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 	if err := gh.Validate(); err != nil {
 		return nil, rep, err
 	}
-	for _, v := range s.Q.Free {
-		if !hypergraph.ContainsSorted(gh.Bags[gh.Root], v) {
-			return nil, rep, fmt.Errorf("protocol: free variable %d outside root bag (F ⊆ V(C(H)) required)", v)
-		}
+	p, err := faq.NewPass(gh, s.Q.Free)
+	if err != nil {
+		return nil, rep, err
 	}
 	net, err := netsim.New(s.G, s.Bits())
 	if err != nil {
 		return nil, rep, err
 	}
+	n := len(p.Parent)
 	r := &runner[T]{
 		s:      s,
 		net:    net,
-		g:      gh,
-		rel:    make([]*relation.Relation[T], gh.NumNodes()),
-		owner:  make([]int, gh.NumNodes()),
-		finish: make([]int, gh.NumNodes()),
+		p:      p,
+		rel:    make([]*relation.Relation[T], n),
+		owner:  make([]int, n),
+		finish: make([]int, n),
 	}
-	for i := range r.owner {
-		r.owner[i] = -1
-	}
-	for e, v := range gh.NodeOf {
-		r.rel[v] = s.Q.Factors[e]
-		r.owner[v] = s.Assign[e]
+	for v, es := range p.Edges {
+		r.owner[v] = -1
+		if len(es) > 1 {
+			return nil, rep, fmt.Errorf("protocol: GHD node %d carries %d factors", v, len(es))
+		}
+		if len(es) == 1 {
+			r.rel[v], r.owner[v] = s.Q.Factors[es[0]], s.Assign[es[0]]
+		}
 	}
 
-	ch := gh.Children()
-	for _, v := range gh.PostOrder() {
-		if len(ch[v]) == 0 {
+	for _, v := range p.Order {
+		if len(p.Children[v]) == 0 {
 			continue
 		}
-		if v == gh.Root && v == gh.CoreRoot {
-			if err := r.corePhase(v, ch[v]); err != nil {
+		if r.rel[v] == nil {
+			if err := r.corePhase(v); err != nil {
 				return nil, rep, err
 			}
 			continue
@@ -118,7 +119,7 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 		// (R′_P filters the center's tuples), so the star target is the
 		// center owner; finalize() ships the (aggregated, small) answer
 		// to the output player afterwards.
-		if err := r.starReduce(v, ch[v], r.owner[v]); err != nil {
+		if err := r.starReduce(v, r.owner[v]); err != nil {
 			return nil, rep, err
 		}
 	}
@@ -133,29 +134,21 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 	return ans, rep, nil
 }
 
-// childMessage aggregates the private variables out of a child's current
-// relation (the push-down of Corollary G.2): everything in χ(c) not
-// shared with the parent bag is bound (free variables are in the root
-// bag, hence by the running intersection property also in the parent
-// bag) and is eliminated innermost-first with its per-variable operator.
-func (r *runner[T]) childMessage(c, parent int) (*relation.Relation[T], error) {
-	parentBag := r.g.Bags[parent]
-	return faq.AggregateOut(r.s.Q, r.rel[c], func(x int) bool {
-		return hypergraph.ContainsSorted(parentBag, x)
-	})
-}
-
 // starReduce runs Algorithm 1/2/3 on the star centered at GHD node v
-// with the given children, leaving R′_P at the target player.
-func (r *runner[T]) starReduce(v int, children []int, target int) error {
+// and its children, leaving R′_P at the target player.
+func (r *runner[T]) starReduce(v, target int) error {
 	q := r.s.Q
+	children := r.p.Children[v]
 	start := r.finish[v]
-	// Child messages are pure local reductions (no ledger bookings), so
-	// they fan out across the exec pool; every transmission below stays
-	// on the sequential schedule, keeping measured costs byte-identical.
+	// Child messages are pure local reductions (no ledger bookings): each
+	// child's relation aggregated to its keep set, the push-down of
+	// Corollary G.2. They fan out across the exec pool; every
+	// transmission below stays on the sequential schedule, keeping
+	// measured costs byte-identical.
 	msgList := make([]*relation.Relation[T], len(children))
 	if err := exec.Default().MapErr(len(children), func(i int) error {
-		m, err := r.childMessage(children[i], v)
+		c := children[i]
+		m, err := faq.EvalNode(q, r.rel[c], nil, r.p.Keep[c])
 		if err != nil {
 			return err
 		}
@@ -453,12 +446,13 @@ func convergeOverPackingStaggered[K cmp.Ordered, T any](r *runner[T], playerMaps
 	return out, finish, nil
 }
 
-// corePhase finishes a cyclic query: children of the fat root (core
+// corePhase evaluates a factorless node (the fat core root of
+// Construction 2.8) wherever it sits in the tree: its children (core
 // factors and reduced pendant-tree roots) are routed to the output
 // player with the trivial protocol (Lemma 3.1), which then joins them
-// and aggregates the remaining bound variables.
-func (r *runner[T]) corePhase(root int, children []int) error {
-	q := r.s.Q
+// and aggregates to the node's keep set — exactly F at the root.
+func (r *runner[T]) corePhase(v int) error {
+	children := r.p.Children[v]
 	out := r.s.Output
 	// Sharded flow analysis, sequential ledger: the per-child MaxFlow
 	// calls are pure reads of the topology, so they run across the exec
@@ -515,40 +509,25 @@ func (r *runner[T]) corePhase(root int, children []int) error {
 		}
 		r.finish[c] = done
 	}
-	// Local computation at the output: join everything, aggregate the
-	// bound variables innermost-first.
-	cur := relation.Unit(q.S, q.S.One())
-	done := 0
-	for _, c := range children {
-		cur = relation.Join(q.S, cur, r.rel[c])
-		if r.finish[c] > done {
-			done = r.finish[c]
-		}
-	}
-	free := make(map[int]bool, len(q.Free))
-	for _, x := range q.Free {
-		free[x] = true
-	}
-	cur, err := faq.AggregateOut(q, cur, func(x int) bool { return free[x] })
+	// Local computation at the output: the node evaluator over the
+	// shipped children.
+	cur, err := faq.EvalAt(r.s.Q, r.p, v, nil, r.rel)
 	if err != nil {
 		return err
 	}
-	r.rel[root] = cur
-	r.owner[root] = out
-	r.finish[root] = done
+	done := 0
+	for _, c := range children {
+		done = max(done, r.finish[c])
+	}
+	r.rel[v], r.owner[v], r.finish[v] = cur, out, done
 	return nil
 }
 
 // finalize aggregates the root relation down to the free variables at
 // its owner and ships the answer to the output player if needed.
 func (r *runner[T]) finalize() (*relation.Relation[T], error) {
-	q := r.s.Q
-	root := r.g.Root
-	free := make(map[int]bool, len(q.Free))
-	for _, x := range q.Free {
-		free[x] = true
-	}
-	cur, err := faq.AggregateOut(q, r.rel[root], func(x int) bool { return free[x] })
+	root := r.p.Root
+	cur, err := faq.EvalNode(r.s.Q, r.rel[root], nil, r.p.Keep[root])
 	if err != nil {
 		return nil, err
 	}

@@ -1,9 +1,11 @@
 package protocol
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/faq"
 	"repro/internal/ghd"
 	"repro/internal/hypergraph"
@@ -238,6 +240,15 @@ func TestRunOnGHDAblation(t *testing.T) {
 		t.Errorf("flat GHD should have fewer internal nodes: %d vs %d",
 			flat.InternalNodes(), chain.InternalNodes())
 	}
+	// The chain's root bag is edge 0, so a free variable only edge 3
+	// holds breaks F ⊆ χ(root): RunOnGHD must report the faq sentinel.
+	qf := *q
+	qf.Free = hypergraph.DiffSorted(h.Edge(3), h.Edge(0))[:1]
+	sf := *s
+	sf.Q = &qf
+	if _, _, err := RunOnGHD(&sf, chain); !errors.Is(err, faq.ErrFreeOutsideRoot) {
+		t.Errorf("free variable outside the root bag: err = %v, want wrapped faq.ErrFreeOutsideRoot", err)
+	}
 }
 
 // TestManyRelationsPerPlayer exercises |K| < k: several relations
@@ -359,5 +370,67 @@ func TestDeepForestQuery(t *testing.T) {
 	}
 	if !relation.Equal(sb, ans, want) {
 		t.Error("caterpillar query answer mismatch")
+	}
+}
+
+// coreBelowRootQuery is a triangle with a three-edge pendant path whose
+// far end is the only free variable, so RootForFree moves the root to
+// the path's end and the factorless core sits two levels below it.
+func coreBelowRootQuery(seed int64) *faq.Query[int64] {
+	sc := semiring.Count{}
+	h := hypergraph.New(6)
+	for _, e := range [][]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {4, 5}} {
+		h.AddEdge(e...)
+	}
+	r := rand.New(rand.NewSource(seed))
+	dom := 4
+	factors := make([]*relation.Relation[int64], h.NumEdges())
+	for i := range factors {
+		b := relation.NewBuilder[int64](sc, h.Edge(i))
+		for k := 0; k < 12; k++ {
+			b.Add([]int{r.Intn(dom), r.Intn(dom)}, int64(1+r.Intn(3)))
+		}
+		factors[i] = b.Build()
+	}
+	return &faq.Query[int64]{S: sc, H: h, Factors: factors, Free: []int{5}, DomSize: dom}
+}
+
+// TestRunCoreBelowRoot runs the main protocol on a GHD whose cyclic
+// core is not the root: the core phase runs where the core sits and
+// hands its message up to the pendant path. The answer must equal
+// BruteForce and the Report must not depend on the worker count.
+func TestRunCoreBelowRoot(t *testing.T) {
+	sc := semiring.Count{}
+	q := coreBelowRootQuery(67)
+	g, err := faq.PlanGHD(q.H, q.Free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.CoreRoot < 0 || g.CoreRoot == g.Root {
+		t.Fatalf("precondition: want the core below the root, got core %d root %d", g.CoreRoot, g.Root)
+	}
+	want, err := faq.BruteForce(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Setup[int64]{Q: q, G: topology.Line(4), Assign: Assignment{0, 1, 2, 3, 0, 1}, Output: 3}
+	prev := exec.SetWorkers(1)
+	defer exec.SetWorkers(prev)
+	_, ref, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 8} {
+		exec.SetWorkers(w)
+		ans, rep, err := Run(s)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if !relation.Equal(sc, ans, want) {
+			t.Fatalf("workers=%d: answer differs from BruteForce", w)
+		}
+		if rep != ref {
+			t.Fatalf("workers=%d: Report %+v != %+v", w, rep, ref)
+		}
 	}
 }

@@ -390,43 +390,6 @@ func semijoinHash[T any](a, b *Relation[T], shared []int) *Relation[T] {
 	return out
 }
 
-// joinNestedLoop is the O(|a|·|b|) reference implementation used by the
-// equivalence property tests: no index, no merge — just the definition.
-func joinNestedLoop[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
-	shared := hypergraph.IntersectSorted(a.schema, b.schema)
-	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
-	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
-	out := NewBuilder(s, outSchema)
-	scratch := make([]int32, len(outSchema))
-	for i := 0; i < a.Len(); i++ {
-		ta := a.Tuple(i)
-		for j := 0; j < b.Len(); j++ {
-			tb := b.Tuple(j)
-			match := true
-			for k := range shared {
-				if ta[aCols[k]] != tb[bCols[k]] {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-			for k, sc := range srcs {
-				if sc.fromA {
-					scratch[k] = ta[sc.col]
-				} else {
-					scratch[k] = tb[sc.col]
-				}
-			}
-			out.AddRow(scratch, s.Mul(a.vals[i], b.vals[j]))
-		}
-	}
-	return out.Build()
-}
-
 func maxLen(a, b int) int {
 	if a > b {
 		return a

@@ -5,7 +5,7 @@
 // per-request cancellation. A batching path groups same-plan requests so
 // one cache round-trip serves the whole group.
 //
-// Answer contract: a served answer is exactly faq.SolveOnGHD(q, g) for
+// Answer contract: a served answer is exactly faq.SolveGHD(ctx, q, g, opts) for
 // the bound plan GHD g. For exact semirings (Bool, Count, F2) that is
 // bit-identical to per-request planning (faq.Solve) at every worker
 // count; float semirings are equal modulo the semiring's re-association
