@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"repro/faqs"
-	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // loopbackTemplates are the mixed-workload query shapes: a long path, a
@@ -49,7 +49,7 @@ func wireTemplate(spec, free, prefix string, seed int64, n, dom int) *faqs.WireR
 }
 
 // scrapeURL GETs /metrics over the socket and strict-parses it.
-func scrapeURL(t *testing.T, c *http.Client, base string) *obs.Scrape {
+func scrapeURL(t *testing.T, c *http.Client, base string) *obstest.Scrape {
 	t.Helper()
 	resp, err := c.Get(base + "/metrics")
 	if err != nil {
@@ -59,7 +59,7 @@ func scrapeURL(t *testing.T, c *http.Client, base string) *obs.Scrape {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics: status %d", resp.StatusCode)
 	}
-	sc, err := obs.ParseText(resp.Body)
+	sc, err := obstest.ParseText(resp.Body)
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}

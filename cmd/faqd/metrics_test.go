@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/faqs"
-	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 // do runs one request through the full handler chain (access log +
@@ -34,7 +34,7 @@ func do(t *testing.T, h http.Handler, method, path string, payload any) *httptes
 
 // scrape GETs /metrics and round-trips it through the strict
 // exposition parser.
-func scrape(t *testing.T, h http.Handler) *obs.Scrape {
+func scrape(t *testing.T, h http.Handler) *obstest.Scrape {
 	t.Helper()
 	rec := do(t, h, http.MethodGet, "/metrics", nil)
 	if rec.Code != http.StatusOK {
@@ -43,7 +43,7 @@ func scrape(t *testing.T, h http.Handler) *obs.Scrape {
 	if got := rec.Header().Get("Content-Type"); got != faqs.MetricsContentType {
 		t.Fatalf("/metrics Content-Type = %q, want %q", got, faqs.MetricsContentType)
 	}
-	sc, err := obs.ParseText(rec.Body)
+	sc, err := obstest.ParseText(rec.Body)
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v\n%s", err, rec.Body.String())
 	}

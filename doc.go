@@ -86,18 +86,18 @@
 //     Theorem G.3 pass concurrently (exec.Pool.Forest orders children
 //     before parents), joining each node only when its children's
 //     messages resolved.
-//   - The relation kernel partitions every hot operator once it touches
-//     ≥ 2^14 tuples and more than one worker is configured: the
-//     packed-key hash Join/Semijoin and EliminateVar's grouping pass
-//     split on keys.Chunk — the same hash the protocol uses to split
-//     converge-cast streams — and merge in partition order; the
-//     sorted-merge Join/Semijoin range-split on shared-prefix key
-//     boundaries (binary-searched lower bounds, so no key group
-//     straddles a chunk) and concatenate chunk outputs in key order;
-//     Builder.Build radix-sorts packed keys (arity ≤ 2) sequentially
-//     with a stable LSD sort, and sorts wider rows via concurrent
-//     sub-sorts plus pairwise merges; both yield the strict (key,
-//     input-index) order, whose sorted permutation is unique.
+//   - The relation kernel range-splits its hot operators once they
+//     touch ≥ 2^14 tuples and more than one worker is configured. The
+//     prefix merge Join/Semijoin and the Project/EliminateVar folds cut
+//     on key-group boundaries (binary-searched lower bounds, so no group
+//     straddles a chunk) and concatenate chunk outputs in order. A
+//     non-prefix Join radix-sorts both operands on the key, walks them
+//     once, and splits only its emission into blocks of probe rows,
+//     concatenated in block order. Builder.Build radix-sorts packed keys
+//     (arity ≤ 2) sequentially with a stable LSD sort, and sorts wider
+//     rows via concurrent sub-sorts plus pairwise merges; both yield the
+//     strict (key, input-index) order, whose sorted permutation is
+//     unique.
 //   - The protocol engine reduces star children (child messages) in
 //     parallel and shards its per-factor flow.MaxFlow analyses
 //     (RunTrivial and the cyclic-core phase) across the pool — MaxFlow
@@ -108,10 +108,11 @@
 // The scheduler contract is that parallelism is configuration, not
 // semantics: all parallel paths are bit-identical to sequential
 // execution and race-clean (`make race`, CI). Bit-identity holds
-// because every partitioned operator preserves the sequential
-// generation order — equal keys never cross a partition, chunk outputs
-// merge in partition order, and duplicate groups reach the Builder's
-// ⊕-merge in exactly the sequential sequence. The randomized
+// because every range-split operator preserves the sequential
+// generation order — chunks are contiguous ranges of the sequential
+// sequence, chunk outputs concatenate in range order, and duplicate
+// groups reach the Builder's ⊕-merge in exactly the sequential
+// sequence. The randomized
 // equivalence harness (internal/relation/prop_test.go and the protocol
 // worker-sweep tests) pins this across semirings, worker counts, and
 // adversarial key distributions; `make test-workers` re-runs the suites
@@ -174,8 +175,8 @@
 // protocol/netsim/plan/exec without collect-then-sort); ctxflow pins
 // cancellation propagation on the serving path (no fresh
 // context.Background/TODO or nil ctx mid-path); hotpath pins the
-// relation kernels' allocation discipline (no string-keyed state
-// outside the documented arity fallbacks); failpoint pins chaos-sweep
+// relation kernels' allocation discipline (no string-keyed state);
+// failpoint pins chaos-sweep
 // coverage (unique <pkg>.<site> literals, every site referenced by a
 // TestChaos* suite, arming tests named TestChaos*). Intentional
 // exceptions are annotated in source with //faqlint:allow

@@ -17,10 +17,10 @@
 //	         of already-listed tuples)
 //
 // Point deltas probe the retained relations through per-site cached
-// hash indexes (relation.HashIndex) instead of rebuilding a hash side
-// per hop, so a steady-state one-tuple update costs O(path · (log n +
-// fanout)) probe work plus the values copies — bench/'s view_churn
-// workload measures it.
+// sorted indexes (relation.SortedIndex) instead of re-sorting the
+// retained side per hop, so a steady-state one-tuple update costs
+// O(path · (log n + fanout)) probe work plus the values copies —
+// bench/'s view_churn workload measures it.
 //
 // provided deletions can be expressed as ⊕-inverses:
 //
@@ -148,13 +148,13 @@ type Materialized[T any] struct {
 	lift        *Materialized[int64] // the Count twin (support strategy)
 	boolAnswer  *relation.Relation[T]
 
-	// jidx caches hash-join build sides per propagation site (node ×
+	// jidx caches join build sides per propagation site (node ×
 	// incoming child × probed sibling), so point deltas probe retained
-	// state in O(|Δ| · fanout) instead of re-hashing an O(n) relation
-	// every hop. Entries self-invalidate when a merge rewrites the
-	// underlying row buffer (relation.IndexValidFor); memory is O(n)
+	// state in O(|Δ| · (log n + fanout)) instead of re-sorting an O(n)
+	// relation every hop. Entries self-invalidate when a merge rewrites
+	// the underlying row buffer (relation.IndexValidFor); memory is O(n)
 	// per indexed site, the price of a standing view.
-	jidx map[[3]int32]*relation.HashIndex
+	jidx map[[3]int32]*relation.SortedIndex
 
 	updates    int64
 	recomputes int64
@@ -216,7 +216,7 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 		q:        &qc,
 		p:        p,
 		strategy: strategyOf(q),
-		jidx:     make(map[[3]int32]*relation.HashIndex),
+		jidx:     make(map[[3]int32]*relation.SortedIndex),
 	}
 	switch m.strategy {
 	case StrategySupport:
@@ -552,7 +552,7 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 }
 
 // joinAt joins a small delta against one retained relation through the
-// site's cached hash index, building (or rebuilding) the index when the
+// site's cached sorted index, building (or rebuilding) the index when the
 // retained side's row buffer changed since the last update. Large
 // deltas amortize a one-shot Join on their own and skip the cache.
 func (m *Materialized[T]) joinAt(site [3]int32, small, big *relation.Relation[T]) *relation.Relation[T] {
@@ -562,7 +562,7 @@ func (m *Materialized[T]) joinAt(site [3]int32, small, big *relation.Relation[T]
 	shared := hypergraph.IntersectSorted(small.Schema(), big.Schema())
 	ix := m.jidx[site]
 	if !relation.IndexValidFor(ix, big, shared) {
-		ix = relation.BuildHashIndex(big, shared)
+		ix = relation.BuildSortedIndex(big, shared)
 		if ix == nil {
 			return relation.Join(m.s, small, big)
 		}

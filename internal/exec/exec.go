@@ -3,8 +3,8 @@
 // dispatches sibling subtrees of its bottom-up pass onto the pool (the
 // node computations of Theorem G.3 are independent across subtrees and
 // per-node messages are bounded by N tuples, eq. 24, so subtree work is
-// balanced), the relation kernel partitions its packed-key hash join and
-// grouping passes across workers, and the protocol engine reduces star
+// balanced), the relation kernel range-splits its joins and group folds
+// across workers, and the protocol engine reduces star
 // children locally in parallel — while the netsim round ledger itself
 // stays strictly sequential so measured communication costs remain
 // byte-identical to the sequential engine.

@@ -53,10 +53,33 @@ func (q *Query[T]) Op(v int) semiring.Op[T] {
 // the semiring ⊕).
 func (q *Query[T]) IsSS() bool { return len(q.VarOps) == 0 }
 
-// Validate checks structural well-formedness: one factor per hyperedge
-// with a schema equal to the edge's vertices, free variables present in
-// H, tuples within the domain, and a positive domain size.
+// Validate checks the query is well-formed: ValidateShape, then every
+// tuple value within the domain [0, DomSize) — an O(tuples) scan. The
+// executing entry points (SolveGHD, BruteForce, delta.Materialize) run
+// it, so every executed query is domain-checked once.
 func (q *Query[T]) Validate() error {
+	if err := q.ValidateShape(); err != nil {
+		return err
+	}
+	for i, f := range q.Factors {
+		for t := 0; t < f.Len(); t++ {
+			for _, x := range f.Tuple(t) {
+				if x < 0 || int(x) >= q.DomSize {
+					return fmt.Errorf("faq: factor %d tuple value %d outside domain [0,%d)", i, x, q.DomSize)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// ValidateShape checks the structural part of Validate, without reading
+// any tuple: a non-nil H, a positive domain size, one factor per
+// hyperedge with a schema equal to the edge's vertices, free variables
+// sorted and present in H, and no aggregate on a free variable. Callers
+// that only plan a query (fingerprint, cache, admission) run this and
+// leave the domain scan to the entry point that executes it.
+func (q *Query[T]) ValidateShape() error {
 	if q.H == nil {
 		return fmt.Errorf("faq: nil hypergraph")
 	}
@@ -78,13 +101,6 @@ func (q *Query[T]) Validate() error {
 		for k := range got {
 			if got[k] != want[k] {
 				return fmt.Errorf("faq: factor %d schema %v != edge %v", i, got, want)
-			}
-		}
-		for t := 0; t < f.Len(); t++ {
-			for _, x := range f.Tuple(t) {
-				if x < 0 || int(x) >= q.DomSize {
-					return fmt.Errorf("faq: factor %d tuple value %d outside domain [0,%d)", i, x, q.DomSize)
-				}
 			}
 		}
 	}

@@ -23,14 +23,14 @@ func DefaultHotPathConfig() HotPathConfig {
 
 // NewHotPath builds the hotpath analyzer: no string-keyed map state
 // and no string-concatenation keys inside kernel function bodies. The
-// documented arity>MaxPacked fallbacks are annotated in source with
-// //faqlint:allow hotpath(reason) — keeping every exception visible at
-// the site it costs at — so any *new* string-keyed state is a build
-// failure, pinning PR 1's allocation win against regression.
+// kernels key rows by packed uint64s and sorted order at every arity, so
+// any string-keyed state is a build failure, pinning PR 1's allocation
+// win against regression; an exception must carry a
+// //faqlint:allow hotpath(reason) pragma at the site it costs at.
 func NewHotPath(cfg HotPathConfig) *Analyzer {
 	a := &Analyzer{
 		Name: "hotpath",
-		Doc:  "no string-keyed maps or string-concatenation keys in kernel functions outside the documented arity fallbacks",
+		Doc:  "no string-keyed maps or string-concatenation keys in kernel functions",
 	}
 	a.Run = func(pass *Pass) error {
 		if !matchPackage(cfg.Packages, pass.Pkg.ImportPath) {
@@ -59,7 +59,7 @@ func checkHotPath(pass *Pass, fd *ast.FuncDecl) {
 		case *ast.MapType:
 			if isStringType(pass.Pkg.Info.TypeOf(n.Key)) {
 				pass.Reportf(n.Pos(),
-					"string-keyed map state in a kernel function: pack the key columns (internal/keys) or annotate the documented fallback with //faqlint:allow hotpath(reason)")
+					"string-keyed map state in a kernel function: pack the key columns (internal/keys) or annotate with //faqlint:allow hotpath(reason)")
 			}
 		case *ast.IndexExpr:
 			// String concatenation building a map key at the index

@@ -1,11 +1,21 @@
-package obs
+// Package obstest holds test helpers for internal/obs: a strict parser
+// of the Prometheus text exposition obs.Registry.WriteTo emits, so tests
+// can round-trip /metrics and read values back.
+package obstest
 
 import (
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+)
+
+// Series and label name grammars of the exposition format.
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
 // ParsedSample is one series line from an exposition document.
@@ -30,12 +40,11 @@ type Scrape struct {
 }
 
 // ParseText parses a Prometheus text exposition document strictly. It
-// accepts exactly the dialect WriteTo produces — and rejects everything
-// a malformed writer could emit: samples without a preceding TYPE,
-// duplicate HELP/TYPE/series, unknown comment lines, label syntax
-// errors, non-contiguous families, and histograms whose cumulative
-// buckets decrease, lack le="+Inf", or disagree with _count. The
-// daemon and service tests use it to round-trip /metrics.
+// accepts exactly the dialect obs.Registry.WriteTo produces — and
+// rejects everything a malformed writer could emit: samples without a
+// preceding TYPE, duplicate HELP/TYPE/series, unknown comment lines,
+// label syntax errors, non-contiguous families, and histograms whose
+// cumulative buckets decrease, lack le="+Inf", or disagree with _count.
 func ParseText(r io.Reader) (*Scrape, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -51,18 +60,18 @@ func ParseText(r io.Reader) (*Scrape, error) {
 			if i == len(lines)-1 {
 				break // trailing newline
 			}
-			return nil, fmt.Errorf("obs: parse line %d: blank line", lineno)
+			return nil, fmt.Errorf("obstest: parse line %d: blank line", lineno)
 		}
 		switch {
 		case strings.HasPrefix(line, "# HELP "):
 			rest := line[len("# HELP "):]
 			sp := strings.IndexByte(rest, ' ')
 			if sp <= 0 {
-				return nil, fmt.Errorf("obs: parse line %d: malformed HELP", lineno)
+				return nil, fmt.Errorf("obstest: parse line %d: malformed HELP", lineno)
 			}
 			name, help := rest[:sp], unescapeHelp(rest[sp+1:])
 			if s.Families[name] != nil || done[name] {
-				return nil, fmt.Errorf("obs: parse line %d: duplicate HELP for %s", lineno, name)
+				return nil, fmt.Errorf("obstest: parse line %d: duplicate HELP for %s", lineno, name)
 			}
 			if cur != nil {
 				done[cur.Name] = true
@@ -73,37 +82,37 @@ func ParseText(r io.Reader) (*Scrape, error) {
 			rest := line[len("# TYPE "):]
 			sp := strings.IndexByte(rest, ' ')
 			if sp <= 0 {
-				return nil, fmt.Errorf("obs: parse line %d: malformed TYPE", lineno)
+				return nil, fmt.Errorf("obstest: parse line %d: malformed TYPE", lineno)
 			}
 			name, typ := rest[:sp], rest[sp+1:]
 			if cur == nil || cur.Name != name {
-				return nil, fmt.Errorf("obs: parse line %d: TYPE %s without preceding HELP", lineno, name)
+				return nil, fmt.Errorf("obstest: parse line %d: TYPE %s without preceding HELP", lineno, name)
 			}
 			if cur.Type != "" {
-				return nil, fmt.Errorf("obs: parse line %d: duplicate TYPE for %s", lineno, name)
+				return nil, fmt.Errorf("obstest: parse line %d: duplicate TYPE for %s", lineno, name)
 			}
 			switch typ {
 			case "counter", "gauge", "histogram":
 				cur.Type = typ
 			default:
-				return nil, fmt.Errorf("obs: parse line %d: unknown type %q for %s", lineno, typ, name)
+				return nil, fmt.Errorf("obstest: parse line %d: unknown type %q for %s", lineno, typ, name)
 			}
 		case strings.HasPrefix(line, "#"):
-			return nil, fmt.Errorf("obs: parse line %d: unknown comment line", lineno)
+			return nil, fmt.Errorf("obstest: parse line %d: unknown comment line", lineno)
 		default:
 			sample, err := parseSample(line)
 			if err != nil {
-				return nil, fmt.Errorf("obs: parse line %d: %v", lineno, err)
+				return nil, fmt.Errorf("obstest: parse line %d: %v", lineno, err)
 			}
 			if cur == nil || cur.Type == "" {
-				return nil, fmt.Errorf("obs: parse line %d: sample %s before TYPE", lineno, sample.Name)
+				return nil, fmt.Errorf("obstest: parse line %d: sample %s before TYPE", lineno, sample.Name)
 			}
 			if !sampleBelongs(cur, sample.Name) {
-				return nil, fmt.Errorf("obs: parse line %d: sample %s outside family %s", lineno, sample.Name, cur.Name)
+				return nil, fmt.Errorf("obstest: parse line %d: sample %s outside family %s", lineno, sample.Name, cur.Name)
 			}
 			for _, prev := range cur.Samples {
 				if prev.Name == sample.Name && labelsEqual(prev.Labels, sample.Labels) {
-					return nil, fmt.Errorf("obs: parse line %d: duplicate series %s", lineno, sample.Name)
+					return nil, fmt.Errorf("obstest: parse line %d: duplicate series %s", lineno, sample.Name)
 				}
 			}
 			cur.Samples = append(cur.Samples, sample)
@@ -111,7 +120,7 @@ func ParseText(r io.Reader) (*Scrape, error) {
 	}
 	for _, f := range s.Families {
 		if f.Type == "" {
-			return nil, fmt.Errorf("obs: parse: family %s has HELP but no TYPE", f.Name)
+			return nil, fmt.Errorf("obstest: parse: family %s has HELP but no TYPE", f.Name)
 		}
 		if f.Type == "histogram" {
 			if err := checkHistogram(f); err != nil {
@@ -138,7 +147,7 @@ func parseSample(line string) (ParsedSample, error) {
 		i++
 	}
 	sample.Name = line[:i]
-	if !validMetricName(sample.Name) {
+	if !metricName.MatchString(sample.Name) {
 		return sample, fmt.Errorf("invalid series name %q", sample.Name)
 	}
 	if i < len(line) && line[i] == '{' {
@@ -156,7 +165,7 @@ func parseSample(line string) (ParsedSample, error) {
 				j++
 			}
 			name := line[i:j]
-			if name != "le" && !validLabelName(name) {
+			if !labelName.MatchString(name) {
 				return sample, fmt.Errorf("invalid label name %q", name)
 			}
 			if j+1 >= len(line) || line[j+1] != '"' {
@@ -294,7 +303,7 @@ func checkHistogram(f *ParsedFamily) error {
 		case f.Name + "_bucket":
 			le, ok := sm.Labels["le"]
 			if !ok {
-				return fmt.Errorf("obs: histogram %s: bucket without le", f.Name)
+				return fmt.Errorf("obstest: histogram %s: bucket without le", f.Name)
 			}
 			g := get(sm.Labels)
 			if le == "+Inf" {
@@ -303,7 +312,7 @@ func checkHistogram(f *ParsedFamily) error {
 			}
 			bound, err := strconv.ParseFloat(le, 64)
 			if err != nil {
-				return fmt.Errorf("obs: histogram %s: bad le %q", f.Name, le)
+				return fmt.Errorf("obstest: histogram %s: bad le %q", f.Name, le)
 			}
 			g.les = append(g.les, bound)
 			g.cum = append(g.cum, sm.Value)
@@ -316,26 +325,26 @@ func checkHistogram(f *ParsedFamily) error {
 	}
 	for _, g := range groups {
 		if !g.hasInf {
-			return fmt.Errorf("obs: histogram %s: missing le=\"+Inf\" bucket", f.Name)
+			return fmt.Errorf("obstest: histogram %s: missing le=\"+Inf\" bucket", f.Name)
 		}
 		if !g.hasSum || !g.hasCount {
-			return fmt.Errorf("obs: histogram %s: missing _sum or _count", f.Name)
+			return fmt.Errorf("obstest: histogram %s: missing _sum or _count", f.Name)
 		}
 		if g.inf != g.count {
-			return fmt.Errorf("obs: histogram %s: +Inf bucket %v != _count %v", f.Name, g.inf, g.count)
+			return fmt.Errorf("obstest: histogram %s: +Inf bucket %v != _count %v", f.Name, g.inf, g.count)
 		}
 		prev := 0.0
 		for i, c := range g.cum {
 			if i > 0 && g.les[i] <= g.les[i-1] {
-				return fmt.Errorf("obs: histogram %s: le bounds not increasing", f.Name)
+				return fmt.Errorf("obstest: histogram %s: le bounds not increasing", f.Name)
 			}
 			if c < prev {
-				return fmt.Errorf("obs: histogram %s: cumulative bucket counts decrease", f.Name)
+				return fmt.Errorf("obstest: histogram %s: cumulative bucket counts decrease", f.Name)
 			}
 			prev = c
 		}
 		if g.inf < prev {
-			return fmt.Errorf("obs: histogram %s: +Inf bucket below last finite bucket", f.Name)
+			return fmt.Errorf("obstest: histogram %s: +Inf bucket below last finite bucket", f.Name)
 		}
 	}
 	return nil

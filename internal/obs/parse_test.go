@@ -1,15 +1,21 @@
-package obs
+package obs_test
 
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
+
+// These tests hold obstest's strict parser against the exposition
+// Registry.WriteTo emits, so they live beside the writer.
 
 // TestParseRoundTrip writes a populated registry and re-parses it: the
 // strict parser must accept everything WriteTo emits and recover the
 // same values, labels, and help text.
 func TestParseRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.NewCounterVec("rt_requests_total", `help with \ and "quotes"`+"\nand newline", "semiring").
 		With("min-plus").Add(42)
 	r.NewGauge("rt_depth", "queue depth").Set(-3)
@@ -21,7 +27,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	s, err := ParseText(strings.NewReader(b.String()))
+	s, err := obstest.ParseText(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatalf("round trip rejected: %v\n%s", err, b.String())
 	}
@@ -77,7 +83,7 @@ func TestParseStrictness(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseText(strings.NewReader(tc.doc)); err == nil {
+			if _, err := obstest.ParseText(strings.NewReader(tc.doc)); err == nil {
 				t.Fatalf("accepted malformed document:\n%s", tc.doc)
 			}
 		})
@@ -88,7 +94,7 @@ func TestParseAcceptsHistogramWithLabels(t *testing.T) {
 	doc := "# HELP m h\n# TYPE m histogram\n" +
 		"m_bucket{s=\"a\",le=\"1\"} 1\nm_bucket{s=\"a\",le=\"+Inf\"} 2\nm_sum{s=\"a\"} 3\nm_count{s=\"a\"} 2\n" +
 		"m_bucket{s=\"b\",le=\"1\"} 0\nm_bucket{s=\"b\",le=\"+Inf\"} 1\nm_sum{s=\"b\"} 9\nm_count{s=\"b\"} 1\n"
-	s, err := ParseText(strings.NewReader(doc))
+	s, err := obstest.ParseText(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,21 +107,23 @@ func TestParseAcceptsHistogramWithLabels(t *testing.T) {
 	}
 }
 
+// TestRuntimeCollector refreshes the runtime gauges and reads them back
+// through the exposition: they must round-trip and carry live values.
 func TestRuntimeCollector(t *testing.T) {
-	r := NewRegistry()
-	c := NewRuntimeCollector(r)
-	c.Collect()
-	if c.goroutines.Value() < 1 {
-		t.Fatalf("goroutines gauge = %d, want >= 1", c.goroutines.Value())
-	}
-	if c.heapBytes.Value() <= 0 {
-		t.Fatalf("heap bytes gauge = %d, want > 0", c.heapBytes.Value())
-	}
+	r := obs.NewRegistry()
+	obs.NewRuntimeCollector(r).Collect()
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ParseText(strings.NewReader(b.String())); err != nil {
+	sc, err := obstest.ParseText(strings.NewReader(b.String()))
+	if err != nil {
 		t.Fatalf("runtime gauges don't round-trip: %v", err)
+	}
+	if v, ok := sc.Value("faq_go_goroutines", nil); !ok || v < 1 {
+		t.Fatalf("goroutines gauge = %v %v, want >= 1", v, ok)
+	}
+	if v, ok := sc.Value("faq_go_heap_objects_bytes", nil); !ok || v <= 0 {
+		t.Fatalf("heap bytes gauge = %v %v, want > 0", v, ok)
 	}
 }

@@ -121,6 +121,25 @@ func BenchmarkEliminateVar(b *testing.B) {
 	}
 }
 
+// BenchmarkEliminateVarMiddle eliminates a variable that is not
+// innermost, so the rows are re-laid in key order before the fold.
+func BenchmarkEliminateVarMiddle(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := semiring.SumProduct{}
+			rel := benchRel([]int{0, 1, 2}, n, 4)
+			op := semiring.AddOf[float64](s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := EliminateVar(s, rel, 1, op, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBuilderBuild measures Build on random arity-2 and arity-1
 // input and on arity-2 input already in key order — the shape
 // mergeEmit's unordered branch often feeds in. n=16 covers the small

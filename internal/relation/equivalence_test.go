@@ -10,15 +10,15 @@ import (
 	"repro/internal/semiring"
 )
 
-// Equivalence property tests: the dispatching Join/Semijoin, the hash
-// paths, and the merge paths must all agree with the O(n·m) nested-loop
+// Equivalence property tests: the dispatching Join/Semijoin at 1/2/8
+// workers and the merge paths must all agree with the O(n·m) nested-loop
 // reference, across semirings (Boolean, counting, min-plus) and across
 // schema shapes that force every strategy:
 //
 //	prefix-shared ordered   → merge join, direct sorted emission
 //	prefix-shared unordered → merge join through the Builder
-//	non-prefix shared ≤ 2   → packed uint64 hash join
-//	non-prefix shared > 2   → string-key hash join (cold fallback)
+//	non-prefix shared ≤ 2   → key-ordered walk on packed keys
+//	non-prefix shared > 2   → key-ordered walk, compared past the packed head
 //	disjoint schemas        → cartesian product
 //	identical schemas       → full-key intersection
 
@@ -27,12 +27,12 @@ var schemaPairs = [][2][]int{
 	{{0, 1}, {0, 2}},             // merge, ordered
 	{{0, 1, 2}, {0, 1, 3}},       // merge p=2, ordered
 	{{0, 3}, {0, 2}},             // merge, unordered (aRest > bRest)
-	{{0, 1}, {1, 2}},             // hash, packed key
-	{{1, 2}, {0, 2}},             // hash, packed key
+	{{0, 1}, {1, 2}},             // non-prefix, packed key
+	{{1, 2}, {0, 2}},             // non-prefix, packed key
 	{{0}, {1}},                   // cartesian
 	{{0, 1}, {0, 1}},             // identical schemas
 	{{0, 1, 2, 3}, {0, 1, 2, 4}}, // merge p=3 (beyond MaxPacked)
-	{{1, 2, 3, 4}, {0, 2, 3, 4}}, // hash, string-key fallback (3 shared)
+	{{1, 2, 3, 4}, {0, 2, 3, 4}}, // non-prefix, 3 shared
 	{{0, 1, 2}, {2}},             // message-style: b ⊆ a, non-prefix
 	{{0, 1, 2}, {0}},             // message-style: b ⊆ a, prefix
 }
@@ -123,27 +123,20 @@ func checkJoinEquivalence[T any](t *testing.T, s semiring.Semiring[T], val func(
 			shared := hypergraph.IntersectSorted(a.Schema(), b.Schema())
 
 			want := joinNestedLoop(s, a, b)
-			if got := Join(s, a, b); !Equal(s, got, want) {
-				t.Fatalf("pair %d trial %d: Join != nested-loop\n a=%v\n b=%v\n got=%v\n want=%v",
-					pi, trial, a, b, got, want)
-			}
-			if got := joinHash(s, a, b, shared); !Equal(s, got, want) {
-				t.Fatalf("pair %d trial %d: hash join != nested-loop", pi, trial)
-			}
+			sjWant := semijoinNestedLoop(a, b, shared)
+			sweepWorkers(func(w int) {
+				if got := Join(s, a, b); !Equal(s, got, want) {
+					t.Fatalf("pair %d trial %d workers %d: Join != nested-loop\n a=%v\n b=%v\n got=%v\n want=%v",
+						pi, trial, w, a, b, got, want)
+				}
+				if got := Semijoin(s, a, b); !Equal(s, got, sjWant) {
+					t.Fatalf("pair %d trial %d workers %d: Semijoin != nested-loop\n a=%v\n b=%v", pi, trial, w, a, b)
+				}
+			})
 			if isPrefixOf(shared, a.Schema()) && isPrefixOf(shared, b.Schema()) {
 				if got := joinMerge(s, a, b, len(shared)); !Equal(s, got, want) {
 					t.Fatalf("pair %d trial %d: merge join != nested-loop", pi, trial)
 				}
-			}
-
-			sjWant := semijoinNestedLoop(a, b, shared)
-			if got := Semijoin(s, a, b); !Equal(s, got, sjWant) {
-				t.Fatalf("pair %d trial %d: Semijoin != nested-loop\n a=%v\n b=%v", pi, trial, a, b)
-			}
-			if got := semijoinHash(a, b, shared); !Equal(s, got, sjWant) {
-				t.Fatalf("pair %d trial %d: hash semijoin != nested-loop", pi, trial)
-			}
-			if isPrefixOf(shared, a.Schema()) && isPrefixOf(shared, b.Schema()) {
 				if got := semijoinMerge(a, b, len(shared)); !Equal(s, got, sjWant) {
 					t.Fatalf("pair %d trial %d: merge semijoin != nested-loop", pi, trial)
 				}
@@ -237,10 +230,9 @@ func TestRenameFastPathSharesLayout(t *testing.T) {
 	}
 }
 
-// TestEliminateVarPathsAgree drives the three EliminateVar strategies
-// (contiguous innermost, packed grouping, string fallback) against each
-// other by eliminating each variable of a 4-ary relation and checking
-// against brute-force reaggregation.
+// TestEliminateVarPathsAgree eliminates each variable of a 4-ary
+// relation — the innermost fold and the re-laid fold with three
+// remaining columns — and checks against Project onto the rest.
 func TestEliminateVarPathsAgree(t *testing.T) {
 	s := semiring.SumProduct{}
 	add := semiring.AddOf[float64](s)

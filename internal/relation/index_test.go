@@ -64,7 +64,7 @@ func TestPatchAddMatchesMergeAdd(t *testing.T) {
 
 // TestPatchAddSharesRows pins the fast path's contract: when the delta
 // only moves annotations of listed tuples, the result reuses a's row
-// buffer (what keeps HashIndexes valid) and a itself is unchanged.
+// buffer (what keeps SortedIndexes valid) and a itself is unchanged.
 func TestPatchAddSharesRows(t *testing.T) {
 	s := semiring.Count{}
 	b := NewBuilder(s, []int{0, 1})
@@ -110,17 +110,17 @@ func TestPatchAddSharesRows(t *testing.T) {
 
 // TestJoinIndexedMatchesJoin checks bit-identity of the indexed probe
 // against the one-shot Join on randomized non-prefix-shared schemas
-// (the hash-join shapes a standing view hits), including index reuse
-// across PatchAdd value updates and invalidation on row rewrites.
+// (the shapes a standing view hits), including index reuse across
+// PatchAdd value updates and invalidation on row rewrites.
 func TestJoinIndexedMatchesJoin(t *testing.T) {
 	s := semiring.Count{}
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
-		// Shared variable 2 is a suffix of big's schema {1,2} and of
-		// small's {2,3}: Join must take the hash path.
+		// Shared variable 2 trails big's schema {1,2}: Join must take
+		// the non-prefix path.
 		big := randRel(rng, s, []int{1, 2}, 10+rng.Intn(60), 8)
 		small := randRel(rng, s, []int{2, 3}, rng.Intn(4), 8)
-		ix := BuildHashIndex(big, []int{2})
+		ix := BuildSortedIndex(big, []int{2})
 		got := JoinIndexed(s, small, big, ix)
 		want := Join(s, small, big)
 		if !Equal(s, got, want) {
@@ -158,23 +158,33 @@ func TestJoinIndexedMatchesJoin(t *testing.T) {
 	}
 }
 
-// TestBuildHashIndexUnpackable pins the documented nil cases: empty
-// key, wide key, empty relation — all of which JoinIndexed must survive
-// by falling back.
-func TestBuildHashIndexUnpackable(t *testing.T) {
+// TestBuildSortedIndexNilCases pins the nil cases — no shared
+// variable, empty relation — which JoinIndexed must survive by falling
+// back, and checks that a key wider than the packed head is indexed and
+// joins like Join.
+func TestBuildSortedIndexNilCases(t *testing.T) {
 	s := semiring.Count{}
 	r := randRel(rand.New(rand.NewSource(3)), s, []int{0, 1, 2}, 10, 4)
-	if BuildHashIndex(r, nil) != nil {
+	if BuildSortedIndex(r, nil) != nil {
 		t.Fatal("empty key must not index")
 	}
-	if BuildHashIndex(r, []int{0, 1, 2}) != nil {
-		t.Fatal("key wider than MaxPacked must not index")
-	}
-	if BuildHashIndex(Empty[int64](r.Schema()), []int{0}) != nil {
+	if BuildSortedIndex(Empty[int64](r.Schema()), []int{0}) != nil {
 		t.Fatal("empty relation must not index")
 	}
 	small := randRel(rand.New(rand.NewSource(4)), s, []int{2, 3}, 3, 4)
 	if !Equal(s, JoinIndexed(s, small, r, nil), Join(s, small, r)) {
 		t.Fatal("nil-index fallback diverges from Join")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		big := randRel(rng, s, []int{0, 1, 2, 3}, 20+rng.Intn(80), 3)
+		probe := randRel(rng, s, []int{1, 2, 3, 4}, rng.Intn(10), 3)
+		ix := BuildSortedIndex(big, []int{1, 2, 3})
+		if ix == nil {
+			t.Fatal("wide key must index")
+		}
+		if got, want := JoinIndexed(s, probe, big, ix), Join(s, probe, big); !bitIdentical(got, want) {
+			t.Fatalf("trial %d: wide-key JoinIndexed diverges from Join\n got=%v\nwant=%v", trial, got, want)
+		}
 	}
 }

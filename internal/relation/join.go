@@ -3,7 +3,6 @@ package relation
 import (
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
-	"repro/internal/keys"
 	"repro/internal/semiring"
 )
 
@@ -20,8 +19,9 @@ var (
 // protocol's same-key reductions, where schemas are sorted and the
 // shared variables are the smallest ids — both operands are already
 // sorted by the join key and a galloping sorted-merge needs no index at
-// all. Otherwise a hash join on packed uint64 keys (≤ 2 shared columns)
-// or big-endian string keys (wider, off the hot path) is used.
+// all. Otherwise both operands are first put in key order (orderOn: a
+// radix sort of packed keys) and the same galloping walk matches them;
+// see joinOrdered.
 
 // compareShared lexicographically compares the first p columns of two
 // rows.
@@ -132,12 +132,9 @@ func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 		}
 		return joinMerge(s, a, b, p)
 	}
-	if len(shared) >= 1 && len(shared) <= keys.MaxPacked {
-		if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-			return joinHashParallel(s, a, b, shared, parts)
-		}
-	}
-	return joinHash(s, a, b, shared)
+	aCols, _ := columnsOf(a.schema, shared)
+	bCols, _ := columnsOf(b.schema, shared)
+	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols), parallelParts(a.Len()+b.Len()))
 }
 
 // joinMerge is the sorted-merge join: both operands are sorted by their
@@ -219,83 +216,15 @@ func mergeEmit[T any](s semiring.Semiring[T], outSchema []int, ordered bool, row
 	if ordered {
 		return fromSorted(outSchema, rows, vals)
 	}
-	bld := NewBuilderHint(s, outSchema, len(vals))
-	bld.rows = append(bld.rows, rows...)
-	bld.vals = append(bld.vals, vals...)
-	return bld.Build()
+	return buildFrom(s, outSchema, rows, vals)
 }
 
-// joinHash indexes b on the shared columns — packed uint64 keys for ≤ 2
-// shared columns, string keys beyond — and probes with a's tuples. The
-// per-key tuple lists are intrusive chains over one []int32, so the
-// index costs two allocations regardless of b's size.
-func joinHash[T any](s semiring.Semiring[T], a, b *Relation[T], shared []int) *Relation[T] {
-	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
-	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
-	na, nb := a.Len(), b.Len()
-
-	out := NewBuilderHint(s, outSchema, maxLen(na, nb))
-	scratch := make([]int32, len(outSchema))
-	emit := func(x, y int) {
-		v := s.Mul(a.vals[x], b.vals[y])
-		if s.IsZero(v) {
-			return
-		}
-		ta, tb := a.Tuple(x), b.Tuple(y)
-		for k, sc := range srcs {
-			if sc.fromA {
-				scratch[k] = ta[sc.col]
-			} else {
-				scratch[k] = tb[sc.col]
-			}
-		}
-		out.AddRow(scratch, v)
-	}
-
-	if len(shared) <= keys.MaxPacked {
-		head := make(map[uint64]int32, nb)
-		next := make([]int32, nb)
-		for i := nb - 1; i >= 0; i-- {
-			k := keys.PackCols(b.Tuple(i), bCols)
-			if h, ok := head[k]; ok {
-				next[i] = h
-			} else {
-				next[i] = -1
-			}
-			head[k] = int32(i)
-		}
-		for i := 0; i < na; i++ {
-			if h, ok := head[keys.PackCols(a.Tuple(i), aCols)]; ok {
-				for j := h; j >= 0; j = next[j] {
-					emit(i, int(j))
-				}
-			}
-		}
-		return out.Build()
-	}
-
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	head := make(map[string]int32, nb)
-	next := make([]int32, nb)
-	for i := nb - 1; i >= 0; i-- {
-		k := keys.EncodeCols(b.Tuple(i), bCols)
-		if h, ok := head[k]; ok {
-			next[i] = h
-		} else {
-			next[i] = -1
-		}
-		head[k] = int32(i)
-	}
-	for i := 0; i < na; i++ {
-		if h, ok := head[keys.EncodeCols(a.Tuple(i), aCols)]; ok {
-			for j := h; j >= 0; j = next[j] {
-				emit(i, int(j))
-			}
-		}
-	}
-	return out.Build()
+// buildFrom canonicalizes generated rows (laid out in outSchema's sorted
+// column order) through a Builder that takes ownership of the buffers.
+func buildFrom[T any](s semiring.Semiring[T], outSchema []int, rows []int32, vals []T) *Relation[T] {
+	bld := NewBuilder(s, outSchema)
+	bld.rows, bld.vals = rows, vals
+	return bld.Build()
 }
 
 // Semijoin returns a ⋉ b (Definition 3.5 with set semantics on the
@@ -315,12 +244,18 @@ func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 		}
 		return semijoinMerge(a, b, p)
 	}
-	if len(shared) >= 1 && len(shared) <= keys.MaxPacked {
-		if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-			return semijoinHashParallel(a, b, shared, parts)
+	// Non-prefix: keep each a row whose key has a non-empty run in b,
+	// in a's row order, which is already sorted.
+	aCols, _ := columnsOf(a.schema, shared)
+	bCols, _ := columnsOf(b.schema, shared)
+	out := &Relation[T]{schema: a.schema}
+	for i, r := range matchRuns(orderOn(a, aCols), orderOn(b, bCols)) {
+		if r.lo < r.hi {
+			out.rows = append(out.rows, a.Tuple(i)...)
+			out.vals = append(out.vals, a.vals[i])
 		}
 	}
-	return semijoinHash(a, b, shared)
+	return out
 }
 
 // semijoinMerge filters a against b with a galloping two-pointer scan on
@@ -355,39 +290,6 @@ func semijoinMergeRange[T any](a, b *Relation[T], p, aLo, aHi, bLo, bHi int) ([]
 		i++
 	}
 	return rows, vals
-}
-
-func semijoinHash[T any](a, b *Relation[T], shared []int) *Relation[T] {
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
-	out := &Relation[T]{schema: a.schema}
-
-	if len(shared) <= keys.MaxPacked {
-		seen := make(map[uint64]struct{}, b.Len())
-		for i := 0; i < b.Len(); i++ {
-			seen[keys.PackCols(b.Tuple(i), bCols)] = struct{}{}
-		}
-		for i := 0; i < a.Len(); i++ {
-			if _, ok := seen[keys.PackCols(a.Tuple(i), aCols)]; ok {
-				out.rows = append(out.rows, a.Tuple(i)...)
-				out.vals = append(out.vals, a.vals[i])
-			}
-		}
-		return out
-	}
-
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	seen := make(map[string]struct{}, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		seen[keys.EncodeCols(b.Tuple(i), bCols)] = struct{}{}
-	}
-	for i := 0; i < a.Len(); i++ {
-		if _, ok := seen[keys.EncodeCols(a.Tuple(i), aCols)]; ok {
-			out.rows = append(out.rows, a.Tuple(i)...)
-			out.vals = append(out.vals, a.vals[i])
-		}
-	}
-	return out
 }
 
 func maxLen(a, b int) int {

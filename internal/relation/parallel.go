@@ -5,41 +5,31 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/hypergraph"
-	"repro/internal/keys"
 	"repro/internal/semiring"
 )
 
-// sortByKey returns the groups as (key, group index) rows in ascending
-// key order (keys are unique, so the order is total).
-func sortByKey(gkeys []uint64) []packedRow {
-	pr := make([]packedRow, len(gkeys))
-	for g, k := range gkeys {
-		pr[g] = packedRow{k, int32(g)}
-	}
-	return radixSortPacked(pr)
-}
-
-// Parallel partitioned variants of the packed-key hash join and of
-// EliminateVar's packed grouping pass. Both partition tuples with
-// keys.Chunk on the operation's key columns — the same hash the protocol
-// layer uses to split converge-cast streams across Steiner trees — run
-// the partitions on the exec worker pool, and merge the per-partition
-// outputs in partition order through a single Build.
+// Range-split parallel twins of the kernels. Every twin cuts its input
+// into contiguous row ranges, runs the sequential core of its operator
+// on each range on the exec worker pool, and concatenates the range
+// outputs in range order (collectChunks):
 //
-// Bit-identical guarantee: equal keys land in the same partition, and
-// each partition scans its tuple list in ascending input order, so every
-// duplicate group reaches Build's ⊕-merge in exactly the order the
-// sequential operator produces. Build then stably radix-sorts by key,
-// which keeps that order within each key and makes the final layout
-// independent of the partitioning altogether. The
-// equivalence tests in parallel_test.go pin this per semiring.
+//   - the prefix merge Join and Semijoin and the prefix Project and
+//     EliminateVar folds cut on key-group boundaries (mergeCuts,
+//     prefixCuts), so no group straddles a range;
+//   - the non-prefix Join cuts only its emission, into blocks of probe
+//     rows (joinOrdered).
+//
+// Bit-identical guarantee: range order is the sequential generation
+// order, so the concatenation is exactly the sequential output sequence
+// and every duplicate group reaches ⊕ in the sequential order. The
+// equivalence tests in parallel_test.go and prop_test.go pin this per
+// semiring.
 
-// parallelMinTuples is the size threshold below which partitioned
+// parallelMinTuples is the size threshold below which range-split
 // execution is never worth the fan-out overhead.
 const parallelMinTuples = 1 << 14
 
-// maxParts caps the partition count (chunk ids must also fit the uint8
-// scratch used by partitionByKey).
+// maxParts caps the partition count.
 const maxParts = 64
 
 // parallelParts returns the partition count for an operation touching n
@@ -57,122 +47,6 @@ func parallelParts(n int) int {
 		w = maxParts
 	}
 	return w
-}
-
-// partitionByKey buckets tuple indices of r by keys.Chunk of the given
-// key columns, returning for each partition the ascending tuple indices
-// and, aligned with them, the tuples' packed keys (computed once here;
-// the join/grouping passes reuse them instead of re-packing). The key
-// computation fans out across the pool in blocks; the bucket fill is one
-// sequential counting pass, so every bucket lists its indices in
-// ascending order.
-func partitionByKey[T any](pool *exec.Pool, r *Relation[T], cols []int, parts int) ([][]int32, [][]uint64) {
-	n := r.Len()
-	nc := len(cols)
-	packed := make([]uint64, n)
-	chunk := make([]uint8, n)
-	nblocks := pool.Workers()
-	if nblocks > parts {
-		nblocks = parts
-	}
-	if nblocks < 1 {
-		nblocks = 1
-	}
-	blockSize := (n + nblocks - 1) / nblocks
-	pool.Map(nblocks, func(b int) {
-		lo, hi := b*blockSize, (b+1)*blockSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			k := keys.PackCols(r.Tuple(i), cols)
-			packed[i] = k
-			chunk[i] = uint8(keys.Chunk(k, nc, parts))
-		}
-	})
-	counts := make([]int, parts)
-	for _, c := range chunk {
-		counts[c]++
-	}
-	idx := make([][]int32, parts)
-	pkeys := make([][]uint64, parts)
-	for pi := range idx {
-		idx[pi] = make([]int32, 0, counts[pi])
-		pkeys[pi] = make([]uint64, 0, counts[pi])
-	}
-	for i, c := range chunk {
-		idx[c] = append(idx[c], int32(i))
-		pkeys[c] = append(pkeys[c], packed[i])
-	}
-	return idx, pkeys
-}
-
-// joinHashParallel is joinHash partitioned on the shared-column key
-// (1 ≤ len(shared) ≤ keys.MaxPacked). Matching tuples always share a
-// partition, so partitions join independently; outputs concatenate in
-// partition order into one Build.
-func joinHashParallel[T any](s semiring.Semiring[T], a, b *Relation[T], shared []int, parts int) *Relation[T] {
-	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
-	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
-	pool := exec.Default()
-
-	aPart, aKeys := partitionByKey(pool, a, aCols, parts)
-	bPart, bKeys := partitionByKey(pool, b, bCols, parts)
-
-	outRows, outVals := collectChunks[T](parts, len(outSchema), func(pi int) ([]int32, []T) {
-		ai, bi := aPart[pi], bPart[pi]
-		if len(ai) == 0 || len(bi) == 0 {
-			return nil, nil
-		}
-		// Index this partition's b-tuples: intrusive chains over bucket
-		// positions, built back-to-front so chains ascend in b order.
-		head := make(map[uint64]int32, len(bi))
-		next := make([]int32, len(bi))
-		for x := len(bi) - 1; x >= 0; x-- {
-			k := bKeys[pi][x]
-			if h, ok := head[k]; ok {
-				next[x] = h
-			} else {
-				next[x] = -1
-			}
-			head[k] = int32(x)
-		}
-		var rows []int32
-		var vals []T
-		scratch := make([]int32, len(outSchema))
-		for xa, ia := range ai {
-			h, ok := head[aKeys[pi][xa]]
-			if !ok {
-				continue
-			}
-			ta := a.Tuple(int(ia))
-			for x := h; x >= 0; x = next[x] {
-				ib := int(bi[x])
-				v := s.Mul(a.vals[ia], b.vals[ib])
-				if s.IsZero(v) {
-					continue
-				}
-				tb := b.Tuple(ib)
-				for k, sc := range srcs {
-					if sc.fromA {
-						scratch[k] = ta[sc.col]
-					} else {
-						scratch[k] = tb[sc.col]
-					}
-				}
-				rows = append(rows, scratch...)
-				vals = append(vals, v)
-			}
-		}
-		return rows, vals
-	})
-
-	bld := NewBuilderHint(s, outSchema, len(outVals))
-	bld.rows = append(bld.rows, outRows...)
-	bld.vals = append(bld.vals, outVals...)
-	return bld.Build()
 }
 
 // mergeCuts picks the chunk boundaries of a range-split sorted merge
@@ -199,7 +73,7 @@ func mergeCuts[T any](a, b *Relation[T], p, parts int) (aCut, bCut []int) {
 
 // collectChunks runs gen(i) for every chunk on the pool and
 // concatenates the per-chunk outputs in chunk order — the shared
-// discipline of every partitioned operator: chunk order is the
+// discipline of every range-split operator: chunk order is the
 // sequential generation order, so concatenation reproduces the
 // sequential byte sequence.
 func collectChunks[T any](parts, width int, gen func(i int) ([]int32, []T)) ([]int32, []T) {
@@ -263,52 +137,6 @@ func semijoinMergeParallel[T any](a, b *Relation[T], p, parts int) *Relation[T] 
 		return semijoinMergeRange(a, b, p, aCut[i], aCut[i+1], bCut[i], bCut[i+1])
 	})
 	return fromSorted(a.schema, rows, vals)
-}
-
-// semijoinHashParallel is semijoinHash partitioned on the shared-column
-// key (1 ≤ len(shared) ≤ keys.MaxPacked): b's key set is built as
-// per-partition sets in parallel, then contiguous blocks of a probe the
-// (read-only) sets and concatenate in block order — exactly the
-// sequential filter's output sequence, since a block's survivors keep
-// a's ascending row order.
-func semijoinHashParallel[T any](a, b *Relation[T], shared []int, parts int) *Relation[T] {
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
-	pool := exec.Default()
-	nc := len(shared)
-
-	bPart, bKeys := partitionByKey(pool, b, bCols, parts)
-	sets := make([]map[uint64]struct{}, parts)
-	pool.Map(parts, func(pi int) {
-		if len(bPart[pi]) == 0 {
-			return
-		}
-		m := make(map[uint64]struct{}, len(bPart[pi]))
-		for _, k := range bKeys[pi] {
-			m[k] = struct{}{}
-		}
-		sets[pi] = m
-	})
-
-	na := a.Len()
-	rows, vals := collectChunks[T](parts, len(a.schema), func(bi int) ([]int32, []T) {
-		lo, hi := na*bi/parts, na*(bi+1)/parts
-		var rows []int32
-		var vals []T
-		for i := lo; i < hi; i++ {
-			k := keys.PackCols(a.Tuple(i), aCols)
-			set := sets[keys.Chunk(k, nc, parts)]
-			if set == nil {
-				continue
-			}
-			if _, ok := set[k]; ok {
-				rows = append(rows, a.Tuple(i)...)
-				vals = append(vals, a.vals[i])
-			}
-		}
-		return rows, vals
-	})
-	return &Relation[T]{schema: a.schema, rows: rows, vals: vals}
 }
 
 // prefixCuts picks the chunk boundaries of a range-split contiguous-run
@@ -485,80 +313,4 @@ func mergeSorted[E any](out, a, b []E, cmp func(x, y E) int) {
 	}
 	k += copy(out[k:], a[i:])
 	copy(out[k:], b[j:])
-}
-
-// eliminatePackedParallel is EliminateVar's packed grouping pass
-// partitioned on the remaining-column key (1 ≤ len(restCols) ≤
-// keys.MaxPacked). A group's tuples always share a partition, so groups
-// aggregate independently; the final emit sorts the (globally unique)
-// group keys, matching the sequential layout exactly.
-func eliminatePackedParallel[T any](s semiring.Semiring[T], r *Relation[T], rest []int, restCols []int,
-	op semiring.Op[T], domSize, parts int) *Relation[T] {
-	p := len(restCols)
-	pool := exec.Default()
-	idxPart, keyPart := partitionByKey(pool, r, restCols, parts)
-
-	type grpOut struct {
-		keys   []uint64
-		vals   []T
-		counts []int32
-	}
-	outs := make([]grpOut, parts)
-	pool.Map(parts, func(pi int) {
-		idx := idxPart[pi]
-		if len(idx) == 0 {
-			return
-		}
-		groupOf := make(map[uint64]int32, len(idx))
-		var gkeys []uint64
-		var gvals []T
-		var gcounts []int32
-		for x, i := range idx {
-			k := keyPart[pi][x]
-			g, ok := groupOf[k]
-			if !ok {
-				g = int32(len(gkeys))
-				groupOf[k] = g
-				gkeys = append(gkeys, k)
-				gvals = append(gvals, op.Identity())
-				gcounts = append(gcounts, 0)
-			}
-			gvals[g] = op.Combine(gvals[g], r.vals[i])
-			gcounts[g]++
-		}
-		outs[pi] = grpOut{gkeys, gvals, gcounts}
-	})
-
-	ng := 0
-	for _, o := range outs {
-		ng += len(o.keys)
-	}
-	gkeys := make([]uint64, 0, ng)
-	gvals := make([]T, 0, ng)
-	gcounts := make([]int32, 0, ng)
-	for _, o := range outs {
-		gkeys = append(gkeys, o.keys...)
-		gvals = append(gvals, o.vals...)
-		gcounts = append(gcounts, o.counts...)
-	}
-	rows := make([]int32, 0, ng*p)
-	vals := make([]T, 0, ng)
-	for _, pg := range sortByKey(gkeys) {
-		g := pg.idx
-		if op.IsProduct() && int(gcounts[g]) < domSize {
-			continue // an unlisted zero annihilates the product aggregate
-		}
-		if s.IsZero(gvals[g]) {
-			continue
-		}
-		switch p {
-		case 1:
-			rows = append(rows, keys.Unpack1(gkeys[g]))
-		case 2:
-			x, y := keys.Unpack2(gkeys[g])
-			rows = append(rows, x, y)
-		}
-		vals = append(vals, gvals[g])
-	}
-	return fromSorted(rest, rows, vals)
 }

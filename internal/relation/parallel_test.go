@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,7 +13,7 @@ import (
 )
 
 // The parallel≡sequential axis of the kernel equivalence properties: the
-// partitioned operators must be BIT-identical to the sequential ones —
+// range-split operators must be BIT-identical to the sequential ones —
 // not merely semiring-Equal (whose float comparison tolerates
 // re-association) but identical schema, row buffer, and value slices.
 
@@ -21,35 +23,73 @@ func bitIdentical[T comparable](a, b *Relation[T]) bool {
 		slices.Equal(a.vals, b.vals)
 }
 
-// nonPrefixPairs are the schema shapes that dispatch to the hash join
-// (1 ≤ shared ≤ keys.MaxPacked), the only shapes the partitioned join
-// serves.
+// floatBitsIdentical is bitIdentical with values compared by their IEEE
+// bits, so a ⊕-order change that lands on an equal-comparing but
+// different float (±0) still fails.
+func floatBitsIdentical(a, b *Relation[float64]) bool {
+	return slices.Equal(a.schema, b.schema) && slices.Equal(a.rows, b.rows) &&
+		slices.EqualFunc(a.vals, b.vals, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// sweepWorkers runs f once per default-pool width 1, 2 and 8.
+func sweepWorkers(f func(workers int)) {
+	prev := exec.SetWorkers(1)
+	defer exec.SetWorkers(prev)
+	for _, w := range []int{1, 2, 8} {
+		exec.SetWorkers(w)
+		f(w)
+	}
+}
+
+// checkNonPrefix pins the public Join and Semijoin of a non-prefix pair
+// at 1/2/8 workers, and joinOrdered's block-split emission at part
+// counts small inputs never reach through the size threshold, bit for
+// bit against the nested-loop references.
+func checkNonPrefix[T comparable](t *testing.T, s semiring.Semiring[T], a, b *Relation[T], label string) {
+	t.Helper()
+	shared := hypergraph.IntersectSorted(a.schema, b.schema)
+	jWant := joinNestedLoop(s, a, b)
+	sjWant := semijoinNestedLoop(a, b, shared)
+	sweepWorkers(func(w int) {
+		if got := Join(s, a, b); !bitIdentical(got, jWant) {
+			t.Fatalf("%s workers=%d: Join != nested loop\n got=%v\nwant=%v", label, w, got, jWant)
+		}
+		if got := Semijoin(s, a, b); !bitIdentical(got, sjWant) {
+			t.Fatalf("%s workers=%d: Semijoin != nested loop", label, w)
+		}
+	})
+	aCols, _ := columnsOf(a.schema, shared)
+	bCols, _ := columnsOf(b.schema, shared)
+	ak, bk := orderOn(a, aCols), orderOn(b, bCols)
+	for _, parts := range []int{2, 3, 7} {
+		if got := joinOrdered(s, a, b, ak, bk, parts); !bitIdentical(got, jWant) {
+			t.Fatalf("%s parts=%d: block-split join not bit-identical", label, parts)
+		}
+	}
+}
+
+// nonPrefixPairs are schema shapes whose shared variables do not lead
+// both schemas, so Join and Semijoin put both operands in key order
+// first. The last two share three variables: their keys are compared
+// past the packed head.
 var nonPrefixPairs = [][2][]int{
 	{{0, 1}, {1, 2}},
 	{{1, 2}, {0, 2}},
 	{{0, 1, 2}, {2}},
 	{{0, 2}, {1, 2}},
 	{{0, 1, 3}, {2, 3}},
+	{{0, 2, 3, 4}, {1, 2, 3, 4}},
+	{{2, 3, 4}, {0, 2, 3, 4}},
 }
 
 func checkJoinParallelIdentical[T comparable](t *testing.T, s semiring.Semiring[T], val func(*rand.Rand) T, seed int64) {
 	t.Helper()
-	prev := exec.SetWorkers(4)
-	defer exec.SetWorkers(prev)
 	r := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 25; trial++ {
 		for pi, pair := range nonPrefixPairs {
 			a := randRelT(s, r, pair[0], 1+r.Intn(40), 2+r.Intn(4), val)
 			b := randRelT(s, r, pair[1], 1+r.Intn(40), 2+r.Intn(4), val)
-			shared := hypergraph.IntersectSorted(a.Schema(), b.Schema())
-			want := joinHash(s, a, b, shared)
-			for _, parts := range []int{2, 3, 7} {
-				got := joinHashParallel(s, a, b, shared, parts)
-				if !bitIdentical(got, want) {
-					t.Fatalf("pair %d trial %d parts %d: parallel join not bit-identical\n got=%v\nwant=%v",
-						pi, trial, parts, got, want)
-				}
-			}
+			checkNonPrefix(t, s, a, b, fmt.Sprintf("pair %d trial %d", pi, trial))
 		}
 	}
 }
@@ -73,8 +113,8 @@ func TestJoinParallelBitIdenticalMinPlus(t *testing.T) {
 }
 
 // TestJoinPublicDispatchAboveThreshold drives the public Join above the
-// size threshold so the partitioned path engages end to end, and checks
-// bit-identity against a single-worker run of the same call.
+// size threshold so the block-split emission engages end to end, and
+// checks bit-identity against a single-worker run of the same call.
 func TestJoinPublicDispatchAboveThreshold(t *testing.T) {
 	s := semiring.SumProduct{}
 	r := rand.New(rand.NewSource(205))
@@ -96,32 +136,98 @@ func TestJoinPublicDispatchAboveThreshold(t *testing.T) {
 	}
 }
 
+// TestNonPrefixWideKeyAboveThreshold joins on three shared variables
+// whose first two — the packed head — take only four values, so nearly
+// every match is decided past the head, at a size where Join splits its
+// emission across the pool. Both probe directions are checked: the long
+// side probing the short one, and the short side galloping through the
+// long one.
+func TestNonPrefixWideKeyAboveThreshold(t *testing.T) {
+	s := semiring.Count{}
+	r := rand.New(rand.NewSource(209))
+	gen := func(schema []int, n int) *Relation[int64] {
+		b := NewBuilder[int64](s, schema)
+		for i := 0; i < n; i++ {
+			// Columns: payload, then shared 2 and 3 (colliding), then shared 4.
+			b.Add([]int{r.Intn(1 << 20), r.Intn(2), r.Intn(2), r.Intn(64)}, int64(r.Intn(5))-1)
+		}
+		return b.Build()
+	}
+	long := gen([]int{0, 2, 3, 4}, 2*parallelMinTuples) // zero values drop ~1/5
+	short := gen([]int{1, 2, 3, 4}, 64)
+	if Join(s, long, short).Len() == 0 || Semijoin(s, short, long).Len() == 0 {
+		t.Fatal("degenerate test: empty output")
+	}
+	checkNonPrefix(t, s, long, short, "long⋈short")
+	checkNonPrefix(t, s, short, long, "short⋈long")
+}
+
+// eliminateFold is the reference EliminateVar: one pass over r's rows in
+// input order, folding each group of the remaining columns with op and
+// counting its rows, then dropping product groups short of domSize rows
+// and zero results. It keys groups by up to four remaining columns.
+func eliminateFold[T any](s semiring.Semiring[T], r *Relation[T], v int, op semiring.Op[T], domSize int) *Relation[T] {
+	rest := hypergraph.DiffSorted(r.schema, []int{v})
+	cols, _ := columnsOf(r.schema, rest)
+	type group struct {
+		key   []int32
+		val   T
+		count int
+	}
+	byKey := map[[4]int32]*group{}
+	var order []*group
+	for i := 0; i < r.Len(); i++ {
+		var k [4]int32
+		for j, c := range cols {
+			k[j] = r.Tuple(i)[c]
+		}
+		g := byKey[k]
+		if g == nil {
+			g = &group{key: slices.Clone(k[:len(cols)]), val: op.Identity()}
+			byKey[k] = g
+			order = append(order, g)
+		}
+		g.val = op.Combine(g.val, r.vals[i])
+		g.count++
+	}
+	b := NewBuilder(s, rest)
+	for _, g := range order {
+		if !op.IsProduct() || g.count >= domSize {
+			b.AddRow(g.key, g.val)
+		}
+	}
+	return b.Build()
+}
+
+// TestEliminateVarParallelBitIdentical eliminates every non-innermost
+// variable of 3- and 4-ary SumProduct relations — the re-laid fold, with
+// two and three remaining columns — with the sum and the product
+// aggregate, at 1/2/8 workers, and compares the float bits against the
+// input-order reference fold. Small domains and domSize values around
+// the group sizes exercise the product aggregate's domSize rule.
 func TestEliminateVarParallelBitIdentical(t *testing.T) {
 	s := semiring.SumProduct{}
 	add := semiring.AddOf[float64](s)
 	mul := semiring.MulOf[float64](s)
 	r := rand.New(rand.NewSource(206))
 	for trial := 0; trial < 20; trial++ {
-		rel := randRelT[float64](s, r, []int{0, 1, 2}, 30+r.Intn(120), 2+r.Intn(3),
-			func(r *rand.Rand) float64 { return r.Float64() })
-		for _, v := range []int{0, 1} { // vcol < arity-1: the grouping pass
-			rest := hypergraph.DiffSorted(rel.Schema(), []int{v})
-			restCols, err := columnsOf(rel.Schema(), rest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, op := range []semiring.Op[float64]{add, mul} {
-				for _, domSize := range []int{2, 3, 1000} {
-					want, err := EliminateVar(s, rel, v, op, domSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, parts := range []int{2, 3, 7} {
-						got := eliminatePackedParallel(s, rel, rest, restCols, op, domSize, parts)
-						if !bitIdentical(got, want) {
-							t.Fatalf("trial %d v=%d parts=%d product=%v dom=%d: not bit-identical",
-								trial, v, parts, op.IsProduct(), domSize)
-						}
+		for _, schema := range [][]int{{0, 1, 2}, {0, 1, 2, 3}} {
+			rel := randRelT[float64](s, r, schema, 30+r.Intn(120), 2+r.Intn(3),
+				func(r *rand.Rand) float64 { return math.Ldexp(1+r.Float64(), r.Intn(40)-20) })
+			for _, v := range schema[:len(schema)-1] {
+				for _, op := range []semiring.Op[float64]{add, mul} {
+					for _, domSize := range []int{1, 2, 3, 1000} {
+						want := eliminateFold(s, rel, v, op, domSize)
+						sweepWorkers(func(w int) {
+							got, err := EliminateVar(s, rel, v, op, domSize)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !floatBitsIdentical(got, want) {
+								t.Fatalf("trial %d schema=%v v=%d workers=%d product=%v dom=%d: not bit-identical\n got=%v\nwant=%v",
+									trial, schema, v, w, op.IsProduct(), domSize, got, want)
+							}
+						})
 					}
 				}
 			}
@@ -151,5 +257,8 @@ func TestEliminateVarPublicDispatchAboveThreshold(t *testing.T) {
 	}
 	if !bitIdentical(got, want) {
 		t.Fatal("8-worker EliminateVar not bit-identical to 1-worker")
+	}
+	if ref := eliminateFold(s, rel, 0, add, 1000); !bitIdentical(got, ref) {
+		t.Fatal("EliminateVar above the threshold != reference fold")
 	}
 }

@@ -94,14 +94,16 @@ var mergePairs = []struct {
 	{"contained-p1", []int{0, 1}, []int{0}, 1},
 }
 
-// hashPairs dispatch to the packed-key hash path (shared non-prefix).
-var hashPairs = []struct {
+// keyOrderPairs share variables that do not lead both schemas, so Join
+// and Semijoin put both operands in key order first.
+var keyOrderPairs = []struct {
 	name string
 	a, b []int
 }{
-	{"hash-1shared", []int{0, 1}, []int{1, 2}},
-	{"hash-2shared", []int{0, 2, 3}, []int{1, 2, 3}},
-	{"hash-contained", []int{0, 1, 2}, []int{2}},
+	{"ordered-1shared", []int{0, 1}, []int{1, 2}},
+	{"ordered-2shared", []int{0, 2, 3}, []int{1, 2, 3}},
+	{"ordered-contained", []int{0, 1, 2}, []int{2}},
+	{"ordered-3shared", []int{0, 2, 3, 4}, []int{1, 2, 3, 4}},
 }
 
 func checkParallelEquivalence[T comparable](t *testing.T, s semiring.Semiring[T], val func(*rand.Rand) T, seed int64) {
@@ -126,35 +128,13 @@ func checkParallelEquivalence[T comparable](t *testing.T, s semiring.Semiring[T]
 					}
 				}
 			}
-			for _, pair := range hashPairs {
+			for _, pair := range keyOrderPairs {
 				a := randRelDist(s, r, pair.a, na, 1, dist, val)
 				b := randRelDist(s, r, pair.b, nb, 1, dist, val)
-				shared := sharedVars(a, b)
-				sjWant := semijoinHash(a, b, shared)
-				jWant := joinHash(s, a, b, shared)
-				for _, parts := range propParts {
-					if got := semijoinHashParallel(a, b, shared, parts); !bitIdentical(got, sjWant) {
-						t.Fatalf("%s/%s na=%d nb=%d parts=%d: parallel hash semijoin not bit-identical",
-							dist.name, pair.name, na, nb, parts)
-					}
-					if got := joinHashParallel(s, a, b, shared, parts); !bitIdentical(got, jWant) {
-						t.Fatalf("%s/%s na=%d nb=%d parts=%d: parallel hash join not bit-identical",
-							dist.name, pair.name, na, nb, parts)
-					}
-				}
+				checkNonPrefix(t, s, a, b, dist.name+"/"+pair.name)
 			}
 		}
 	}
-}
-
-func sharedVars[T any](a, b *Relation[T]) []int {
-	var shared []int
-	for _, v := range a.schema {
-		if slices.Contains(b.schema, v) {
-			shared = append(shared, v)
-		}
-	}
-	return shared
 }
 
 func TestParallelKernelEquivalenceBool(t *testing.T) {
@@ -256,7 +236,8 @@ func TestParallelSortFuncMatchesSequential(t *testing.T) {
 // TestPublicDispatchWorkerSweep crosses the engage threshold through the
 // public Join/Semijoin/Build entry points and pins bit-identity across
 // worker counts 1/2/8 for every dispatch shape: merge join (ordered and
-// unordered), merge semijoin, hash join, hash semijoin, and Builder.Build.
+// unordered), merge semijoin, non-prefix join and semijoin, and
+// Builder.Build.
 func TestPublicDispatchWorkerSweep(t *testing.T) {
 	s := semiring.SumProduct{}
 	r := rand.New(rand.NewSource(306))
@@ -271,14 +252,14 @@ func TestPublicDispatchWorkerSweep(t *testing.T) {
 	aOrd := randRelDist(s, r, []int{0, 1}, n, 1, giant, val)
 	bOrd := randRelDist(s, r, []int{0, 2}, n, 1, giant, val)
 	aUno := randRelDist(s, r, []int{0, 3}, n, 1, giant, val)
-	aHash := randRelDist(s, r, []int{0, 1}, n, 1, giant, val)
-	bHash := randRelDist(s, r, []int{1, 2}, n, 1, giant, val)
+	aKey := randRelDist(s, r, []int{0, 1}, n, 1, giant, val)
+	bKey := randRelDist(s, r, []int{1, 2}, n, 1, giant, val)
 	ops := []op{
 		{"Join/merge-ordered", func() *Relation[float64] { return Join(s, aOrd, bOrd) }},
 		{"Join/merge-unordered", func() *Relation[float64] { return Join(s, aUno, bOrd) }},
 		{"Semijoin/merge", func() *Relation[float64] { return Semijoin(s, aOrd, bOrd) }},
-		{"Join/hash", func() *Relation[float64] { return Join(s, aHash, bHash) }},
-		{"Semijoin/hash", func() *Relation[float64] { return Semijoin(s, aHash, bHash) }},
+		{"Join/non-prefix", func() *Relation[float64] { return Join(s, aKey, bKey) }},
+		{"Semijoin/non-prefix", func() *Relation[float64] { return Semijoin(s, aKey, bKey) }},
 		{"Build", func() *Relation[float64] {
 			rr := rand.New(rand.NewSource(307))
 			b := NewBuilderHint[float64](s, []int{0, 1}, n)
@@ -308,9 +289,14 @@ func TestPublicDispatchWorkerSweep(t *testing.T) {
 
 // FuzzJoinMergeParallel seeds adversarial packed-key layouts — all-equal
 // keys, one giant group, alternating runs — and asserts that the
-// range-split parallel merge join and semijoin produce byte-identical
-// output to their sequential twins at every partition count, in both the
-// ordered and the Builder (unordered) orientation.
+// range-split parallel joins and semijoins produce byte-identical output
+// to their sequential twins at every partition count. The config byte's
+// low bits pick the partition count; its high bit picks the layout. In
+// the prefix layout the key variable leads every schema: the range-split
+// merge join and semijoin, in both the ordered and the Builder
+// (unordered) orientation. In the non-prefix layout the key variable
+// trails every schema: joinOrdered's block-split emission, plus the
+// public Join and Semijoin, against the nested-loop references.
 func FuzzJoinMergeParallel(f *testing.F) {
 	f.Add([]byte{3}, bytes.Repeat([]byte{5, 1}, 40))                        // all-equal keys: one giant group on both sides
 	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))                        // all-equal at a different parts count
@@ -328,30 +314,58 @@ func FuzzJoinMergeParallel(f *testing.F) {
 	f.Add([]byte{2}, alt)
 	f.Add([]byte{6}, []byte{}) // empty operands
 	f.Add([]byte{4}, []byte{8, 1})
+	f.Add([]byte{0x83}, bytes.Repeat([]byte{5, 1}, 40)) // non-prefix layout, all-equal keys
+	f.Add([]byte{0x85}, giant)
+	f.Add([]byte{0x82}, alt)
 
 	f.Fuzz(func(t *testing.T, cfg, data []byte) {
-		parts := 2
+		parts, nonPrefix := 2, false
 		if len(cfg) > 0 {
-			parts = 2 + int(cfg[0])%7
+			parts = 2 + int(cfg[0]&0x7f)%7
+			nonPrefix = cfg[0]&0x80 != 0
+		}
+		// Every schema pairs the key variable with one payload variable;
+		// the non-prefix layout gives the key the largest id.
+		key := 0
+		if nonPrefix {
+			key = 4
 		}
 		s := semiring.Count{}
-		ba := NewBuilder[int64](s, []int{0, 1}) // ordered orientation vs b
-		bu := NewBuilder[int64](s, []int{0, 3}) // unordered orientation vs b
-		bb := NewBuilder[int64](s, []int{0, 2})
+		ba := NewBuilder[int64](s, []int{key, 1}) // ordered orientation vs b
+		bu := NewBuilder[int64](s, []int{key, 3}) // unordered orientation vs b
+		bb := NewBuilder[int64](s, []int{key, 2})
 		for i := 0; i+1 < len(data); i += 2 {
-			key, payload := int(data[i])%16, int(data[i+1])%8
+			k, payload := int(data[i])%16, int(data[i+1])%8
 			v := int64(data[i+1]%3) - 1 // {-1,0,1}: exercises zero-drop
 			switch (i / 2) % 3 {
 			case 0:
-				ba.Add([]int{key, payload}, v)
+				ba.Add([]int{k, payload}, v)
 			case 1:
-				bb.Add([]int{key, payload}, v)
+				bb.Add([]int{k, payload}, v)
 			case 2:
-				bu.Add([]int{key, payload}, v)
+				bu.Add([]int{k, payload}, v)
 			}
 		}
 		a, u, b := ba.Build(), bu.Build(), bb.Build()
 
+		if nonPrefix {
+			for _, x := range []*Relation[int64]{a, u} {
+				want := joinNestedLoop(s, x, b)
+				if got := Join(s, x, b); !bitIdentical(got, want) {
+					t.Fatalf("non-prefix Join != nested loop\n got=%v\nwant=%v", got, want)
+				}
+				if got, want := Semijoin(s, x, b), semijoinNestedLoop(x, b, []int{key}); !bitIdentical(got, want) {
+					t.Fatal("non-prefix Semijoin != nested loop")
+				}
+				xk, bk := orderOn(x, []int{1}), orderOn(b, []int{1})
+				for _, pc := range []int{2, parts, 64} {
+					if got := joinOrdered(s, x, b, xk, bk, pc); !bitIdentical(got, want) {
+						t.Fatalf("parts=%d: block-split join != sequential", pc)
+					}
+				}
+			}
+			return
+		}
 		for _, pc := range []int{2, parts, 64} {
 			if got, want := joinMergeParallel(s, a, b, 1, pc), joinMerge(s, a, b, 1); !bitIdentical(got, want) {
 				t.Fatalf("parts=%d: ordered parallel merge join != sequential\n got=%v\nwant=%v", pc, got, want)

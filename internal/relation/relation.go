@@ -11,19 +11,22 @@
 // # Performance notes
 //
 // The kernel is columnar and allocation-light: tuples live in one flat
-// []int32 row buffer, and every operator exploits the sorted invariant
-// instead of re-deriving it through hash maps.
+// []int32 row buffer, and every operator matches and groups rows by
+// sorted order, never through a hash table.
 //
-//   - Tuple identity on ≤ 2 columns uses order-preserving uint64 packed
-//     keys (internal/keys) — no string keys, no per-tuple allocation.
-//     Wider key sets fall back to raw-row comparison or string keys.
-//   - Join and Semijoin run a galloping sorted-merge whenever the shared
+//   - Keys compare as order-preserving uint64 packed keys
+//     (internal/keys) on their first two columns and column by column
+//     past those; no key is encoded as a string.
+//   - Join and Semijoin run one galloping sorted-merge. When the shared
 //     variables are a schema prefix of both operands (always true for
-//     same-key star reductions); otherwise a packed-key hash join.
-//   - Project and EliminateVar detect when the group-by columns are a
-//     schema prefix (projections onto leading variables, elimination of
-//     the innermost variable) and reduce contiguous runs in one linear
-//     pass with no map and no re-sort.
+//     same-key star reductions) the operands are already in key order.
+//     Otherwise both are first radix-sorted on the key, and Join emits
+//     in the first operand's row order.
+//   - Project and EliminateVar reduce contiguous runs of a schema prefix
+//     in one linear pass. Projecting onto leading variables or
+//     eliminating the innermost one needs no re-sort; eliminating any
+//     other variable first re-lays the rows with the remaining columns
+//     leading, in stable key order.
 //   - Builder batches row growth, radix-sorts packed keys for arity ≤ 2
 //     (a stable LSD sort, so duplicates merge in input order), and can be
 //     presized via NewBuilderHint.
@@ -468,106 +471,35 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 	p := len(rest)
 	n := r.Len()
 
-	if vcol == a-1 {
-		// Eliminating the innermost variable: the remaining columns are a
-		// schema prefix, so groups are contiguous — no map, no re-sort.
-		// With p ≥ 1 the run reduction range-splits on group boundaries
-		// (p = 0 collapses everything into one group, which cannot split).
-		if p >= 1 {
-			if parts := parallelParts(n); parts > 1 {
-				return eliminatePrefixParallel(s, r, rest, op, domSize, p, parts), nil
+	if vcol != a-1 {
+		// Re-lay the rows with the remaining columns leading, in stable
+		// key order: each group becomes a contiguous run whose rows keep
+		// their input order, so the fold below sees every group in the
+		// same ⊕-order as a fold over r's rows.
+		restCols, _ := columnsOf(r.schema, rest)
+		rows := make([]int32, 0, n*a)
+		vals := make([]T, 0, n)
+		for _, e := range orderOn(r, restCols).pr {
+			t := r.Tuple(int(e.idx))
+			for _, c := range restCols {
+				rows = append(rows, t[c])
 			}
+			rows = append(rows, t[vcol])
+			vals = append(vals, r.vals[e.idx])
 		}
-		rows, vals := eliminatePrefixRange(s, r, op, domSize, p, 0, n)
-		return fromSorted(rest, rows, vals), nil
+		r = &Relation[T]{schema: append(rest[:p:p], v), rows: rows, vals: vals}
 	}
-
-	restCols, _ := columnsOf(r.schema, rest)
-	if p <= keys.MaxPacked {
-		if parts := parallelParts(n); parts > 1 && p >= 1 {
-			return eliminatePackedParallel(s, r, rest, restCols, op, domSize, parts), nil
+	// The remaining columns now lead and v is innermost, so groups are
+	// contiguous runs. With p ≥ 1 the run reduction range-splits on group
+	// boundaries (p = 0 collapses everything into one group, which cannot
+	// split).
+	if p >= 1 {
+		if parts := parallelParts(n); parts > 1 {
+			return eliminatePrefixParallel(s, r, rest, op, domSize, p, parts), nil
 		}
-		// Group on a packed key; packed order is lexicographic order, so
-		// sorting the groups by key yields the output layout directly.
-		groupOf := make(map[uint64]int32, n)
-		var gkeys []uint64
-		var gvals []T
-		var gcounts []int32
-		for i := 0; i < n; i++ {
-			k := keys.PackCols(r.Tuple(i), restCols)
-			g, ok := groupOf[k]
-			if !ok {
-				g = int32(len(gkeys))
-				groupOf[k] = g
-				gkeys = append(gkeys, k)
-				gvals = append(gvals, op.Identity())
-				gcounts = append(gcounts, 0)
-			}
-			gvals[g] = op.Combine(gvals[g], r.vals[i])
-			gcounts[g]++
-		}
-		rows := make([]int32, 0, len(gkeys)*p)
-		vals := make([]T, 0, len(gkeys))
-		for _, pg := range sortByKey(gkeys) {
-			g := pg.idx
-			if op.IsProduct() && int(gcounts[g]) < domSize {
-				continue // an unlisted zero annihilates the product aggregate
-			}
-			if s.IsZero(gvals[g]) {
-				continue
-			}
-			switch p {
-			case 1:
-				rows = append(rows, keys.Unpack1(gkeys[g]))
-			case 2:
-				x, y := keys.Unpack2(gkeys[g])
-				rows = append(rows, x, y)
-			}
-			vals = append(vals, gvals[g])
-		}
-		return fromSorted(rest, rows, vals), nil
 	}
-
-	// Arbitrary-arity fallback (> MaxPacked remaining columns): string
-	// keys off the hot path.
-	type group struct {
-		val   T
-		count int
-	}
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	groups := make(map[string]*group, n)
-	var order []string
-	//faqlint:allow hotpath(documented arity>MaxPacked fallback: string keys off the hot path)
-	reps := make(map[string][]int32, n)
-	for i := 0; i < n; i++ {
-		t := r.Tuple(i)
-		k := keys.EncodeCols(t, restCols)
-		g, ok := groups[k]
-		if !ok {
-			g = &group{val: op.Identity()}
-			groups[k] = g
-			order = append(order, k)
-			rep := make([]int32, p)
-			for j, c := range restCols {
-				rep[j] = t[c]
-			}
-			reps[k] = rep
-		}
-		g.val = op.Combine(g.val, r.vals[i])
-		g.count++
-	}
-	b := NewBuilderHint(s, rest, len(order))
-	for _, k := range order {
-		g := groups[k]
-		if op.IsProduct() && g.count < domSize {
-			continue
-		}
-		if s.IsZero(g.val) {
-			continue
-		}
-		b.AddRow(reps[k], g.val)
-	}
-	return b.Build(), nil
+	rows, vals := eliminatePrefixRange(s, r, op, domSize, p, 0, n)
+	return fromSorted(rest, rows, vals), nil
 }
 
 // Equal reports whether two relations have the same schema and the same

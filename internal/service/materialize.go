@@ -60,7 +60,8 @@ func (sv *Service[T]) Materialize(ctx context.Context, q *faq.Query[T]) (mz *Mat
 func (sv *Service[T]) materializeAdmitted(ctx context.Context, q *faq.Query[T], info *Info) (m *delta.Materialized[T], err error) {
 	defer sv.recoverInternal(&err)
 	t0 := time.Now()
-	if err := q.Validate(); err != nil {
+	// Shape only: delta.Materialize domain-checks the tuples.
+	if err := q.ValidateShape(); err != nil {
 		return nil, err
 	}
 	fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/plan"
 	"repro/internal/semiring"
 )
@@ -120,7 +121,7 @@ func TestSolveTraceRecorded(t *testing.T) {
 	if _, err := reg.WriteTo(&sb); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := obs.ParseText(strings.NewReader(sb.String()))
+	sc, err := obstest.ParseText(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatalf("registry exposition does not parse: %v", err)
 	}

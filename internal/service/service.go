@@ -266,7 +266,9 @@ func (sv *Service[T]) Solve(ctx context.Context, q *faq.Query[T]) (*relation.Rel
 func (sv *Service[T]) solveAdmitted(ctx context.Context, q *faq.Query[T], info *Info) (ans *relation.Relation[T], err error) {
 	defer sv.recoverInternal(&err)
 	t0 := time.Now()
-	if err := q.Validate(); err != nil {
+	// Shape only: faq.SolveGHD or faq.BruteForce domain-checks the tuples
+	// when it executes the query.
+	if err := q.ValidateShape(); err != nil {
 		return nil, err
 	}
 	fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))
@@ -446,7 +448,7 @@ func (sv *Service[T]) SolveBatch(ctx context.Context, qs []*faq.Query[T]) ([]*re
 		starts[i] = time.Now()
 		sv.met.requests.Inc()
 		q := qs[i]
-		if err := q.Validate(); err != nil {
+		if err := q.ValidateShape(); err != nil { // execution domain-checks
 			errs[i] = err
 			sv.met.errors.Inc()
 			return
