@@ -71,7 +71,11 @@
 // galloping sorted-merge when the shared variables are a schema prefix
 // of both operands, Project/EliminateVar reduce contiguous runs without
 // maps when grouping by a schema prefix, and Builder batches row growth
-// (NewBuilderHint presizes from known cardinalities). The protocol
+// (NewBuilderHint presizes from known cardinalities). A standing view
+// (internal/delta) commits a delta with MergeAdd, which splices it into
+// the sorted rows (sharing them when only annotations move), and carries
+// its join indexes across the commit with RebaseIndex instead of
+// re-sorting them. The protocol
 // engine's converge-cast streams key on the same packed integers. The
 // micro-benchmarks in internal/relation/bench_test.go isolate these hot
 // paths; bench/'s kernel_large workload measures them end to end.

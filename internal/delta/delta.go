@@ -12,17 +12,20 @@
 // a factor change Δ propagates as
 //
 //	Δmsg(v) = Agg_v(Join(Δ, <unchanged siblings>))
-//	msg'(v) = msg(v) ⊕ Δmsg(v)   (relation.PatchAdd: MergeAdd with a
-//	         copy-on-write value patch when Δ only moves annotations
-//	         of already-listed tuples)
+//	msg'(v) = msg(v) ⊕ Δmsg(v)   (relation.MergeAdd)
 //
-// Point deltas probe the retained relations through per-site cached
-// sorted indexes (relation.SortedIndex) instead of re-sorting the
-// retained side per hop, so a steady-state one-tuple update costs
-// O(path · (log n + fanout)) probe work plus the values copies —
-// bench/'s view_churn workload measures it.
+// provided deletions can be expressed as ⊕-inverses (below). Point
+// deltas probe the retained relations through per-site sorted indexes
+// (relation.SortedIndex) instead of re-sorting the retained side per
+// hop. Committing a retained relation splices Δ into it (one gallop per
+// Δ row plus one copy, sharing the row buffer when only annotations
+// move) and carries every index that probes that relation across the
+// commit (relation.RebaseIndex) instead of rebuilding it. A steady-state
+// update thus costs O(path · (|Δ| log n + fanout)) probe work plus, per
+// committed relation, one copy of it and one pass over each of its
+// indexes; it never re-sorts. bench/'s view_churn workload measures it.
 //
-// provided deletions can be expressed as ⊕-inverses:
+// The ⊕-inverses per semiring:
 //
 //	Count       delete (t,v) ⇒ ⊕ (t,-v)   (ℤ is a ring)
 //	SumProduct  delete (t,v) ⇒ ⊕ (t,-v)   (ℝ is a ring; float ⊕ is
@@ -57,6 +60,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/exec"
@@ -148,13 +152,15 @@ type Materialized[T any] struct {
 	lift        *Materialized[int64] // the Count twin (support strategy)
 	boolAnswer  *relation.Relation[T]
 
-	// jidx caches join build sides per propagation site (node ×
-	// incoming child × probed sibling), so point deltas probe retained
-	// state in O(|Δ| · (log n + fanout)) instead of re-sorting an O(n)
-	// relation every hop. Entries self-invalidate when a merge rewrites
-	// the underlying row buffer (relation.IndexValidFor); memory is O(n)
-	// per indexed site, the price of a standing view.
-	jidx map[[3]int32]*relation.SortedIndex
+	// fix and mix are the join build sides point deltas probe, one slot
+	// of each per non-root node c: fix[c] orders parent(c)'s factor on
+	// the variables a delta arriving from c shares with it, and mix[c]
+	// orders msgs[c] for the deltas that join it at parent(c). A slot is
+	// built on its first probe and then rebased whenever the relation it
+	// orders is committed, so it never goes stale and no update re-sorts
+	// retained state. Memory is O(n) per indexed slot, the price of a
+	// standing view.
+	fix, mix []*relation.SortedIndex
 
 	updates    int64
 	recomputes int64
@@ -216,7 +222,6 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 		q:        &qc,
 		p:        p,
 		strategy: strategyOf(q),
-		jidx:     make(map[[3]int32]*relation.SortedIndex),
 	}
 	switch m.strategy {
 	case StrategySupport:
@@ -230,6 +235,8 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 		return m, nil
 	case StrategyRing:
 		m.neg = negOf(q.S)
+		m.fix = make([]*relation.SortedIndex, len(p.Parent))
+		m.mix = make([]*relation.SortedIndex, len(p.Parent))
 	case StrategyRecompute:
 		m.ledgers = make([]*ledger[T], len(qc.Factors))
 		for e, f := range qc.Factors {
@@ -338,7 +345,7 @@ func (m *Materialized[T]) Close() {
 		return
 	}
 	m.closed = true
-	m.msgs, m.ledgers, m.boolAnswer, m.jidx = nil, nil, nil, nil
+	m.msgs, m.ledgers, m.boolAnswer, m.fix, m.mix = nil, nil, nil, nil, nil
 	if m.lift != nil {
 		m.lift.Close()
 	}
@@ -468,21 +475,17 @@ func (m *Materialized[T]) deltaFactor(b Batch[T]) *relation.Relation[T] {
 	return bld.Build()
 }
 
-// patchMax bounds the delta sizes eligible for relation.PatchAdd's
-// copy-on-write value-patch fast path; larger deltas take the plain
-// linear merge, whose cost they already amortize.
-const patchMax = 128
-
 // applyRing stages and commits one ring-strategy update: per batch,
-// fold the delta into the base factor with PatchAdd (MergeAdd with a
-// point fast path), then walk the edge's node path to the root
-// propagating Δmsg — joining the delta first (it is small, so every
-// intermediate stays small), then the node's factor and the unchanged
-// sibling messages, aggregating to the node's keep set (faq.EvalNode),
-// and ⊕-merging into the retained message. Propagation stops early when a Δmsg cancels to empty.
+// fold the delta into the base factor with MergeAdd, then walk the
+// edge's node path to the root propagating Δmsg — joining the delta
+// first (it is small, so every intermediate stays small), then the
+// node's factor and the unchanged sibling messages, aggregating to the
+// node's keep set (faq.EvalNode), and ⊕-merging into the retained
+// message. Every commit rebases the index slots that probe the committed
+// relation. Propagation stops early when a Δmsg cancels to empty.
 func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) error {
-	factors := append([]*relation.Relation[T](nil), m.q.Factors...)
-	msgs := append([]*relation.Relation[T](nil), m.msgs...)
+	factors, msgs := slices.Clone(m.q.Factors), slices.Clone(m.msgs)
+	fix, mix := slices.Clone(m.fix), slices.Clone(m.mix)
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -491,7 +494,7 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 		if d.Len() == 0 {
 			continue
 		}
-		nf, err := relation.PatchAdd(m.s, factors[b.Edge], d, patchMax)
+		nf, err := relation.MergeAdd(m.s, factors[b.Edge], d)
 		if err != nil {
 			return err
 		}
@@ -502,11 +505,16 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 				}
 			}
 		}
+		u := m.p.NodeOf[b.Edge]
+		if m.indexesFactor(u) {
+			for _, c := range m.p.Children[u] {
+				fix[c] = rebase(fix[c], factors[b.Edge], d, nf)
+			}
+		}
 		factors[b.Edge] = nf
 		// Node-local delta: join the factor delta with the node's other
 		// designated factors (unchanged in this batch, so the product's
 		// delta is Join(Δ, siblings) by distributivity).
-		u := m.p.NodeOf[b.Edge]
 		dn := d
 		for _, e := range m.p.Edges[u] {
 			if e != b.Edge {
@@ -523,22 +531,29 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 			}
 			cur := dcur
 			if from != -1 {
-				if f := faq.NodeFactor(m.q, m.p, v, factors); f != nil {
-					cur = m.joinAt([3]int32{0, int32(v), int32(from)}, cur, f)
+				switch f := faq.NodeFactor(m.q, m.p, v, factors); {
+				case f == nil:
+				case m.indexesFactor(v):
+					cur = m.joinAt(fix, from, cur, f)
+				default:
+					cur = relation.Join(m.s, cur, f)
 				}
 			}
 			for _, c := range m.p.Children[v] {
 				if c != from {
-					cur = m.joinAt([3]int32{1, int32(v), int32(c)}, cur, msgs[c])
+					cur = m.joinAt(mix, c, cur, msgs[c])
 				}
 			}
 			dm, err := faq.EvalNode(m.q, cur, nil, m.p.Keep[v])
 			if err != nil {
 				return err
 			}
-			nm, err := relation.PatchAdd(m.s, msgs[v], dm, patchMax)
+			nm, err := relation.MergeAdd(m.s, msgs[v], dm)
 			if err != nil {
 				return err
+			}
+			if v != m.p.Root {
+				mix[v] = rebase(mix[v], msgs[v], dm, nm)
 			}
 			msgs[v] = nm
 			if dm.Len() == 0 || v == m.p.Root {
@@ -547,28 +562,41 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 			dcur, from, v = dm, v, m.p.Parent[v]
 		}
 	}
-	m.q.Factors, m.msgs = factors, msgs
+	m.q.Factors, m.msgs, m.fix, m.mix = factors, msgs, fix, mix
 	return nil
 }
 
-// joinAt joins a small delta against one retained relation through the
-// site's cached sorted index, building (or rebuilding) the index when the
-// retained side's row buffer changed since the last update. Large
-// deltas amortize a one-shot Join on their own and skip the cache.
-func (m *Materialized[T]) joinAt(site [3]int32, small, big *relation.Relation[T]) *relation.Relation[T] {
-	if small.Len() > patchMax {
-		return relation.Join(m.s, small, big)
-	}
+// indexesFactor reports whether node v's factor is a retained relation
+// an index slot can follow: exactly one designated factor. A node with
+// several joins them afresh on every probe (faq.NodeFactor), so deltas
+// join it one-shot.
+func (m *Materialized[T]) indexesFactor(v int) bool { return len(m.p.Edges[v]) == 1 }
+
+// joinAt joins a delta against one retained relation through index
+// slot c of slots, building the slot's index on its first probe.
+func (m *Materialized[T]) joinAt(slots []*relation.SortedIndex, c int, small, big *relation.Relation[T]) *relation.Relation[T] {
 	shared := hypergraph.IntersectSorted(small.Schema(), big.Schema())
-	ix := m.jidx[site]
-	if !relation.IndexValidFor(ix, big, shared) {
-		ix = relation.BuildSortedIndex(big, shared)
-		if ix == nil {
+	if !relation.IndexValidFor(slots[c], big, shared) {
+		if slots[c] = relation.BuildSortedIndex(big, shared); slots[c] == nil {
 			return relation.Join(m.s, small, big)
 		}
-		m.jidx[site] = ix
+		metricIndexBuilds.Inc()
 	}
-	return relation.JoinIndexed(m.s, small, big, ix)
+	return relation.JoinIndexed(m.s, small, big, slots[c])
+}
+
+// rebase carries a slot's index across the commit old ⊕ d = nw of the
+// relation it orders. A rebase that had to build afresh counts as a
+// build.
+func rebase[T any](ix *relation.SortedIndex, old, d, nw *relation.Relation[T]) *relation.SortedIndex {
+	nix, rebuilt := relation.RebaseIndex(ix, old, d, nw)
+	switch {
+	case rebuilt:
+		metricIndexBuilds.Inc()
+	case nix != ix && nix != nil:
+		metricIndexRebases.Inc()
+	}
+	return nix
 }
 
 // isNegative reports a negative annotation (only meaningful for the

@@ -1,6 +1,9 @@
 package delta
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/keys"
 	"repro/internal/relation"
 	"repro/internal/semiring"
@@ -37,16 +40,15 @@ func ledgerOf[T any](f *relation.Relation[T]) *ledger[T] {
 	return lg
 }
 
-// clone deep-copies the ledger (copy-on-write staging: a failed update
-// must leave the committed ledger untouched).
+// clone copies the ledger for copy-on-write staging: a failed update
+// must leave the committed ledger untouched. Rows are immutable and
+// shared. Each contribution list is shared with its capacity clipped to
+// its length, so insert's append and remove's splice always write a
+// fresh array and never reach the committed ledger's.
 func (lg *ledger[T]) clone() *ledger[T] {
-	out := &ledger[T]{
-		index:   make(map[string]int, len(lg.index)),
-		entries: make([]ledgerEntry[T], len(lg.entries)),
-	}
-	for i, e := range lg.entries {
-		out.index[keys.EncodeCols(e.row, nil)] = i
-		out.entries[i] = ledgerEntry[T]{row: e.row, vals: append([]T(nil), e.vals...)}
+	out := &ledger[T]{index: maps.Clone(lg.index), entries: slices.Clone(lg.entries)}
+	for i := range out.entries {
+		out.entries[i].vals = slices.Clip(out.entries[i].vals)
 	}
 	return out
 }

@@ -10,4 +10,8 @@ var (
 		"Materialized-view updates applied (any strategy).")
 	metricRecomputes = obs.Default().NewCounter("faq_delta_recompute_fallbacks_total",
 		"Updates served by the per-node recompute fallback instead of delta propagation.")
+	metricIndexBuilds = obs.Default().NewCounter("faq_delta_index_builds_total",
+		"Sorted indexes built from scratch for a view's delta-join probe sites, including rebases that had to build afresh.")
+	metricIndexRebases = obs.Default().NewCounter("faq_delta_index_rebases_total",
+		"Sorted indexes carried across a commit that rewrote the rows they order, instead of rebuilt.")
 )

@@ -178,3 +178,76 @@ func BenchmarkBuilderBuild(b *testing.B) {
 		}
 	}
 }
+
+// mergeDeltaSizes are the |b| of the commit benchmarks: a point update,
+// a 64-tuple batch and a bulk load, against a 1e5-row relation.
+var mergeDeltaSizes = []int{1, 64, 10_000}
+
+// benchDelta draws k rows against a: every other one, starting with the
+// second, moves the value of a listed row, the rest are fresh draws
+// (mostly inserts), so the merge splices.
+func benchDelta(a *Relation[float64], k int, seed int64) *Relation[float64] {
+	r := rand.New(rand.NewSource(seed))
+	dom := max(a.Len()/4, 4)
+	b := NewBuilder[float64](semiring.SumProduct{}, a.Schema())
+	tuple := make([]int, a.Arity())
+	for i := 0; i < k; i++ {
+		if i%2 == 1 {
+			b.AddRow(a.Tuple(r.Intn(a.Len())), 1)
+			continue
+		}
+		for j := range tuple {
+			tuple[j] = r.Intn(dom)
+		}
+		b.Add(tuple, 1+r.Float64())
+	}
+	return b.Build()
+}
+
+// BenchmarkMergeAdd measures the commit kernel of a standing view:
+// a ⊕ b with |a| = 1e5 and b a mixed delta of 1, 64 or 1e4 rows.
+func BenchmarkMergeAdd(b *testing.B) {
+	s := semiring.SumProduct{}
+	a := benchRel([]int{0, 1}, 100_000, 1)
+	for _, k := range mergeDeltaSizes {
+		b.Run(fmt.Sprintf("b=%d", k), func(b *testing.B) {
+			d := benchDelta(a, k, 2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := MergeAdd(s, a, d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRebaseIndex carries a 1e5-row relation's index on its second
+// column across a ⊕ b, beside the fresh build it replaces.
+func BenchmarkRebaseIndex(b *testing.B) {
+	s := semiring.SumProduct{}
+	a := benchRel([]int{0, 1}, 100_000, 1)
+	ix := BuildSortedIndex(a, []int{1})
+	for _, k := range mergeDeltaSizes {
+		d := benchDelta(a, k, 2)
+		nw, err := MergeAdd(s, a, d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("rebase/b=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, rebuilt := RebaseIndex(ix, a, d, nw); rebuilt {
+					b.Fatal("rebase fell back to a fresh build")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("build/b=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BuildSortedIndex(nw, []int{1})
+			}
+		})
+	}
+}

@@ -34,8 +34,14 @@ func orderOn[T any](r *Relation[T], cols []int) *keyOrder {
 	for i := range pr {
 		pr[i] = packedRow{keys.PackCols(r.rows[i*a:], head), int32(i)}
 	}
-	k := &keyOrder{rows: r.rows, arity: a, cols: cols, pr: radixSortPacked(pr)}
-	if len(cols) > keys.MaxPacked {
+	return sortedOrder(r.rows, a, cols, pr)
+}
+
+// sortedOrder sorts pr, entries of rows listed in row order, into the
+// key order on cols.
+func sortedOrder(rows []int32, arity int, cols []int, pr []packedRow) *keyOrder {
+	k := &keyOrder{rows: rows, arity: arity, cols: cols, pr: radixSortPacked(pr)}
+	if n := len(pr); len(cols) > keys.MaxPacked {
 		for i := 0; i < n; {
 			j := i + 1
 			for j < n && k.pr[j].key == k.pr[i].key {
@@ -196,14 +202,17 @@ func emitRuns[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 
 // SortedIndex is a reusable build side of the non-prefix join: b's key
 // order on the shared variables, pinned to the exact row buffer it
-// ordered. PatchAdd-produced relations share their input's row buffer,
-// so a standing view (internal/delta) can probe one index across any
-// number of value-only updates and rebuild it only when a fallback merge
-// rewrites the rows, turning the O(|b| log |b|) build side of every
-// point-delta join into a one-time cost.
+// ordered. A standing view (internal/delta) builds one per probe site
+// and carries it across every commit: a value-only MergeAdd shares the
+// row buffer, so the index still serves the result, and a merge that
+// inserts or drops rows is followed by RebaseIndex, which does not
+// re-sort. The build side of a point-delta join is paid once per site.
+// When the shared variables lead b's schema, b's rows are the key order
+// and the index holds no entries.
 type SortedIndex struct {
 	shared []int
-	order  *keyOrder
+	rows   []int32   // the row buffer the index serves
+	order  *keyOrder // nil when the key leads the schema
 }
 
 // BuildSortedIndex orders b's rows on the given shared variables (a
@@ -218,21 +227,118 @@ func BuildSortedIndex[T any](b *Relation[T], shared []int) *SortedIndex {
 	if err != nil {
 		return nil
 	}
-	return &SortedIndex{shared: slices.Clone(shared), order: orderOn(b, bCols)}
+	ix := &SortedIndex{shared: slices.Clone(shared), rows: b.rows}
+	if !isIdentPrefix(bCols) {
+		ix.order = orderOn(b, bCols)
+	}
+	return ix
 }
 
 // IndexValidFor reports whether ix still serves joins against b on the
 // given shared variables: the same key over the identical row buffer.
-// Value-only updates (PatchAdd fast path) keep an index valid; any merge
-// that allocates new rows invalidates it.
+// A value-only MergeAdd keeps an index valid; a merge that inserts or
+// drops rows allocates new ones, and RebaseIndex carries the index over.
 func IndexValidFor[T any](ix *SortedIndex, b *Relation[T], shared []int) bool {
-	if ix == nil || len(ix.order.rows) != len(b.rows) {
+	if ix == nil || len(ix.rows) != len(b.rows) {
 		return false
 	}
-	if len(b.rows) != 0 && &ix.order.rows[0] != &b.rows[0] {
+	if len(b.rows) != 0 && &ix.rows[0] != &b.rows[0] {
 		return false
 	}
 	return slices.Equal(ix.shared, shared)
+}
+
+// RebaseIndex carries ix, an index of old, over to nw = MergeAdd(s, old,
+// d): the result equals BuildSortedIndex(nw, shared) entry for entry and
+// is pinned to nw's rows. Rows d cancelled drop out, surviving rows keep
+// their order under shifted ids, and d's new rows are merged in at their
+// key positions: one gallop of d through old, one remapping pass over
+// the entries and a gallop per new row, O(n + k log n) with no re-sort.
+// It returns ix when nw shares old's rows and nil when nw is empty; an
+// index without entries is re-pinned to nw in O(1). An ix not of old, or
+// a d and nw that do not match it, get a fresh BuildSortedIndex instead,
+// and rebuilt reports it.
+func RebaseIndex[T any](ix *SortedIndex, old, d, nw *Relation[T]) (nix *SortedIndex, rebuilt bool) {
+	if ix == nil || IndexValidFor(ix, nw, ix.shared) {
+		return ix, false
+	}
+	n, nn, w := old.Len(), nw.Len(), len(old.schema)
+	if nn == 0 {
+		return nil, false
+	}
+	if !IndexValidFor(ix, old, ix.shared) || !slices.Equal(d.schema, old.schema) || !slices.Equal(nw.schema, old.schema) {
+		return BuildSortedIndex(nw, ix.shared), true
+	}
+	if ix.order == nil {
+		return &SortedIndex{shared: ix.shared, rows: nw.rows}, false
+	}
+	cols := ix.order.cols
+	head := cols[:min(len(cols), keys.MaxPacked)]
+	// at[i] is old row i's position in nw, or -1 minus that position
+	// when the merge dropped it; shift counts inserts minus drops so far.
+	at := make([]int32, n)
+	var added []packedRow
+	src, shift := 0, 0
+	for j, lo := 0, 0; j < d.Len(); j++ {
+		row := d.Tuple(j)
+		p := gallopShared(old.rows, w, n, lo, row, w)
+		for ; src < p; src++ {
+			at[src] = int32(src + shift)
+		}
+		q := p + shift
+		kept := q < nn && compareShared(nw.Tuple(q), row, w) == 0
+		switch {
+		case p < n && compareShared(old.Tuple(p), row, w) == 0:
+			lo, src = p+1, p+1
+			if at[p] = int32(q); !kept {
+				at[p] = int32(-1 - q)
+				shift--
+			}
+		case kept:
+			lo = p
+			added = append(added, packedRow{keys.PackCols(nw.rows[q*w:], head), int32(q)})
+			shift++
+		default:
+			return BuildSortedIndex(nw, ix.shared), true
+		}
+	}
+	for ; src < n; src++ {
+		at[src] = int32(src + shift)
+	}
+	if n+shift != nn {
+		return BuildSortedIndex(nw, ix.shared), true
+	}
+	ins := sortedOrder(nw.rows, w, cols, added)
+	from := ix.order
+	out := make([]packedRow, nn)
+	o, i := 0, 0
+	for y, e := range ins.pr {
+		// Carry the old entries before e: earlier in key order, or equal
+		// on the key with an earlier position in nw.
+		g := from.gallop(i, ins, y)
+		for ; g < len(from.pr) && from.compare(g, ins, y) == 0; g++ {
+			if q := at[from.pr[g].idx]; max(q, -1-q) > e.idx {
+				break
+			}
+		}
+		o = carryEntries(out, o, from.pr[i:g], at)
+		out[o] = e
+		o, i = o+1, g
+	}
+	carryEntries(out, o, from.pr[i:], at)
+	return &SortedIndex{shared: ix.shared, rows: nw.rows, order: &keyOrder{rows: nw.rows, arity: w, cols: cols, pr: out}}, false
+}
+
+// carryEntries writes seg's entries whose rows survive into out from o,
+// renumbered by RebaseIndex's row map at, and returns the next position.
+func carryEntries(out []packedRow, o int, seg []packedRow, at []int32) int {
+	for _, e := range seg {
+		if q := at[e.idx]; q >= 0 {
+			out[o] = packedRow{e.key, q}
+			o++
+		}
+	}
+	return o
 }
 
 // JoinIndexed returns Join(s, a, b), walking a's key order against a
@@ -248,5 +354,33 @@ func JoinIndexed[T any](s semiring.Semiring[T], a, b *Relation[T], ix *SortedInd
 	}
 	joinSite.Inject()
 	aCols, _ := columnsOf(a.schema, shared)
+	if ix.order == nil {
+		return joinLeading(s, a, b, aCols)
+	}
 	return joinOrdered(s, a, b, orderOn(a, aCols), ix.order, 1)
+}
+
+// joinLeading is JoinIndexed when the shared variables lead b's schema,
+// so b's rows are in key order already: each a row's matches are one run
+// of them, found by a gallop, and reach emitRuns as joinOrdered passes
+// them (a's rows in order, each run in b's row order). O(|a| log |b| +
+// output).
+func joinLeading[T any](s semiring.Semiring[T], a, b *Relation[T], aCols []int) *Relation[T] {
+	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
+	w, n, p := len(b.schema), b.Len(), len(aCols)
+	key := make([]int32, p)
+	runs := make([]run, a.Len())
+	var matched []packedRow // every run's rows of b, back to back
+	for x := range runs {
+		for i, c := range aCols {
+			key[i] = a.Tuple(x)[c]
+		}
+		lo := len(matched)
+		for y := gallopShared(b.rows, w, n, 0, key, p); y < n && compareShared(b.Tuple(y), key, p) == 0; y++ {
+			matched = append(matched, packedRow{idx: int32(y)})
+		}
+		runs[x] = run{int32(lo), int32(len(matched))}
+	}
+	rows, vals := emitRuns(s, a, b, matched, runs, outputSrcs(outSchema, a.schema, b.schema), 0, len(runs))
+	return buildFrom(s, outSchema, rows, vals)
 }

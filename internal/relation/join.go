@@ -53,10 +53,7 @@ func gallopShared(rows []int32, arity, n, lo int, key []int32, p int) int {
 		step *= 2
 		next = lo + step
 	}
-	if next > n {
-		next = n
-	}
-	lo, hi := prev+1, next
+	lo, hi := prev+1, min(next, n)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if compareShared(rows[mid*arity:], key, p) < 0 {
@@ -157,7 +154,7 @@ func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relatio
 func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, srcs []colSrc, outW,
 	aLo, aHi, bLo, bHi int) ([]int32, []T) {
 	aAr, bAr := len(a.schema), len(b.schema)
-	cap := maxLen(aHi-aLo, bHi-bLo)
+	cap := max(aHi-aLo, bHi-bLo)
 	rows := make([]int32, 0, cap*outW)
 	vals := make([]T, 0, cap)
 	scratch := make([]int32, outW)
@@ -290,11 +287,4 @@ func semijoinMergeRange[T any](a, b *Relation[T], p, aLo, aHi, bLo, bHi int) ([]
 		i++
 	}
 	return rows, vals
-}
-
-func maxLen(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,9 +2,19 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/semiring"
 )
+
+// mergeEdit is where MergeAdd puts one row of b: at is the first row of
+// a not below it, listed says a holds the row itself, and sum is the
+// row's annotation in the result.
+type mergeEdit[T any] struct {
+	at     int
+	listed bool
+	sum    T
+}
 
 // MergeAdd returns a ⊕ b pointwise: the relation whose annotation on
 // every tuple is s.Add of the operands' annotations (absent tuples are
@@ -15,17 +25,17 @@ import (
 // bit-identical to rebuilding the combined relation from scratch.
 //
 // This is the commit kernel of incremental maintenance
-// (internal/delta): new state = MergeAdd(old state, delta). The merge
-// is a single linear pass over the two sorted row buffers, O(|a|+|b|),
-// with no re-sort.
+// (internal/delta): new state = MergeAdd(old state, delta). Each row of
+// b is galloped into a from the previous hit, O(|b| log(|a|/|b|))
+// comparisons. When b only moves annotations of rows a already lists
+// (nothing inserted, nothing cancelled to 0) the result shares a's row
+// buffer and patches a copy of the values, so a SortedIndex of a still
+// serves it; otherwise the untouched stretches of a are spliced around
+// the edits with copy(), and RebaseIndex carries a's indexes over. a is
+// never modified.
 func MergeAdd[T any](s semiring.Semiring[T], a, b *Relation[T]) (*Relation[T], error) {
-	if len(a.schema) != len(b.schema) {
+	if !slices.Equal(a.schema, b.schema) {
 		return nil, fmt.Errorf("relation: MergeAdd schema mismatch %v vs %v", a.schema, b.schema)
-	}
-	for i := range a.schema {
-		if a.schema[i] != b.schema[i] {
-			return nil, fmt.Errorf("relation: MergeAdd schema mismatch %v vs %v", a.schema, b.schema)
-		}
 	}
 	if b.Len() == 0 {
 		return a, nil
@@ -33,106 +43,48 @@ func MergeAdd[T any](s semiring.Semiring[T], a, b *Relation[T]) (*Relation[T], e
 	if a.Len() == 0 {
 		return b, nil
 	}
-	w := len(a.schema)
-	if w == 0 {
-		v := s.Add(a.vals[0], b.vals[0])
-		if s.IsZero(v) {
-			return &Relation[T]{schema: a.schema}, nil
+	w, na := len(a.schema), a.Len()
+	edits := make([]mergeEdit[T], b.Len())
+	inserts, drops := 0, 0
+	for j, lo := 0, 0; j < len(edits); j++ {
+		row, e := b.Tuple(j), &edits[j]
+		e.at, e.sum = gallopShared(a.rows, w, na, lo, row, w), b.vals[j]
+		lo = e.at
+		if e.listed = e.at < na && compareShared(a.Tuple(e.at), row, w) == 0; !e.listed {
+			inserts++
+			continue
 		}
-		return &Relation[T]{schema: a.schema, vals: []T{v}}, nil
-	}
-	na, nb := a.Len(), b.Len()
-	rows := make([]int32, 0, (na+nb)*w)
-	vals := make([]T, 0, na+nb)
-	cmp := func(x, y []int32) int {
-		for k := 0; k < w; k++ {
-			if x[k] != y[k] {
-				if x[k] < y[k] {
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
-	}
-	i, j := 0, 0
-	for i < na && j < nb {
-		ta, tb := a.Tuple(i), b.Tuple(j)
-		switch cmp(ta, tb) {
-		case -1:
-			rows = append(rows, ta...)
-			vals = append(vals, a.vals[i])
-			i++
-		case 1:
-			rows = append(rows, tb...)
-			vals = append(vals, b.vals[j])
-			j++
-		default:
-			if v := s.Add(a.vals[i], b.vals[j]); !s.IsZero(v) {
-				rows = append(rows, ta...)
-				vals = append(vals, v)
-			}
-			i++
-			j++
+		lo++
+		if e.sum = s.Add(a.vals[e.at], b.vals[j]); s.IsZero(e.sum) {
+			drops++
 		}
 	}
-	for ; i < na; i++ {
-		rows = append(rows, a.Tuple(i)...)
-		vals = append(vals, a.vals[i])
+	if inserts == 0 && drops == 0 {
+		vals := append([]T(nil), a.vals...)
+		for _, e := range edits {
+			vals[e.at] = e.sum
+		}
+		return &Relation[T]{schema: a.schema, rows: a.rows, vals: vals}, nil
 	}
-	for ; j < nb; j++ {
-		rows = append(rows, b.Tuple(j)...)
-		vals = append(vals, b.vals[j])
+	n := na + inserts - drops
+	rows := make([]int32, n*w)
+	vals := make([]T, n)
+	src, dst := 0, 0 // next row of a to splice, next output row
+	for j, e := range edits {
+		copy(rows[dst*w:], a.rows[src*w:e.at*w])
+		dst += copy(vals[dst:], a.vals[src:e.at])
+		if src = e.at; e.listed {
+			src++
+		}
+		if !s.IsZero(e.sum) {
+			copy(rows[dst*w:], b.Tuple(j))
+			vals[dst] = e.sum
+			dst++
+		}
 	}
+	copy(rows[dst*w:], a.rows[src*w:])
+	copy(vals[dst:], a.vals[src:])
 	return fromSorted(a.schema, rows, vals), nil
-}
-
-// PatchAdd returns a ⊕ b with the same contract as MergeAdd, through a
-// point fast path: when b is small (at most maxPatch rows) and every b
-// row is already listed in a with a non-zero merged annotation, the
-// result shares a's row buffer unchanged and patches a copy of the
-// values — O(|b| log |a|) probes plus one values copy instead of the
-// full O(|a|+|b|) row merge. Any miss (a genuinely new tuple, or a
-// merge that cancels to the semiring's 0 and must be dropped to keep
-// the listing invariant) falls back to MergeAdd, so the result is
-// always bit-identical to MergeAdd's. Relations are immutable after
-// construction, which makes sharing a's rows safe; a is never
-// modified, so previously returned references stay consistent.
-//
-// This is what makes ring-strategy point updates sub-merge cost: the
-// steady-state delta touches keys the retained factor and messages
-// already list, and only their annotations move.
-func PatchAdd[T any](s semiring.Semiring[T], a, b *Relation[T], maxPatch int) (*Relation[T], error) {
-	if b.Len() == 0 || b.Len() > maxPatch || a.Len() < b.Len() || len(a.schema) == 0 ||
-		len(a.schema) != len(b.schema) {
-		return MergeAdd(s, a, b)
-	}
-	for i := range a.schema {
-		if a.schema[i] != b.schema[i] {
-			return MergeAdd(s, a, b) // reports the mismatch
-		}
-	}
-	type patch struct {
-		idx int
-		val T
-	}
-	patches := make([]patch, 0, b.Len())
-	for j := 0; j < b.Len(); j++ {
-		idx, ok := lookupIdx(a, b.Tuple(j))
-		if !ok {
-			return MergeAdd(s, a, b)
-		}
-		v := s.Add(a.vals[idx], b.vals[j])
-		if s.IsZero(v) {
-			return MergeAdd(s, a, b)
-		}
-		patches = append(patches, patch{idx: idx, val: v})
-	}
-	vals := append([]T(nil), a.vals...)
-	for _, p := range patches {
-		vals[p.idx] = p.val
-	}
-	return &Relation[T]{schema: a.schema, rows: a.rows, vals: vals}, nil
 }
 
 // LookupRow returns the annotation of the given row (in sorted-schema
@@ -141,42 +93,12 @@ func PatchAdd[T any](s semiring.Semiring[T], a, b *Relation[T], maxPatch int) (*
 // audit individual delta rows without a scan.
 func LookupRow[T any](r *Relation[T], row []int32) (T, bool) {
 	var zero T
-	if i, ok := lookupIdx(r, row); ok {
+	w, n := len(r.schema), r.Len()
+	if len(row) != w || w == 0 {
+		return zero, false
+	}
+	if i := gallopShared(r.rows, w, n, 0, row, w); i < n && compareShared(r.Tuple(i), row, w) == 0 {
 		return r.vals[i], true
 	}
 	return zero, false
-}
-
-// lookupIdx binary-searches the sorted row buffer for row, returning
-// its position.
-func lookupIdx[T any](r *Relation[T], row []int32) (int, bool) {
-	w := len(r.schema)
-	if len(row) != w || w == 0 {
-		return 0, false
-	}
-	lo, hi := 0, r.Len()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		t := r.Tuple(mid)
-		c := 0
-		for k := 0; k < w; k++ {
-			if t[k] != row[k] {
-				if t[k] < row[k] {
-					c = -1
-				} else {
-					c = 1
-				}
-				break
-			}
-		}
-		switch c {
-		case -1:
-			lo = mid + 1
-		case 1:
-			hi = mid
-		default:
-			return mid, true
-		}
-	}
-	return 0, false
 }
