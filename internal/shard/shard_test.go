@@ -156,3 +156,45 @@ func TestFloatCodecExactBits(t *testing.T) {
 		}
 	}
 }
+
+// TestAssignPinned pins the placement of a fixed tuple sequence for key
+// widths 1–4 at 2, 3 and 8 workers: a change to the key hash would
+// silently reshuffle every cluster's shards.
+func TestAssignPinned(t *testing.T) {
+	want := map[[2]int]string{ // {key width, workers} → placements
+		{1, 2}: "000111110010000111110100",
+		{1, 3}: "202100122220220102221102",
+		{1, 8}: "402777332076004755532740",
+		{2, 2}: "110000110111110111000100",
+		{2, 3}: "012110221220221020111122",
+		{2, 8}: "132424556575552151662522",
+		{3, 2}: "011110011100001010101001",
+		{3, 3}: "120220121010201102211112",
+		{3, 8}: "051170477724407234165007",
+		{4, 2}: "011111011110100000110100",
+		{4, 3}: "202222212021001110211201",
+		{4, 8}: "457775053316542602352760",
+	}
+	r := rand.New(rand.NewSource(13))
+	tuples := make([][]int32, 24)
+	for i := range tuples {
+		tuples[i] = []int32{int32(r.Intn(50)), int32(r.Intn(50)), int32(r.Intn(50)), int32(r.Intn(50)), int32(r.Intn(50))}
+	}
+	for width := 1; width <= 4; width++ {
+		// Key columns skip column 0 and run backwards, so the hashed
+		// bytes follow key order rather than schema order.
+		cols := make([]int, width)
+		for k := range cols {
+			cols[k] = width - k
+		}
+		for _, w := range []int{2, 3, 8} {
+			var got []byte
+			for _, tu := range tuples {
+				got = append(got, byte('0'+Assign(tu, cols, w)))
+			}
+			if s := string(got); s != want[[2]int{width, w}] {
+				t.Errorf("width %d, %d workers: placements %q", width, w, s)
+			}
+		}
+	}
+}
