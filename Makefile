@@ -103,3 +103,4 @@ fuzz:
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzWireRequestDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ghd/ -run=NONE -fuzz=FuzzMinimize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/rpc/ -run=NONE -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/shard/ -run=NONE -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME)

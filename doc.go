@@ -179,7 +179,8 @@
 // protocol/netsim/plan/exec without collect-then-sort); ctxflow pins
 // cancellation propagation on the serving path (no fresh
 // context.Background/TODO or nil ctx mid-path); hotpath pins the
-// relation kernels' allocation discipline (no string-keyed state);
+// allocation discipline of the relation kernels and of the protocol and
+// shard layers that match rows with them (no string-keyed state);
 // failpoint pins chaos-sweep
 // coverage (unique <pkg>.<site> literals, every site referenced by a
 // TestChaos* suite, arming tests named TestChaos*). Intentional

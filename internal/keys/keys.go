@@ -7,18 +7,20 @@
 // subset of their columns. Packing up to two int32 attribute values into
 // one uint64 keeps those lookups allocation-free and lets sorted-merge
 // code compare keys with a single integer comparison; the big-endian
-// string codec remains as the arbitrary-arity fallback and as the wire
-// encoding of converge-cast items.
+// string codec remains for keys of arbitrary arity held in hash maps.
 //
 // Packed keys are order-preserving: if tuple u precedes tuple v in the
 // lexicographic (signed int32) order the relations maintain, then
 // Pack(u) < Pack(v) as uint64. This is what lets the relation kernel
 // sort and merge on packed keys directly.
+//
+// ChunkCols places a tuple in one of n chunks by hashing its key
+// columns: the protocol splits converge-cast items across Steiner trees
+// with it, and the cluster splits relations across workers.
 package keys
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math/bits"
 )
 
@@ -95,42 +97,41 @@ func EncodeCols(t []int32, cols []int) string {
 	return string(buf)
 }
 
-// ChunkString deterministically assigns a string key to one of n chunks
-// (every player computes this locally; it mirrors the paper's splitting
-// of Dom(A) across the directed paths W₁, W₂ in Example 2.3).
-func ChunkString(key string, n int) int {
+// FNV-1a (32-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset32 = 2166136261
+	fnvPrime32  = 16777619
+)
+
+// ChunkCols deterministically assigns a tuple to one of n chunks by the
+// selected columns (all columns when cols is nil): FNV-1a over their
+// big-endian uint32 bytes, modulo n. Every player computes it locally;
+// it mirrors the paper's splitting of Dom(A) across the directed paths
+// W₁, W₂ in Example 2.3. It does not allocate.
+func ChunkCols(t []int32, cols []int, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	h := uint32(fnvOffset32)
+	if cols == nil {
+		for _, x := range t {
+			h = fnvWord(h, x)
+		}
+	} else {
+		for _, c := range cols {
+			h = fnvWord(h, t[c])
+		}
+	}
+	return int(h % uint32(n))
 }
 
-// Chunk assigns a packed key of ncols columns to one of n chunks. It
-// hashes the same big-endian bytes ChunkString sees for the equivalent
-// string key, so packed and string codecs agree on chunk placement.
-func Chunk(k uint64, ncols, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	var buf [8]byte
-	switch ncols {
-	case 0:
-		// Zero columns: hash the empty byte string, like ChunkString("").
-	case 1:
-		binary.BigEndian.PutUint32(buf[:4], uint32(Unpack1(k)))
-	case 2:
-		x, y := Unpack2(k)
-		binary.BigEndian.PutUint32(buf[:4], uint32(x))
-		binary.BigEndian.PutUint32(buf[4:], uint32(y))
-	default:
-		//faqlint:allow nopanic(programmer-error precondition: callers gate on MaxPacked before chunking)
-		panic("keys: Chunk on more than MaxPacked columns")
-	}
-	h := fnv.New32a()
-	h.Write(buf[:4*ncols])
-	return int(h.Sum32() % uint32(n))
+// fnvWord folds the four big-endian bytes of x into the FNV-1a state h.
+func fnvWord(h uint32, x int32) uint32 {
+	u := uint32(x)
+	h = (h ^ u>>24) * fnvPrime32
+	h = (h ^ u>>16&0xff) * fnvPrime32
+	h = (h ^ u>>8&0xff) * fnvPrime32
+	return (h ^ u&0xff) * fnvPrime32
 }
 
 // Bits returns the number of bits needed to represent x (at least 1),

@@ -1,6 +1,8 @@
 package keys
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 )
@@ -66,21 +68,51 @@ func TestEncodeDecode(t *testing.T) {
 	}
 }
 
-// TestChunkAgreement: the packed-key chunker must place keys exactly
-// where the string chunker places the equivalent encoded key, so mixed
-// codec choices across protocol phases keep chunk placement consistent.
+// fnvChunk is the reference placement: hash/fnv's FNV-1a over the
+// big-endian uint32 bytes of the values, modulo n.
+func fnvChunk(vals []int32, n int) int {
+	h := fnv.New32a()
+	var buf [4]byte
+	for _, x := range vals {
+		binary.BigEndian.PutUint32(buf[:], uint32(x))
+		h.Write(buf[:])
+	}
+	return int(h.Sum32() % uint32(n))
+}
+
+// TestChunkAgreement: ChunkCols must place a tuple exactly where
+// hash/fnv's FNV-1a over the big-endian bytes of its key columns does,
+// at every arity 0–5, for whole tuples and for column selections (in
+// selection order), negative values included.
 func TestChunkAgreement(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	for n := 1; n <= 5; n++ {
-		for i := 0; i < 200; i++ {
-			x, y := int32(r.Intn(1000)), int32(r.Intn(1000))
-			if Chunk(Pack1(x), 1, n) != ChunkString(Encode(x), n) {
-				t.Fatalf("1-col chunk mismatch for %d (n=%d)", x, n)
-			}
-			if Chunk(Pack2(x, y), 2, n) != ChunkString(Encode(x, y), n) {
-				t.Fatalf("2-col chunk mismatch for (%d,%d) (n=%d)", x, y, n)
+	for arity := 0; arity <= 5; arity++ {
+		for n := 1; n <= 9; n++ {
+			for i := 0; i < 100; i++ {
+				tu := make([]int32, arity)
+				for k := range tu {
+					tu[k] = int32(r.Intn(2000) - 1000)
+				}
+				if got, want := ChunkCols(tu, nil, n), fnvChunk(tu, n); got != want {
+					t.Fatalf("ChunkCols(%v, nil, %d) = %d, FNV-1a says %d", tu, n, got, want)
+				}
+				cols := r.Perm(arity)[:r.Intn(arity+1)]
+				sel := make([]int32, len(cols))
+				for k, c := range cols {
+					sel[k] = tu[c]
+				}
+				if got, want := ChunkCols(tu, cols, n), fnvChunk(sel, n); got != want {
+					t.Fatalf("ChunkCols(%v, %v, %d) = %d, FNV-1a says %d", tu, cols, n, got, want)
+				}
 			}
 		}
+	}
+}
+
+func TestChunkColsAllocationFree(t *testing.T) {
+	tu, cols := []int32{3, -1, 7, 9}, []int{2, 0, 3}
+	if a := testing.AllocsPerRun(100, func() { ChunkCols(tu, cols, 5) }); a != 0 {
+		t.Fatalf("ChunkCols allocates %v times per call", a)
 	}
 }
 
@@ -95,8 +127,9 @@ func TestBits(t *testing.T) {
 
 func TestChunkZeroColumns(t *testing.T) {
 	for n := 1; n <= 5; n++ {
-		if Chunk(0, 0, n) != ChunkString("", n) {
-			t.Fatalf("0-col chunk disagrees with empty string chunk at n=%d", n)
+		want := fnvChunk(nil, n)
+		if ChunkCols(nil, nil, n) != want || ChunkCols([]int32{4, 2}, []int{}, n) != want {
+			t.Fatalf("0-col chunk disagrees with the FNV-1a hash of no bytes at n=%d", n)
 		}
 	}
 }

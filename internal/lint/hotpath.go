@@ -11,13 +11,17 @@ type HotPathConfig struct {
 	Packages []string
 }
 
-// DefaultHotPathConfig covers the relation kernels and the packed-key
-// package — the layers whose 8000×-allocation win (PR 1) depends on
-// uint64 packed keys instead of string-keyed state.
+// DefaultHotPathConfig covers the relation kernels, the packed-key
+// package, and the two layers that match rows with them — the protocol
+// engine (converge-cast streams are sorted relations) and cluster
+// sharding — whose allocation discipline depends on packed keys and
+// sorted order instead of string-keyed state.
 func DefaultHotPathConfig() HotPathConfig {
 	return HotPathConfig{Packages: []string{
 		"repro/internal/relation",
 		"repro/internal/keys",
+		"repro/internal/protocol",
+		"repro/internal/shard",
 	}}
 }
 

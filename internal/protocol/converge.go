@@ -1,72 +1,75 @@
 package protocol
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
+	"repro/internal/flow"
+	"repro/internal/keys"
 	"repro/internal/netsim"
+	"repro/internal/relation"
+	"repro/internal/semiring"
 	"repro/internal/topology"
 )
 
 // keyed converge-cast: the scheduling core of Theorem 3.11 and of the
-// star protocol. Each participating node holds a keyed map of semiring
-// values; the converge-cast streams (key, value) items up a Steiner tree
-// toward its root, one item per reservation, combining values per key at
-// every node and dropping keys absent from any constraining branch —
-// exactly the pipelined semijoin chains of Examples 2.1–2.3 when the
-// tree is a path.
+// star protocol. Each participating node holds a relation of semiring
+// values; the converge-cast streams its (tuple, value) items up a
+// Steiner tree toward the root in sorted tuple order, one item per
+// reservation, combining values per tuple at every node and dropping
+// tuples absent from any constraining branch — exactly the pipelined
+// semijoin chains of Examples 2.1–2.3 when the tree is a path.
 //
-// Streams are generic in the key type: packed uint64 keys carry tuples
-// of ≤ keys.MaxPacked columns (and tuple indices) allocation-free, while
-// big-endian string keys remain the arbitrary-arity fallback.
+// A stream is a relation annotated with timed values (sorted and
+// duplicate-free by construction), so a node's intersection of its
+// branches is relation.Join over equal schemas under timedRing: the
+// sorted-key kernel the rest of the repository matches rows with.
 
-// timedValue is a value annotated with the round at which it became
-// available at the current node.
-type timedValue[T any] struct {
+// timed is a stream item's annotation: its semiring value and the round
+// at which the current node holds it.
+type timed[T any] struct {
 	val   T
 	ready int
 }
 
-// keyedStream is a deterministic (sorted-key) stream of timed values.
-type keyedStream[K cmp.Ordered, T any] struct {
-	keys []K
-	m    map[K]timedValue[T]
-}
+// timedRing lifts the query semiring to stream items: ⊗ multiplies the
+// values and keeps the later ready round, so a joined item is ready
+// once its last factor has arrived. No item is zero — an item whose
+// value multiplies out to the semiring's 0 still ships, as the schedule
+// cannot see values.
+type timedRing[T any] struct{ s semiring.Semiring[T] }
 
-func newKeyedStream[K cmp.Ordered, T any]() *keyedStream[K, T] {
-	return &keyedStream[K, T]{m: make(map[K]timedValue[T])}
+func (r timedRing[T]) Zero() timed[T] { return timed[T]{val: r.s.Zero()} }
+func (r timedRing[T]) One() timed[T]  { return timed[T]{val: r.s.One()} }
+func (r timedRing[T]) Add(a, b timed[T]) timed[T] {
+	return timed[T]{r.s.Add(a.val, b.val), max(a.ready, b.ready)}
 }
-
-func (s *keyedStream[K, T]) add(k K, v T, ready int) {
-	if _, dup := s.m[k]; dup {
-		//faqlint:allow nopanic(invariant check: converge streams are built key-unique by construction)
-		panic("protocol: duplicate key in stream")
-	}
-	s.keys = append(s.keys, k)
-	s.m[k] = timedValue[T]{v, ready}
+func (r timedRing[T]) Mul(a, b timed[T]) timed[T] {
+	return timed[T]{r.s.Mul(a.val, b.val), max(a.ready, b.ready)}
 }
-
-func (s *keyedStream[K, T]) sortKeys() { slices.Sort(s.keys) }
+func (r timedRing[T]) Equal(a, b timed[T]) bool { return a.ready == b.ready && r.s.Equal(a.val, b.val) }
+func (timedRing[T]) IsZero(timed[T]) bool       { return false }
+func (r timedRing[T]) Format(a timed[T]) string {
+	return fmt.Sprintf("%s@%d", r.s.Format(a.val), a.ready)
+}
 
 // convergeSpec configures one keyed converge-cast over one tree.
-type convergeSpec[K cmp.Ordered, T any] struct {
+type convergeSpec[T any] struct {
 	net   *netsim.Network
+	ring  timedRing[T]
 	tree  *netsim.Tree
 	start int
-	// itemBits is the channel cost of one (key, value) item.
+	// itemBits is the channel cost of one (tuple, value) item.
 	itemBits int
-	// local returns a node's own keyed contribution (nil when the node
-	// only relays). Keys must be unique per node.
-	local func(node int) map[K]T
-	// combine is the semiring product folding branch values.
-	combine func(a, b T) T
+	// local holds each contributing node's own items, ready at start;
+	// a node without an entry only relays.
+	local map[int]*relation.Relation[timed[T]]
 }
 
-// run executes the converge-cast and returns the root's stream (keys
-// surviving every constraining branch, with combined values and the
-// rounds at which the root held them).
-func (c *convergeSpec[K, T]) run() (*keyedStream[K, T], error) {
+// run executes the converge-cast and returns the root's stream: the
+// tuples surviving every constraining branch, with combined values and
+// the rounds at which the root held them.
+func (c *convergeSpec[T]) run() (*relation.Relation[timed[T]], error) {
 	g := c.net.Graph()
 	// Orient the tree.
 	in := make(map[int]bool, len(c.tree.Edges))
@@ -99,76 +102,99 @@ func (c *convergeSpec[K, T]) run() (*keyedStream[K, T], error) {
 		slices.Sort(children[u])
 	}
 
-	var walk func(u int) (*keyedStream[K, T], error)
-	walk = func(u int) (*keyedStream[K, T], error) {
-		// Gather branch streams, shipping each child's stream up its
-		// edge with pipelined per-item reservations.
-		var branches []*keyedStream[K, T]
+	var walk func(u int) (*relation.Relation[timed[T]], error)
+	walk = func(u int) (*relation.Relation[timed[T]], error) {
+		// Intersection semantics: an item survives iff it is in the
+		// local contribution (when the node has one) and in every
+		// branch. Values fold left: local first, then branches in child
+		// order.
+		cur := c.local[u]
 		for _, v := range children[u] {
 			sub, err := walk(v)
 			if err != nil {
 				return nil, err
 			}
-			shipped := newKeyedStream[K, T]()
-			for _, k := range sub.keys {
-				tv := sub.m[k]
-				arrive, err := c.net.Reserve(v, u, maxInt(tv.ready, c.start), c.itemBits)
+			// Ship the child's stream up its edge with pipelined
+			// per-item reservations, in sorted tuple order.
+			b := relation.NewBuilderHint(c.ring, sub.Schema(), sub.Len())
+			for i := 0; i < sub.Len(); i++ {
+				tv := sub.Value(i)
+				arrive, err := c.net.Reserve(v, u, max(tv.ready, c.start), c.itemBits)
 				if err != nil {
 					return nil, err
 				}
-				shipped.add(k, tv.val, arrive)
+				b.AddRow(sub.Tuple(i), timed[T]{tv.val, arrive})
 			}
-			branches = append(branches, shipped)
-		}
-		loc := c.local(u)
-		// Intersection semantics: a key survives iff present in every
-		// branch and in the local contribution (when the node has one).
-		out := newKeyedStream[K, T]()
-		if len(branches) == 0 && loc == nil {
-			return out, nil // bare relay leaf: contributes nothing
-		}
-		// Candidate keys: the first constraining source.
-		var candidates []K
-		if loc != nil {
-			candidates = sortedKeys(loc)
-		} else {
-			candidates = branches[0].keys
-		}
-		for _, k := range candidates {
-			ready := c.start
-			var have bool
-			var acc T
-			if loc != nil {
-				acc, have = loc[k], true
-			}
-			dead := false
-			for _, br := range branches {
-				tv, ok := br.m[k]
-				if !ok {
-					dead = true
-					break
-				}
-				if tv.ready > ready {
-					ready = tv.ready
-				}
-				if have {
-					acc = c.combine(acc, tv.val)
-				} else {
-					acc, have = tv.val, true
-				}
-			}
-			if !dead {
-				out.add(k, acc, ready)
+			if shipped := b.Build(); cur == nil {
+				cur = shipped
+			} else {
+				cur = relation.Join(c.ring, cur, shipped)
 			}
 		}
-		out.sortKeys()
-		return out, nil
+		if cur == nil {
+			return relation.Empty[timed[T]](nil), nil // bare relay leaf: contributes nothing
+		}
+		return cur, nil
 	}
 	return walk(c.tree.Root)
 }
 
-func sortedKeys[K cmp.Ordered, T any](m map[K]T) []K {
-	out := make([]K, 0, len(m))
+// convergeOverPacking runs one keyed converge-cast per packed tree
+// toward target, tree ti starting at starts[ti]. Each player's items
+// (all over one schema) are split across the trees by keys.ChunkCols of
+// the whole tuple. It returns the merged root streams and the round at
+// which the target holds its last item.
+func convergeOverPacking[T any](net *netsim.Network, s semiring.Semiring[T], players map[int]*relation.Relation[T],
+	target int, packing []*flow.SteinerTree, starts []int, itemBits int) (*relation.Relation[T], int, error) {
+	ring := timedRing[T]{s}
+	holders := sortedKeys(players)
+	parts := make([]map[int]*relation.Relation[timed[T]], len(packing))
+	for ti := range parts {
+		parts[ti] = make(map[int]*relation.Relation[timed[T]], len(holders))
+	}
+	for _, u := range holders {
+		rel := players[u]
+		bs := make([]*relation.Builder[timed[T]], len(packing))
+		for ti := range bs {
+			bs[ti] = relation.NewBuilder(ring, rel.Schema())
+		}
+		for i := 0; i < rel.Len(); i++ {
+			t := rel.Tuple(i)
+			ti := keys.ChunkCols(t, nil, len(packing))
+			bs[ti].AddRow(t, timed[T]{rel.Value(i), starts[ti]})
+		}
+		for ti, b := range bs {
+			parts[ti][u] = b.Build()
+		}
+	}
+	out := relation.NewBuilder(s, players[holders[0]].Schema())
+	terminals := topology.SortedUnique(append(holders, target))
+	finish := slices.Max(starts)
+	for ti, st := range packing {
+		spec := &convergeSpec[T]{
+			net:      net,
+			ring:     ring,
+			tree:     pruneToTerminals(net.Graph(), &netsim.Tree{Root: target, Edges: st.Edges}, terminals),
+			start:    starts[ti],
+			itemBits: itemBits,
+			local:    parts[ti],
+		}
+		root, err := spec.run()
+		if err != nil {
+			return nil, 0, err
+		}
+		for i := 0; i < root.Len(); i++ {
+			tv := root.Value(i)
+			out.AddRow(root.Tuple(i), tv.val)
+			finish = max(finish, tv.ready)
+		}
+	}
+	return out.Build(), finish, nil
+}
+
+// sortedKeys lists a player-keyed map's players in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
+	out := make([]int, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
@@ -205,7 +231,7 @@ func (b *broadcastSpec) run() (int, error) {
 			}
 			childArr := make([]int, b.items)
 			for i := 0; i < b.items; i++ {
-				t, err := b.net.Reserve(u, v, maxInt(arrival[i], b.start), b.itemBits)
+				t, err := b.net.Reserve(u, v, max(arrival[i], b.start), b.itemBits)
 				if err != nil {
 					return err
 				}

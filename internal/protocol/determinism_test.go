@@ -181,21 +181,6 @@ func TestEmptyRelationAccountingPinned(t *testing.T) {
 	}
 }
 
-// TestColumnsOfVerifiesMembership pins the engine's columnsOf hardening:
-// a variable missing from the schema must surface as an error, not as a
-// silently wrong column index.
-func TestColumnsOfVerifiesMembership(t *testing.T) {
-	cols, err := columnsOf([]int{0, 2, 5}, []int{5, 0})
-	if err != nil || cols[0] != 2 || cols[1] != 0 {
-		t.Fatalf("columnsOf = %v, %v; want [2 0], nil", cols, err)
-	}
-	for _, vs := range [][]int{{1}, {6}, {-1}, {0, 3}} {
-		if _, err := columnsOf([]int{0, 2, 5}, vs); err == nil {
-			t.Errorf("columnsOf(schema, %v): expected error", vs)
-		}
-	}
-}
-
 // TestSolveCentralFallbackPolicy pins the sentinel-gated fallback: only
 // the paper's free-variable restriction may route solveCentral to the
 // exponential BruteForce; every other solver error must propagate.

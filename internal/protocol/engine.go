@@ -1,9 +1,8 @@
 package protocol
 
 import (
-	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/faq"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/keys"
 	"repro/internal/netsim"
 	"repro/internal/relation"
+	"repro/internal/semiring"
 	"repro/internal/topology"
 )
 
@@ -29,30 +29,6 @@ type runner[T any] struct {
 	rel    []*relation.Relation[T] // current relation per GHD node
 	owner  []int                   // current holder per GHD node (-1: none)
 	finish []int                   // round at which the node's relation is ready
-}
-
-// keyCodec encodes tuple columns as converge-cast keys of type K and
-// assigns keys to Steiner-tree chunks. The uint64 codec covers tuples of
-// ≤ keys.MaxPacked columns (and tuple indices) without allocating; the
-// string codec is the arbitrary-arity fallback. Both chunk identically
-// (keys.Chunk hashes the same bytes keys.ChunkString sees).
-type keyCodec[K cmp.Ordered] struct {
-	encode func(t []int32, cols []int) K
-	chunk  func(k K, n int) int
-}
-
-func u64Codec(ncols int) keyCodec[uint64] {
-	return keyCodec[uint64]{
-		encode: func(t []int32, cols []int) uint64 { return keys.PackCols(t, cols) },
-		chunk:  func(k uint64, n int) int { return keys.Chunk(k, ncols, n) },
-	}
-}
-
-func strCodec() keyCodec[string] {
-	return keyCodec[string]{
-		encode: keys.EncodeCols,
-		chunk:  keys.ChunkString,
-	}
 }
 
 // Run executes the main protocol end to end and returns the answer
@@ -191,7 +167,7 @@ func (r *runner[T]) starReduce(v, target int) error {
 		sc := msgs[c].Schema()
 		if i == 0 {
 			w = sc
-		} else if !equalIntSlices(w, sc) {
+		} else if !slices.Equal(w, sc) {
 			fast = false
 		}
 	}
@@ -215,110 +191,90 @@ func (r *runner[T]) starReduce(v, target int) error {
 
 	var weighted *relation.Relation[T]
 	var done int
-	var werr error
-	switch {
-	case fast && len(w) <= keys.MaxPacked:
-		weighted, done, werr = fastWeight(r, r.rel[v], w, children, msgs, msgOwner, target, packing, start,
-			u64Codec(len(w)))
-	case fast:
-		weighted, done, werr = fastWeight(r, r.rel[v], w, children, msgs, msgOwner, target, packing, start,
-			strCodec())
-	default:
+	if fast {
+		// R′_P: the center joined with the converged map over W, which
+		// the GHD guarantees lies in the center's schema — verified, as a
+		// miss would silently widen the join.
+		if _, err := relation.Columns(r.rel[v].Schema(), w); err != nil {
+			return err
+		}
+		conv, d, err := fastStar(r, children, msgs, msgOwner, target, packing, start)
+		if err != nil {
+			return err
+		}
+		weighted, done = relation.Join(q.S, r.rel[v], conv), d
+	} else {
 		conv, d, err := generalStar(r, v, children, msgs, msgOwner, target, packing, start)
 		if err != nil {
 			return err
 		}
-		weighted = weightCenter(q, r.rel[v], conv, func(i int, t []int32) uint64 {
-			return keys.Pack1(int32(i))
-		})
-		done = d
-	}
-	if werr != nil {
-		return werr
+		weighted, done = weightByIndex(q.S, r.rel[v], conv), d
 	}
 
-	// R′_P: center tuples filtered and weighted by the converged map.
 	r.rel[v] = weighted
 	r.owner[v] = target
 	r.finish[v] = done
 	return nil
 }
 
-// fastWeight runs the fast-star converge-cast with the given codec and
-// weights the center relation by the converged map, keyed on the
-// center's columns for the common variable set w.
-func fastWeight[K cmp.Ordered, T any](r *runner[T], center *relation.Relation[T], w []int,
-	children []int, msgs map[int]*relation.Relation[T], msgOwner map[int]int, target int,
-	packing []*flow.SteinerTree, start int, cod keyCodec[K]) (*relation.Relation[T], int, error) {
-	conv, done, err := fastStar(r, children, msgs, msgOwner, target, packing, start, cod)
-	if err != nil {
-		return nil, 0, err
-	}
-	keyCols, err := columnsOf(center.Schema(), w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return weightCenter(r.s.Q, center, conv, func(i int, t []int32) K {
-		return cod.encode(t, keyCols)
-	}), done, nil
-}
-
-// weightCenter builds R′_P: the center tuples whose key survived the
-// converge-cast, each weighted by the converged value.
-func weightCenter[K cmp.Ordered, T any](q *faq.Query[T], center *relation.Relation[T],
-	conv map[K]T, keyOf func(i int, t []int32) K) *relation.Relation[T] {
-	b := relation.NewBuilderHint(q.S, center.Schema(), center.Len())
-	for i := 0; i < center.Len(); i++ {
-		t := center.Tuple(i)
-		m, ok := conv[keyOf(i, t)]
-		if !ok {
-			continue
-		}
-		b.AddRow(t, q.S.Mul(center.Value(i), m))
+// weightByIndex builds R′_P for the general star: center row i
+// survives iff index i converged, weighted by the converged value.
+func weightByIndex[T any](s semiring.Semiring[T], center, conv *relation.Relation[T]) *relation.Relation[T] {
+	b := relation.NewBuilderHint(s, center.Schema(), conv.Len())
+	for k := 0; k < conv.Len(); k++ {
+		i := int(conv.Tuple(k)[0])
+		b.AddRow(center.Tuple(i), s.Mul(center.Value(i), conv.Value(k)))
 	}
 	return b.Build()
 }
 
-// fastStar converges keyed messages π_W directly (no broadcast): the
-// pipelined semijoin chains of Examples 2.1–2.3 generalized to Steiner
-// packings.
-func fastStar[K cmp.Ordered, T any](r *runner[T], children []int, msgs map[int]*relation.Relation[T],
-	msgOwner map[int]int, target int, packing []*flow.SteinerTree, start int,
-	cod keyCodec[K]) (map[K]T, int, error) {
+// fastStar converges the child messages π_W directly (no broadcast):
+// the pipelined semijoin chains of Examples 2.1–2.3 generalized to
+// Steiner packings.
+func fastStar[T any](r *runner[T], children []int, msgs map[int]*relation.Relation[T],
+	msgOwner map[int]int, target int, packing []*flow.SteinerTree, start int) (*relation.Relation[T], int, error) {
 	q := r.s.Q
 	itemBits := clampBits(r.s.TupleBits(len(msgs[children[0]].Schema())), r.s.Bits())
-	// Per-player local contribution: intersect keys across the player's
-	// children, multiplying values.
-	playerMaps := make(map[int]map[K]T)
+	// Per-player local contribution: the join of the player's children.
+	players := make(map[int]*relation.Relation[T])
 	for _, c := range children {
-		m := relationToMap(msgs[c], cod)
-		o := msgOwner[c]
-		if cur, ok := playerMaps[o]; ok {
-			playerMaps[o] = intersectMaps(q, cur, m)
-		} else {
-			playerMaps[o] = m
-		}
+		joinInto(q.S, players, msgOwner[c], msgs[c])
 	}
-	return convergeOverPacking(r, playerMaps, target, packing, start, itemBits, cod)
+	starts := make([]int, len(packing))
+	for i := range starts {
+		starts[i] = start
+	}
+	return convergeOverPacking(r.net, q.S, players, target, packing, starts, itemBits)
+}
+
+// joinInto folds m into player o's contribution: the first message is
+// the contribution, later ones join it (equal schemas: keys intersect,
+// values multiply in child order).
+func joinInto[T any](s semiring.Semiring[T], players map[int]*relation.Relation[T], o int, m *relation.Relation[T]) {
+	if cur, ok := players[o]; ok {
+		m = relation.Join(s, cur, m)
+	}
+	players[o] = m
 }
 
 // generalStar implements the heterogeneous-star case of Algorithm 1:
 // the center relation is first broadcast over the packing (chunked per
 // tree), each child owner computes its value vector over the center's
 // tuple indices, and the vectors converge with component-wise ⊗
-// (footnote 24). Index keys are packed uint64s throughout.
+// (footnote 24). A vector is a one-column relation of (index, value)
+// rows; generalStar returns the converged one.
 func generalStar[T any](r *runner[T], v int, children []int, msgs map[int]*relation.Relation[T],
-	msgOwner map[int]int, target int, packing []*flow.SteinerTree, start int) (map[uint64]T, int, error) {
+	msgOwner map[int]int, target int, packing []*flow.SteinerTree, start int) (*relation.Relation[T], int, error) {
 	q := r.s.Q
 	center := r.rel[v]
 	src := r.owner[v]
 	tupleBits := clampBits(r.s.TupleBits(center.Arity()), r.s.Bits())
 
 	// Broadcast the center relation, chunked across the packing with the
-	// same key-hash chunking the converge phase uses (one counting pass).
+	// same index chunking the converge phase uses (one counting pass).
 	chunkCount := make([]int, len(packing))
 	for i := 0; i < center.Len(); i++ {
-		chunkCount[keys.Chunk(keys.Pack1(int32(i)), 1, len(packing))]++
+		chunkCount[keys.ChunkCols([]int32{int32(i)}, nil, len(packing))]++
 	}
 	broadcastDone := make([]int, len(packing))
 	for ti, st := range packing {
@@ -338,112 +294,35 @@ func generalStar[T any](r *runner[T], v int, children []int, msgs map[int]*relat
 	}
 
 	// Each player's vector over center tuple indices: for every child it
-	// owns, index i survives iff the child's message has the matching
-	// key; values multiply.
-	idxBits := clampBits(keys.Bits(maxInt(center.Len(), 2)-1)+r.s.ValueBits(), r.s.Bits())
-	playerMaps := make(map[int]map[uint64]T)
+	// owns, index i survives iff the child's message lists the center
+	// tuple's projection; values multiply.
+	idxBits := clampBits(keys.Bits(max(center.Len(), 2)-1)+r.s.ValueBits(), r.s.Bits())
+	players := make(map[int]*relation.Relation[T])
 	for _, c := range children {
-		cols, err := columnsOf(center.Schema(), msgs[c].Schema())
+		m := msgs[c]
+		cols, err := relation.Columns(center.Schema(), m.Schema())
 		if err != nil {
 			return nil, 0, err
 		}
-		vec := make(map[uint64]T, center.Len())
-		if len(cols) <= keys.MaxPacked {
-			lookup := relationToMap(msgs[c], u64Codec(len(cols)))
-			for i := 0; i < center.Len(); i++ {
-				if val, ok := lookup[keys.PackCols(center.Tuple(i), cols)]; ok {
-					vec[keys.Pack1(int32(i))] = val
-				}
+		vec := relation.NewBuilderHint(q.S, []int{0}, center.Len())
+		key := make([]int32, len(cols))
+		for i := 0; i < center.Len(); i++ {
+			t := center.Tuple(i)
+			for k, col := range cols {
+				key[k] = t[col]
 			}
-		} else {
-			lookup := relationToMap(msgs[c], strCodec())
-			for i := 0; i < center.Len(); i++ {
-				if val, ok := lookup[keys.EncodeCols(center.Tuple(i), cols)]; ok {
-					vec[keys.Pack1(int32(i))] = val
-				}
+			val, ok := relation.LookupRow(m, key)
+			if len(cols) == 0 && m.Len() > 0 {
+				val, ok = m.Value(0), true // a scalar message matches every tuple
+			}
+			if ok {
+				vec.AddRow([]int32{int32(i)}, val)
 			}
 		}
-		o := msgOwner[c]
-		if cur, ok := playerMaps[o]; ok {
-			playerMaps[o] = intersectMaps(q, cur, vec)
-		} else {
-			playerMaps[o] = vec
-		}
+		joinInto(q.S, players, msgOwner[c], vec.Build())
 	}
 	// Converge each chunk after its broadcast completes.
-	return convergeOverPackingStaggered(r, playerMaps, target, packing, broadcastDone, idxBits, u64Codec(1))
-}
-
-// convergeOverPacking runs one keyed converge-cast per packed tree
-// (chunked by key hash) and merges the root streams.
-func convergeOverPacking[K cmp.Ordered, T any](r *runner[T], playerMaps map[int]map[K]T, target int,
-	packing []*flow.SteinerTree, start, itemBits int, cod keyCodec[K]) (map[K]T, int, error) {
-	starts := make([]int, len(packing))
-	for i := range starts {
-		starts[i] = start
-	}
-	return convergeOverPackingStaggered(r, playerMaps, target, packing, starts, itemBits, cod)
-}
-
-func convergeOverPackingStaggered[K cmp.Ordered, T any](r *runner[T], playerMaps map[int]map[K]T, target int,
-	packing []*flow.SteinerTree, starts []int, itemBits int, cod keyCodec[K]) (map[K]T, int, error) {
-	q := r.s.Q
-	var terminals []int
-	for u := range playerMaps {
-		terminals = append(terminals, u)
-	}
-	terminals = topology.SortedUnique(append(terminals, target))
-	// Partition each player's keys across the packed trees once (a map
-	// per chunk per player), instead of re-hashing every key per tree.
-	parts := make(map[int][]map[K]T, len(playerMaps))
-	//faqlint:allow mapiter(order-free partition: every write is keyed by the player u)
-	for u, full := range playerMaps {
-		ps := make([]map[K]T, len(packing))
-		for i := range ps {
-			ps[i] = make(map[K]T)
-		}
-		//faqlint:allow mapiter(order-free distribution: every write is keyed by the tuple key k)
-		for k, val := range full {
-			ps[cod.chunk(k, len(packing))][k] = val
-		}
-		parts[u] = ps
-	}
-	out := make(map[K]T)
-	finish := 0
-	for _, s := range starts {
-		if s > finish {
-			finish = s
-		}
-	}
-	for ti, st := range packing {
-		tree := pruneToTerminals(r.s.G, &netsim.Tree{Root: target, Edges: st.Edges}, terminals)
-		spec := &convergeSpec[K, T]{
-			net:      r.net,
-			tree:     tree,
-			start:    starts[ti],
-			itemBits: itemBits,
-			local: func(node int) map[K]T {
-				ps, ok := parts[node]
-				if !ok {
-					return nil // the node only relays
-				}
-				return ps[ti]
-			},
-			combine: q.S.Mul,
-		}
-		stream, err := spec.run()
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, k := range stream.keys {
-			tv := stream.m[k]
-			out[k] = tv.val
-			if tv.ready > finish {
-				finish = tv.ready
-			}
-		}
-	}
-	return out, finish, nil
+	return convergeOverPacking(r.net, q.S, players, target, packing, broadcastDone, idxBits)
 }
 
 // corePhase evaluates a factorless node (the fat core root of
@@ -560,45 +439,6 @@ func localStar[T any](q *faq.Query[T], center *relation.Relation[T], children []
 	return cur
 }
 
-// relationToMap renders a message relation as key → value (keys encode
-// the full tuple in schema order).
-func relationToMap[K cmp.Ordered, T any](m *relation.Relation[T], cod keyCodec[K]) map[K]T {
-	out := make(map[K]T, m.Len())
-	for i := 0; i < m.Len(); i++ {
-		out[cod.encode(m.Tuple(i), nil)] = m.Value(i)
-	}
-	return out
-}
-
-// intersectMaps keeps keys present in both maps, multiplying values —
-// the local fold when one player owns several star leaves.
-func intersectMaps[K cmp.Ordered, T any](q *faq.Query[T], a, b map[K]T) map[K]T {
-	out := make(map[K]T)
-	//faqlint:allow mapiter(order-free intersection: writes keyed by k, semiring Mul applied per key)
-	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			out[k] = q.S.Mul(va, vb)
-		}
-	}
-	return out
-}
-
-// columnsOf maps variables vs to their column indices in schema. GHD
-// invariants normally guarantee vs ⊆ schema, but that is verified rather
-// than trusted: an unverified sort.SearchInts miss would silently yield
-// a wrong or out-of-range column and corrupt the converge-cast keys.
-func columnsOf(schema, vs []int) ([]int, error) {
-	cols := make([]int, len(vs))
-	for i, v := range vs {
-		j := sort.SearchInts(schema, v)
-		if j >= len(schema) || schema[j] != v {
-			return nil, fmt.Errorf("protocol: variable %d not in schema %v", v, schema)
-		}
-		cols[i] = j
-	}
-	return cols, nil
-}
-
 func clampBits(bits, cap int) int {
 	if bits > cap {
 		return cap
@@ -607,16 +447,4 @@ func clampBits(bits, cap int) int {
 		return 1
 	}
 	return bits
-}
-
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faq"
+	"repro/internal/ghd"
 	"repro/internal/hypergraph"
 	"repro/internal/relation"
 	"repro/internal/semiring"
@@ -287,6 +288,55 @@ func TestRunMatchesBruteForceWideKeys(t *testing.T) {
 		if !relation.Equal(q.S, ans, want) {
 			t.Fatalf("trial %d (%v free %v): distributed %s != brute force %s",
 				trial, edges, sh.free, renderAnswer(ans), renderAnswer(want))
+		}
+	}
+}
+
+// TestGeneralStarScalarChild runs a caller-chosen GHD that hangs a
+// disconnected factor under a star center: its message has no variable
+// in common with the center, so in the general star it is a scalar that
+// matches every center tuple when non-empty and none when empty.
+func TestGeneralStarScalarChild(t *testing.T) {
+	sh := goldenShape{
+		edges: [][]int{{0, 1, 2}, {1, 3}, {4, 5}},
+		g:     topology.Clique(4), assign: Assignment{0, 1, 2}, output: 3,
+		rows: 10, dom: 3, seed: 8,
+	}
+	h := sh.hypergraph()
+	star := &ghd.GHD{
+		H:        h,
+		Bags:     [][]int{h.Edge(0), h.Edge(1), h.Edge(2)},
+		Labels:   [][]int{{0}, {1}, {2}},
+		Parent:   []int{-1, 0, 0},
+		Root:     0,
+		NodeOf:   []int{0, 1, 2},
+		CoreRoot: -1,
+	}
+	if err := star.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[bool]string{
+		false: "rounds=11 bits=255 ans=[] []=1458",
+		true:  "rounds=9 bits=189 ans=[]",
+	}
+	for _, empty := range []bool{false, true} {
+		q := goldenQuery[int64](sh, semiring.Count{}, func(r *rand.Rand) int64 { return int64(1 + r.Intn(3)) })
+		if empty {
+			q.Factors[2] = relation.Empty[int64](h.Edge(2))
+		}
+		ans, rep, err := RunOnGHD(&Setup[int64]{Q: q, G: sh.g, Assign: sh.assign, Output: sh.output}, star)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := faq.BruteForce(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relation.Equal(q.S, ans, ref) {
+			t.Fatalf("empty=%v: answer %s, BruteForce %s", empty, renderAnswer(ans), renderAnswer(ref))
+		}
+		if got := fmt.Sprintf("rounds=%d bits=%d ans=%s", rep.Rounds, rep.Bits, renderAnswer(ans)); got != want[empty] {
+			t.Errorf("empty=%v: %q", empty, got)
 		}
 	}
 }

@@ -2,12 +2,13 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/flow"
 	"repro/internal/hypergraph"
 	"repro/internal/keys"
 	"repro/internal/netsim"
+	"repro/internal/relation"
+	"repro/internal/semiring"
 	"repro/internal/topology"
 )
 
@@ -84,39 +85,24 @@ func SetIntersection(in *SetIntersectionInput) ([]int, Report, error) {
 	if err != nil {
 		return nil, rep, err
 	}
-	var result []int
-	for ti, st := range packing {
-		tree := pruneToTerminals(in.G, &netsim.Tree{Root: in.Output, Edges: st.Edges}, K)
-		spec := &convergeSpec[uint64, bool]{
-			net:      net,
-			tree:     tree,
-			start:    0,
-			itemBits: itemBits,
-			local: func(node int) map[uint64]bool {
-				s, ok := in.Sets[node]
-				if !ok {
-					return nil
-				}
-				m := make(map[uint64]bool, len(s))
-				for _, x := range s {
-					k := keys.Pack1(int32(x))
-					if keys.Chunk(k, 1, len(packing)) == ti {
-						m[k] = true
-					}
-				}
-				return m
-			},
-			combine: func(a, b bool) bool { return a && b },
+	// Each set is a one-column Boolean relation; duplicates merge.
+	players := make(map[int]*relation.Relation[bool], len(in.Sets))
+	for _, u := range sortedKeys(in.Sets) {
+		b := relation.NewBuilderHint(semiring.Bool{}, []int{0}, len(in.Sets[u]))
+		for _, x := range in.Sets[u] {
+			b.AddRow([]int32{int32(x)}, true)
 		}
-		out, err := spec.run()
-		if err != nil {
-			return nil, rep, err
-		}
-		for _, k := range out.keys {
-			result = append(result, int(keys.Unpack1(k)))
-		}
+		players[u] = b.Build()
 	}
-	sort.Ints(result)
+	starts := make([]int, len(packing))
+	out, _, err := convergeOverPacking(net, semiring.Bool{}, players, in.Output, packing, starts, itemBits)
+	if err != nil {
+		return nil, rep, err
+	}
+	var result []int
+	for i := 0; i < out.Len(); i++ {
+		result = append(result, int(out.Tuple(i)[0]))
+	}
 	rep.Rounds = net.Rounds()
 	rep.Bits = net.TotalBits()
 	RecordReport(rep)

@@ -128,10 +128,3 @@ func notifyEmpty(net *netsim.Network, g *topology.Graph, src, dst, start int) (i
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -55,8 +55,8 @@ func joinNestedLoop[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
+	bCols, _ := Columns(b.schema, shared)
 	out := NewBuilder(s, outSchema)
 	scratch := make([]int32, len(outSchema))
 	for i := 0; i < a.Len(); i++ {
@@ -89,8 +89,8 @@ func joinNestedLoop[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[
 // semijoinNestedLoop is the reference semijoin: keep a's tuples that
 // match some b tuple on the shared columns.
 func semijoinNestedLoop[T any](a, b *Relation[T], shared []int) *Relation[T] {
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
+	bCols, _ := Columns(b.schema, shared)
 	out := &Relation[T]{schema: a.schema}
 	for i := 0; i < a.Len(); i++ {
 		ta := a.Tuple(i)

@@ -223,7 +223,7 @@ func BuildSortedIndex[T any](b *Relation[T], shared []int) *SortedIndex {
 	if len(shared) == 0 || b.Len() == 0 {
 		return nil
 	}
-	bCols, err := columnsOf(b.schema, shared)
+	bCols, err := Columns(b.schema, shared)
 	if err != nil {
 		return nil
 	}
@@ -353,7 +353,7 @@ func JoinIndexed[T any](s semiring.Semiring[T], a, b *Relation[T], ix *SortedInd
 		return Join(s, a, b)
 	}
 	joinSite.Inject()
-	aCols, _ := columnsOf(a.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
 	if ix.order == nil {
 		return joinLeading(s, a, b, aCols)
 	}

@@ -76,10 +76,10 @@ type colSrc struct {
 func outputSrcs(outSchema, aSchema, bSchema []int) []colSrc {
 	srcs := make([]colSrc, len(outSchema))
 	for i, v := range outSchema {
-		if j, err := columnsOf(aSchema, []int{v}); err == nil {
+		if j, err := Columns(aSchema, []int{v}); err == nil {
 			srcs[i] = colSrc{true, j[0]}
 		} else {
-			j, _ := columnsOf(bSchema, []int{v})
+			j, _ := Columns(bSchema, []int{v})
 			srcs[i] = colSrc{false, j[0]}
 		}
 	}
@@ -129,8 +129,8 @@ func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 		}
 		return joinMerge(s, a, b, p)
 	}
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
+	bCols, _ := Columns(b.schema, shared)
 	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols), parallelParts(a.Len()+b.Len()))
 }
 
@@ -243,8 +243,8 @@ func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 	}
 	// Non-prefix: keep each a row whose key has a non-empty run in b,
 	// in a's row order, which is already sorted.
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
+	bCols, _ := Columns(b.schema, shared)
 	out := &Relation[T]{schema: a.schema}
 	for i, r := range matchRuns(orderOn(a, aCols), orderOn(b, bCols)) {
 		if r.lo < r.hi {

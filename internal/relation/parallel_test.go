@@ -58,8 +58,8 @@ func checkNonPrefix[T comparable](t *testing.T, s semiring.Semiring[T], a, b *Re
 			t.Fatalf("%s workers=%d: Semijoin != nested loop", label, w)
 		}
 	})
-	aCols, _ := columnsOf(a.schema, shared)
-	bCols, _ := columnsOf(b.schema, shared)
+	aCols, _ := Columns(a.schema, shared)
+	bCols, _ := Columns(b.schema, shared)
 	ak, bk := orderOn(a, aCols), orderOn(b, bCols)
 	for _, parts := range []int{2, 3, 7} {
 		if got := joinOrdered(s, a, b, ak, bk, parts); !bitIdentical(got, jWant) {
@@ -168,7 +168,7 @@ func TestNonPrefixWideKeyAboveThreshold(t *testing.T) {
 // and zero results. It keys groups by up to four remaining columns.
 func eliminateFold[T any](s semiring.Semiring[T], r *Relation[T], v int, op semiring.Op[T], domSize int) *Relation[T] {
 	rest := hypergraph.DiffSorted(r.schema, []int{v})
-	cols, _ := columnsOf(r.schema, rest)
+	cols, _ := Columns(r.schema, rest)
 	type group struct {
 		key   []int32
 		val   T

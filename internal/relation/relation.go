@@ -388,9 +388,11 @@ func ScalarValue[T any](s semiring.Semiring[T], r *Relation[T]) (T, error) {
 	return r.vals[0], nil
 }
 
-// columnsOf maps the variables vs to their column indices in schema;
-// variables missing from the schema return an error.
-func columnsOf(schema, vs []int) ([]int, error) {
+// Columns maps the variables vs to their column indices in a sorted
+// schema, in the order vs lists them. Membership is verified, not
+// trusted: a variable missing from the schema is an error, never a
+// silently wrong or out-of-range column.
+func Columns(schema, vs []int) ([]int, error) {
 	cols := make([]int, len(vs))
 	for i, v := range vs {
 		j := sort.SearchInts(schema, v)
@@ -420,7 +422,7 @@ func isIdentPrefix(cols []int) bool {
 func Project[T any](s semiring.Semiring[T], r *Relation[T], vs []int) (*Relation[T], error) {
 	sorted := append([]int(nil), vs...)
 	sort.Ints(sorted)
-	cols, err := columnsOf(r.schema, sorted)
+	cols, err := Columns(r.schema, sorted)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +463,7 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 	if err := eliminateSite.Hit(nil); err != nil {
 		return nil, err
 	}
-	vcols, err := columnsOf(r.schema, []int{v})
+	vcols, err := Columns(r.schema, []int{v})
 	if err != nil {
 		return nil, err
 	}
@@ -476,7 +478,7 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 		// key order: each group becomes a contiguous run whose rows keep
 		// their input order, so the fold below sees every group in the
 		// same ⊕-order as a fold over r's rows.
-		restCols, _ := columnsOf(r.schema, rest)
+		restCols, _ := Columns(r.schema, rest)
 		rows := make([]int32, 0, n*a)
 		vals := make([]T, 0, n)
 		for _, e := range orderOn(r, restCols).pr {

@@ -350,3 +350,25 @@ func TestProjectionCommutesWithSum(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsVerifiesMembership pins Columns' hardening: columns come
+// back in the order the variables are listed, and a variable missing
+// from the schema surfaces as an error, not as a silently wrong column
+// index.
+func TestColumnsVerifiesMembership(t *testing.T) {
+	schema := []int{0, 2, 5, 9}
+	for _, c := range []struct{ vs, want []int }{
+		{[]int{5, 0}, []int{2, 0}},
+		{[]int{2, 9}, []int{1, 3}},
+		{[]int{}, []int{}},
+	} {
+		if cols, err := Columns(schema, c.vs); err != nil || !reflect.DeepEqual(cols, c.want) {
+			t.Errorf("Columns(%v, %v) = %v, %v; want %v, nil", schema, c.vs, cols, err, c.want)
+		}
+	}
+	for _, vs := range [][]int{{1}, {6}, {-1}, {10}, {0, 3}} {
+		if _, err := Columns(schema, vs); err == nil {
+			t.Errorf("Columns(%v, %v): expected error", schema, vs)
+		}
+	}
+}

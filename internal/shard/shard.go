@@ -3,9 +3,9 @@
 //
 // Placement is deterministic hash partitioning on a subset of each
 // relation's columns (the star's join key): every row goes to
-// hash(row[key]) mod W, computed with the same FNV chunking the netsim
-// protocols use (internal/keys), so packed and string key codecs agree
-// on placement and a re-run reproduces the same sharding exactly. An
+// hash(row[key]) mod W, computed by keys.ChunkCols — the FNV-1a
+// chunking the netsim protocols split converge-cast items with — at
+// every key width, so a re-run reproduces the same sharding exactly. An
 // empty key hashes every row to worker 0 — the correct (if
 // unparallelized) fallback when a star has no common join columns.
 //
@@ -21,37 +21,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/keys"
 	"repro/internal/relation"
 	"repro/internal/semiring"
 )
 
-// Positions maps the variables vs to their column positions in the
-// sorted schema; a variable missing from the schema is an error.
-func Positions(schema, vs []int) ([]int, error) {
-	cols := make([]int, len(vs))
-	for i, v := range vs {
-		j := sort.SearchInts(schema, v)
-		if j >= len(schema) || schema[j] != v {
-			return nil, fmt.Errorf("shard: key variable %d not in schema %v", v, schema)
-		}
-		cols[i] = j
-	}
-	return cols, nil
-}
-
 // Assign returns the worker index for a tuple given the key column
 // positions. An empty key assigns every tuple to worker 0.
 func Assign(t []int32, cols []int, workers int) int {
-	if workers <= 1 || len(cols) == 0 {
+	if len(cols) == 0 {
 		return 0
 	}
-	if len(cols) <= keys.MaxPacked {
-		return keys.Chunk(keys.PackCols(t, cols), len(cols), workers)
-	}
-	return keys.ChunkString(keys.EncodeCols(t, cols), workers)
+	return keys.ChunkCols(t, cols, workers)
 }
 
 // Split hash-partitions r into workers shards on the key variables.
@@ -62,9 +44,9 @@ func Split[T any](s semiring.Semiring[T], r *relation.Relation[T], key []int, wo
 	if workers < 1 {
 		return nil, fmt.Errorf("shard: split across %d workers", workers)
 	}
-	cols, err := Positions(r.Schema(), key)
+	cols, err := relation.Columns(r.Schema(), key)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: split key: %w", err)
 	}
 	builders := make([]*relation.Builder[T], workers)
 	for w := range builders {
@@ -140,6 +122,11 @@ func Decode[T any](s semiring.Semiring[T], cod Codec[T], buf []byte) (*relation.
 	for i := range schema {
 		schema[i] = int(int32(binary.BigEndian.Uint32(buf)))
 		buf = buf[4:]
+	}
+	sorted := slices.Clone(schema)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) != a {
+		return nil, fmt.Errorf("shard: schema %v repeats a variable", schema)
 	}
 	n := int(binary.BigEndian.Uint32(buf))
 	buf = buf[4:]

@@ -1,15 +1,17 @@
 package shard
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/relation"
 	"repro/internal/semiring"
 )
 
-func randomRel(t *testing.T, seed int64, schema []int, rows, dom int) *relation.Relation[int64] {
+func randomRel(t testing.TB, seed int64, schema []int, rows, dom int) *relation.Relation[int64] {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	b := relation.NewBuilder[int64](semiring.Count{}, schema)
@@ -21,20 +23,6 @@ func randomRel(t *testing.T, seed int64, schema []int, rows, dom int) *relation.
 		b.AddRow(row, int64(1+r.Intn(5)))
 	}
 	return b.Build()
-}
-
-func TestPositions(t *testing.T) {
-	schema := []int{1, 4, 7, 9}
-	cols, err := Positions(schema, []int{4, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 {
-		t.Fatalf("positions %v, want [1 3]", cols)
-	}
-	if _, err := Positions(schema, []int{5}); err == nil {
-		t.Fatal("missing key variable was accepted")
-	}
 }
 
 func TestSplitPartitionsAndPreserves(t *testing.T) {
@@ -51,7 +39,7 @@ func TestSplitPartitionsAndPreserves(t *testing.T) {
 			}
 			total := 0
 			merged := relation.NewBuilder[int64](sc, rel.Schema())
-			cols, _ := Positions(rel.Schema(), key)
+			cols, _ := relation.Columns(rel.Schema(), key)
 			for wi, s := range shards {
 				total += s.Len()
 				for i := 0; i < s.Len(); i++ {
@@ -136,6 +124,71 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncation at %d bytes was accepted", cut)
 		}
 	}
+}
+
+// countCodec is the counting semiring's wire word.
+var countCodec = Codec[int64]{Enc: func(v int64) uint64 { return uint64(v) }, Dec: func(u uint64) int64 { return int64(u) }}
+
+// repeatedVarFrame is a 16-byte frame whose schema names variable 3
+// twice (arity 2, schema [3 3], 0 rows). Building it would panic inside
+// relation.NewBuilderHint and take the receiving worker down.
+var repeatedVarFrame = []byte{0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0}
+
+func TestDecodeRejectsRepeatedVariable(t *testing.T) {
+	sc := semiring.Count{}
+	if _, err := Decode(sc, countCodec, repeatedVarFrame); err == nil {
+		t.Fatal("a schema repeating a variable was accepted")
+	}
+	// The same check holds with rows present and the repeat not adjacent.
+	buf := Encode(randomRel(t, 6, []int{1, 4, 7}, 5, 3), countCodec)
+	binary.BigEndian.PutUint32(buf[12:], 1) // schema [1 4 1]
+	if _, err := Decode(sc, countCodec, buf); err == nil {
+		t.Fatal("schema [1 4 1] was accepted")
+	}
+}
+
+// FuzzShardDecode: on any input Decode either fails with an error or
+// returns a relation that survives Encode → Decode unchanged, and it
+// allocates at most a fixed multiple of the input size.
+func FuzzShardDecode(f *testing.F) {
+	sc := semiring.Count{}
+	f.Add(repeatedVarFrame)
+	for arity := 0; arity <= 4; arity++ {
+		schema := make([]int, arity)
+		for i := range schema {
+			schema[i] = 2*i + 1
+		}
+		for _, rows := range []int{0, 1, 9} {
+			f.Add(Encode(randomRel(f, int64(10*arity+rows), schema, rows, 4), countCodec))
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		// Other goroutines of the fuzzing process allocate too; the
+		// least of three measurements is Decode's own.
+		var r *relation.Relation[int64]
+		var err error
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err = Decode(sc, countCodec, buf)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > uint64(16*len(buf)+1024) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(buf), least)
+		}
+		if err != nil {
+			return
+		}
+		again, err := Decode(sc, countCodec, Encode(r, countCodec))
+		if err != nil {
+			t.Fatalf("re-decoding an encoded relation: %v", err)
+		}
+		if !relation.Equal(sc, again, r) {
+			t.Fatalf("round trip changed the relation: %v vs %v", again, r)
+		}
+	})
 }
 
 func TestFloatCodecExactBits(t *testing.T) {
