@@ -181,6 +181,21 @@ func TestEmptyRelationAccountingPinned(t *testing.T) {
 	}
 }
 
+// TestColumnsOfVerifiesMembership pins the column lookup the engine
+// resolves message and key columns with: a variable missing from the
+// schema must surface as an error, not as a silently wrong column index.
+func TestColumnsOfVerifiesMembership(t *testing.T) {
+	cols, err := relation.Columns([]int{0, 2, 5}, []int{5, 0})
+	if err != nil || cols[0] != 2 || cols[1] != 0 {
+		t.Fatalf("relation.Columns = %v, %v; want [2 0], nil", cols, err)
+	}
+	for _, vs := range [][]int{{1}, {6}, {-1}, {0, 3}} {
+		if _, err := relation.Columns([]int{0, 2, 5}, vs); err == nil {
+			t.Errorf("relation.Columns(schema, %v): expected error", vs)
+		}
+	}
+}
+
 // TestSolveCentralFallbackPolicy pins the sentinel-gated fallback: only
 // the paper's free-variable restriction may route solveCentral to the
 // exponential BruteForce; every other solver error must propagate.

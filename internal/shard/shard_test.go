@@ -25,6 +25,28 @@ func randomRel(t testing.TB, seed int64, schema []int, rows, dom int) *relation.
 	return b.Build()
 }
 
+// TestPositions pins how Split resolves its key variables to columns:
+// each row lands on the worker Assign picks from the key's schema
+// positions, and a key variable missing from the schema is rejected.
+func TestPositions(t *testing.T) {
+	const workers = 5
+	rel := randomRel(t, 3, []int{1, 4, 7, 9}, 120, 11)
+	shards, err := Split[int64](semiring.Count{}, rel, []int{4, 9}, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, s := range shards {
+		for i := 0; i < s.Len(); i++ {
+			if got := Assign(s.Tuple(i), []int{1, 3}, workers); got != w {
+				t.Fatalf("row %v on worker %d, Assign over positions [1 3] says %d", s.Tuple(i), w, got)
+			}
+		}
+	}
+	if _, err := Split[int64](semiring.Count{}, rel, []int{5}, workers); err == nil {
+		t.Fatal("missing key variable was accepted")
+	}
+}
+
 func TestSplitPartitionsAndPreserves(t *testing.T) {
 	sc := semiring.Count{}
 	rel := randomRel(t, 7, []int{0, 2, 5}, 200, 9)
