@@ -24,6 +24,12 @@
 #                 hotpath, failpoint, metricreg — into build failures; zero
 #                 unsuppressed findings required (part of `make check`)
 #   make fuzz   — every fuzz target for FUZZTIME each
+#   make procs  — process hygiene: prints any faqd, faqw, faqbench or
+#                 bench/run.sh binary (.bench_build/) still running and
+#                 exits 1 if there is one; the last CI step. Run it as a
+#                 command of its own: the bracketed pattern does not
+#                 match itself, but does match a shell whose command line
+#                 names one of those programs elsewhere
 #   make chaos  — failpoint sweep under the race detector at 1/2/8
 #                 workers: every registered fault-injection site fired
 #                 in every mode must yield a typed error or a
@@ -41,7 +47,7 @@ FUZZTIME  ?= 30s
 # The packages holding the parallel≡sequential equivalence suites.
 WORKER_PKGS = ./internal/relation/ ./internal/protocol/ ./internal/faq/ ./internal/exec/ ./internal/flow/ ./internal/plan/ ./internal/service/ ./internal/delta/ ./internal/delta/churn/ ./internal/cluster/ ./faqs/
 
-.PHONY: build test vet lint race check chaos bench-all fuzz test-workers examples
+.PHONY: build test vet lint race check chaos bench-all fuzz test-workers examples procs
 
 # The packages holding chaos (failpoint-sweep) TestChaos* suites: the
 # serving path, the incremental-maintenance engine, the kernels, the
@@ -104,3 +110,6 @@ fuzz:
 	$(GO) test ./internal/ghd/ -run=NONE -fuzz=FuzzMinimize -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/rpc/ -run=NONE -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/shard/ -run=NONE -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME)
+
+procs:
+	@if pgrep -fa '[f]aqd|[f]aqw|[f]aqbench|\.[b]ench_build'; then exit 1; fi

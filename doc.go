@@ -97,11 +97,15 @@
 //     straddles a chunk) and concatenate chunk outputs in order. A
 //     non-prefix Join radix-sorts both operands on the key, walks them
 //     once, and splits only its emission into blocks of probe rows,
-//     concatenated in block order. Builder.Build radix-sorts packed keys
-//     (arity ≤ 2) sequentially with a stable LSD sort, and sorts wider
-//     rows via concurrent sub-sorts plus pairwise merges; both yield the
-//     strict (key, input-index) order, whose sorted permutation is
-//     unique.
+//     each writing its own range of one output buffer sized by the
+//     exact pair count. Every Join orients its operands so that, when
+//     either one's variables all precede the other's unshared ones, it
+//     is the probe side: its rows then come out already sorted and
+//     unique, and the Builder is skipped. Builder.Build radix-sorts
+//     packed keys (arity ≤ 2) sequentially with a stable LSD sort, and
+//     sorts wider rows via concurrent sub-sorts plus pairwise merges;
+//     both yield the strict (key, input-index) order, whose sorted
+//     permutation is unique.
 //   - The protocol engine reduces star children (child messages) in
 //     parallel and shards its per-factor flow.MaxFlow analyses
 //     (RunTrivial and the cyclic-core phase) across the pool — MaxFlow

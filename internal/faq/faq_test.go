@@ -285,6 +285,53 @@ func TestValidateDomainRange(t *testing.T) {
 	if err := q.Validate(); err == nil {
 		t.Error("expected domain-range validation error")
 	}
+
+	// A factor's Builder-recorded value range settles the check without a
+	// scan only inside [0, DomSize); outside it the scan reports the
+	// offending value with the same message as ever.
+	built := func(x, y int) *relation.Relation[bool] {
+		b := relation.NewBuilder[bool](sb, []int{0, 1})
+		b.AddOne(1, 2)
+		b.AddOne(x, y)
+		return b.Build()
+	}
+	// A relation the Builder did not build has no recorded range, so the
+	// scan still runs on it: here a Join that emits rows already in order.
+	joined := func(x, y int) *relation.Relation[bool] {
+		a := relation.NewBuilder[bool](sb, []int{0})
+		a.AddOne(x)
+		b := relation.NewBuilder[bool](sb, []int{0, 1})
+		b.AddOne(x, y)
+		r := relation.Join[bool](sb, a.Build(), b.Build())
+		if _, _, ok := r.ValueRange(); ok {
+			t.Fatal("a Join that skipped the Builder reports a recorded value range")
+		}
+		return r
+	}
+	cases := []struct {
+		name   string
+		factor *relation.Relation[bool]
+		want   string // "" accepts
+	}{
+		{"built/in-domain", built(0, 2), ""},
+		{"built/negative", built(0, -1), "faq: factor 0 tuple value -1 outside domain [0,3)"},
+		{"built/at-domsize", built(3, 0), "faq: factor 0 tuple value 3 outside domain [0,3)"},
+		{"unbuilt/in-domain", joined(2, 0), ""},
+		{"unbuilt/negative", joined(-4, 1), "faq: factor 0 tuple value -4 outside domain [0,3)"},
+		{"unbuilt/at-domsize", joined(1, 3), "faq: factor 0 tuple value 3 outside domain [0,3)"},
+	}
+	for _, c := range cases {
+		err := NewBCQ(h, []*relation.Relation[bool]{c.factor}, 3).Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || err.Error() != c.want):
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	if lo, hi, ok := built(0, 2).ValueRange(); !ok || lo != 0 || hi != 2 {
+		t.Errorf("Builder value range = (%d, %d, %v), want (0, 2, true)", lo, hi, ok)
+	}
 }
 
 func TestFreeVarOutsideRootBagRejected(t *testing.T) {

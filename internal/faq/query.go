@@ -54,14 +54,20 @@ func (q *Query[T]) Op(v int) semiring.Op[T] {
 func (q *Query[T]) IsSS() bool { return len(q.VarOps) == 0 }
 
 // Validate checks the query is well-formed: ValidateShape, then every
-// tuple value within the domain [0, DomSize) — an O(tuples) scan. The
-// executing entry points (SolveGHD, BruteForce, delta.Materialize) run
-// it, so every executed query is domain-checked once.
+// tuple value within the domain [0, DomSize). A factor whose value range
+// the Builder recorded (relation.ValueRange) is checked in O(1); any
+// other factor, or one whose range leaves the domain, is scanned in
+// O(tuples) for the offending value. The executing entry points
+// (SolveGHD, BruteForce, delta.Materialize) run it, so every executed
+// query is domain-checked once.
 func (q *Query[T]) Validate() error {
 	if err := q.ValidateShape(); err != nil {
 		return err
 	}
 	for i, f := range q.Factors {
+		if lo, hi, ok := f.ValueRange(); ok && lo >= 0 && int(hi) < q.DomSize {
+			continue
+		}
 		for t := 0; t < f.Len(); t++ {
 			for _, x := range f.Tuple(t) {
 				if x < 0 || int(x) >= q.DomSize {

@@ -39,20 +39,33 @@ func benchRel(schema []int, n int, seed int64) *Relation[float64] {
 	return b.Build()
 }
 
+// BenchmarkJoin times the non-prefix Join (the shared column does not
+// lead both schemas) in its two emission cases. leading: R(0,1) ⋈
+// S(1,2), where R's variables all precede S's unshared one, so the
+// rows are generated in output order and skip the Builder.
+// interleaved: R(0,2) ⋈ S(1,2), where neither operand leads and the
+// Builder re-sorts the generated rows.
 func BenchmarkJoin(b *testing.B) {
-	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			s := semiring.SumProduct{}
-			// R(0,1) ⋈ S(1,2): one shared column, sorted-prefix on S
-			// but not on R — exercises the general path.
-			left := benchRel([]int{0, 1}, n, 1)
-			right := benchRel([]int{1, 2}, n, 2)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				Join(s, left, right)
-			}
-		})
+	cases := []struct {
+		name        string
+		left, right []int
+	}{
+		{"leading", []int{0, 1}, []int{1, 2}},
+		{"interleaved", []int{0, 2}, []int{1, 2}},
+	}
+	for _, c := range cases {
+		for _, n := range benchSizes {
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				s := semiring.SumProduct{}
+				left := benchRel(c.left, n, 1)
+				right := benchRel(c.right, n, 2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					Join(s, left, right)
+				}
+			})
+		}
 	}
 }
 
@@ -142,7 +155,7 @@ func BenchmarkEliminateVarMiddle(b *testing.B) {
 
 // BenchmarkBuilderBuild measures Build on random arity-2 and arity-1
 // input and on arity-2 input already in key order — the shape
-// mergeEmit's unordered branch often feeds in. n=16 covers the small
+// joinOutput's unordered branch often feeds in. n=16 covers the small
 // relations a size cutoff in the radix sort would be for.
 func BenchmarkBuilderBuild(b *testing.B) {
 	for _, c := range []struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/hypergraph"
@@ -339,6 +340,7 @@ func FuzzBuilderDuplicateMerge(f *testing.F) {
 			}
 		}
 		checkSorted(crel.Len(), crel.Tuple)
+		checkValueRange(t, crel)
 
 		srel := sb.Build()
 		if srel.Len() != len(sref) {
@@ -351,7 +353,22 @@ func FuzzBuilderDuplicateMerge(f *testing.F) {
 			}
 		}
 		checkSorted(srel.Len(), srel.Tuple)
+		checkValueRange(t, srel)
 	})
+}
+
+// checkValueRange asserts that a Builder-built relation's ValueRange is
+// the least and greatest value of a scan over all its cells, and is
+// unknown exactly when it has no cell.
+func checkValueRange[T any](t *testing.T, r *Relation[T]) {
+	t.Helper()
+	lo, hi, ok := r.ValueRange()
+	if ok != (len(r.rows) > 0) {
+		t.Fatalf("ValueRange ok=%v for a relation with %d cells", ok, len(r.rows))
+	}
+	if ok && (lo != slices.Min(r.rows) || hi != slices.Max(r.rows)) {
+		t.Fatalf("ValueRange = [%d, %d], scan gives [%d, %d]", lo, hi, slices.Min(r.rows), slices.Max(r.rows))
+	}
 }
 
 // TestBuilderHintCapacity sanity-checks that the hint presizes without

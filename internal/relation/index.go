@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"repro/internal/exec"
 	"repro/internal/hypergraph"
 	"repro/internal/keys"
 	"repro/internal/semiring"
@@ -142,62 +143,80 @@ func matchRuns(p, b *keyOrder) []run {
 
 // joinOrdered is the non-prefix join shared by Join and JoinIndexed: a
 // merge-walk of the operands' key orders finds each a row's run of
-// matching b rows, and the pairs are emitted in a's row order, each run
-// in b's row order, into the Builder. With parts > 1 the emission splits
-// into blocks of a's rows on the pool, concatenated in block order, so
-// the Builder sees the same sequence at every worker count.
+// matching b rows, and emitJoin crosses them.
 func joinOrdered[T any](s semiring.Semiring[T], a, b *Relation[T], ak, bk *keyOrder, parts int) *Relation[T] {
+	return emitJoin(s, a, b, bk.pr, matchRuns(ak, bk), len(ak.cols), parts)
+}
+
+// emitJoin crosses a's rows with their runs of b (positions into bpr;
+// shared is the number of join variables) in a's row order, each run in
+// b's row order. With parts > 1 the emission splits into blocks of a's
+// rows on the pool. The runs give each block's pair count up front, so
+// every block writes its own range of one buffer sized once, and the
+// rows come out in the same sequence at every worker count. When a's
+// variables lead the output schema that sequence is already sorted and
+// duplicate-free; otherwise the Builder sorts it.
+func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow, runs []run, shared, parts int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	runs := matchRuns(ak, bk)
-	na := a.Len()
-	if parts <= 1 {
-		rows, vals := emitRuns(s, a, b, bk.pr, runs, srcs, 0, na)
-		return buildFrom(s, outSchema, rows, vals)
+	w, na := len(outSchema), a.Len()
+	cut, off := make([]int, parts+1), make([]int, parts+1)
+	for i := range parts {
+		cut[i+1], off[i+1] = na*(i+1)/parts, off[i]
+		for _, r := range runs[cut[i]:cut[i+1]] {
+			off[i+1] += int(r.hi - r.lo)
+		}
 	}
-	rows, vals := collectChunks[T](parts, len(outSchema), func(i int) ([]int32, []T) {
-		return emitRuns(s, a, b, bk.pr, runs, srcs, na*i/parts, na*(i+1)/parts)
-	})
-	return buildFrom(s, outSchema, rows, vals)
+	rows, vals := make([]int32, off[parts]*w), make([]T, off[parts])
+	wrote := make([]int, parts)
+	emit := func(i int) {
+		wrote[i] = emitRuns(s, a, b, bpr, runs, srcs, cut[i], cut[i+1], rows[off[i]*w:], vals[off[i]:])
+	}
+	if parts > 1 {
+		exec.Default().Map(parts, emit)
+	} else {
+		emit(0)
+	}
+	// Close the gaps that zero products left at the ends of blocks.
+	n := 0
+	for i, k := range wrote {
+		if n != off[i] {
+			copy(rows[n*w:], rows[off[i]*w:(off[i]+k)*w])
+			copy(vals[n:], vals[off[i]:off[i]+k])
+		}
+		n += k
+	}
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
 }
 
 // emitRuns crosses a's rows [lo, hi) with their matching runs of b
-// (positions into bpr) and returns the joined rows and values, presized
-// to the exact pair count.
+// (positions into bpr), writes the joined rows and values from the
+// start of rows and vals, and returns how many it wrote: the pair count
+// less the products that were zero.
 func emitRuns[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow, runs []run, srcs []colSrc,
-	lo, hi int) ([]int32, []T) {
-	pairs := 0
-	for _, r := range runs[lo:hi] {
-		pairs += int(r.hi - r.lo)
-	}
-	w := len(srcs)
-	rows := make([]int32, 0, pairs*w)
-	vals := make([]T, 0, pairs)
+	lo, hi int, rows []int32, vals []T) int {
+	w, n := len(srcs), 0
 	for x := lo; x < hi; x++ {
-		r := runs[x]
-		if r.lo == r.hi {
-			continue
-		}
-		ta := a.Tuple(x)
+		r, ta := runs[x], a.Tuple(x)
 		for _, e := range bpr[r.lo:r.hi] {
 			v := s.Mul(a.vals[x], b.vals[e.idx])
 			if s.IsZero(v) {
 				continue
 			}
 			tb := b.Tuple(int(e.idx))
-			n := len(rows)
-			rows = rows[:n+w]
+			row := rows[n*w : (n+1)*w]
 			for k, sc := range srcs {
 				if sc.fromA {
-					rows[n+k] = ta[sc.col]
+					row[k] = ta[sc.col]
 				} else {
-					rows[n+k] = tb[sc.col]
+					row[k] = tb[sc.col]
 				}
 			}
-			vals = append(vals, v)
+			vals[n] = v
+			n++
 		}
 	}
-	return rows, vals
+	return n
 }
 
 // SortedIndex is a reusable build side of the non-prefix join: b's key
@@ -343,10 +362,10 @@ func carryEntries(out []packedRow, o int, seg []packedRow, at []int32) int {
 
 // JoinIndexed returns Join(s, a, b), walking a's key order against a
 // prebuilt index of b instead of ordering b afresh: O(|a| log |b| +
-// output) per call, since the walk gallops through b. Join emits no
-// duplicate rows, so the Builder canonicalizes the output to exactly
-// Join's. An index that no longer serves b (or was never built) falls
-// back to the one-shot Join.
+// output) per call, since the walk gallops through b. A join emits no
+// duplicate rows, so the output is exactly Join's whether it is already
+// in order or sorted by the Builder. An index that no longer serves b
+// (or was never built) falls back to the one-shot Join.
 func JoinIndexed[T any](s semiring.Semiring[T], a, b *Relation[T], ix *SortedIndex) *Relation[T] {
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
 	if !IndexValidFor(ix, b, shared) {
@@ -362,11 +381,10 @@ func JoinIndexed[T any](s semiring.Semiring[T], a, b *Relation[T], ix *SortedInd
 
 // joinLeading is JoinIndexed when the shared variables lead b's schema,
 // so b's rows are in key order already: each a row's matches are one run
-// of them, found by a gallop, and reach emitRuns as joinOrdered passes
+// of them, found by a gallop, and reach emitJoin as joinOrdered passes
 // them (a's rows in order, each run in b's row order). O(|a| log |b| +
 // output).
 func joinLeading[T any](s semiring.Semiring[T], a, b *Relation[T], aCols []int) *Relation[T] {
-	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	w, n, p := len(b.schema), b.Len(), len(aCols)
 	key := make([]int32, p)
 	runs := make([]run, a.Len())
@@ -381,6 +399,5 @@ func joinLeading[T any](s semiring.Semiring[T], a, b *Relation[T], aCols []int) 
 		}
 		runs[x] = run{int32(lo), int32(len(matched))}
 	}
-	rows, vals := emitRuns(s, a, b, matched, runs, outputSrcs(outSchema, a.schema, b.schema), 0, len(runs))
-	return buildFrom(s, outSchema, rows, vals)
+	return emitJoin(s, a, b, matched, runs, p, 1)
 }

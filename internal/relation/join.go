@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"sort"
+
 	"repro/internal/fault"
 	"repro/internal/hypergraph"
 	"repro/internal/semiring"
@@ -21,7 +23,12 @@ var (
 // sorted by the join key and a galloping sorted-merge needs no index at
 // all. Otherwise both operands are first put in key order (orderOn: a
 // radix sort of packed keys) and the same galloping walk matches them;
-// see joinOrdered.
+// see joinOrdered. Either way the output skips the Builder when one
+// operand's variables all precede the other's unshared ones
+// (restBefore): Join orients the operands so that one leads, and its
+// rows are then generated in the output's sorted order with no
+// duplicates. Only when neither operand leads does the Builder sort the
+// generated rows.
 
 // compareShared lexicographically compares the first p columns of two
 // rows.
@@ -99,16 +106,14 @@ func isPrefixOf(vs, schema []int) bool {
 	return true
 }
 
-// restBefore reports whether every non-shared variable of aSchema
-// precedes every non-shared variable of bSchema (given len(shared)
-// leading shared columns in each). When it holds, the merge join's
-// generation order (shared key, a-row, b-row) is the output's
-// lexicographic order and the result needs no re-sort.
-func restBefore(aSchema, bSchema []int, p int) bool {
-	if p == len(aSchema) || p == len(bSchema) {
-		return true
-	}
-	return aSchema[len(aSchema)-1] < bSchema[p]
+// restBefore reports whether every variable of aSchema precedes every
+// variable of bSchema outside it, given that the schemas share `shared`
+// variables. Then a's columns lead the output schema of a ⋈ b, so
+// generating a's rows in order, each crossed with its matches in b's
+// row order, yields the output's lexicographic order with no duplicate
+// rows: the result needs no re-sort.
+func restBefore(aSchema, bSchema []int, shared int) bool {
+	return len(aSchema) == 0 || sort.SearchInts(bSchema, aSchema[len(aSchema)-1]+1) == shared
 }
 
 // Join returns the natural join a ⋈ b with annotations combined by ⊗
@@ -116,22 +121,25 @@ func restBefore(aSchema, bSchema []int, p int) bool {
 // sorted union of the input schemas.
 func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 	joinSite.Inject()
+	return join(s, a, b, parallelParts(a.Len()+b.Len()))
+}
+
+// join is Join with its work split into the given number of parts.
+func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation[T] {
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
+	p := len(shared)
+	if !restBefore(a.schema, b.schema, p) && restBefore(b.schema, a.schema, p) {
+		a, b = b, a // ⊗ is commutative; this orientation emits sorted output
+	}
 	if isPrefixOf(shared, a.schema) && isPrefixOf(shared, b.schema) {
-		p := len(shared)
-		if !restBefore(a.schema, b.schema, p) && restBefore(b.schema, a.schema, p) {
-			a, b = b, a // ⋈ is commutative; this orientation emits sorted output
-		}
-		if p >= 1 {
-			if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-				return joinMergeParallel(s, a, b, p, parts)
-			}
+		if p >= 1 && parts > 1 {
+			return joinMergeParallel(s, a, b, p, parts)
 		}
 		return joinMerge(s, a, b, p)
 	}
 	aCols, _ := Columns(a.schema, shared)
 	bCols, _ := Columns(b.schema, shared)
-	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols), parallelParts(a.Len()+b.Len()))
+	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols), parts)
 }
 
 // joinMerge is the sorted-merge join: both operands are sorted by their
@@ -141,7 +149,7 @@ func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relatio
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
 	rows, vals := joinMergeRange(s, a, b, p, srcs, len(outSchema), 0, a.Len(), 0, b.Len())
-	return mergeEmit(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
 }
 
 // joinMergeRange crosses the matching key groups of a[aLo:aHi) ×
@@ -154,11 +162,11 @@ func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relatio
 func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, srcs []colSrc, outW,
 	aLo, aHi, bLo, bHi int) ([]int32, []T) {
 	aAr, bAr := len(a.schema), len(b.schema)
-	cap := max(aHi-aLo, bHi-bLo)
-	rows := make([]int32, 0, cap*outW)
-	vals := make([]T, 0, cap)
-	scratch := make([]int32, outW)
-
+	// Find the matching key groups and their pair count first, then fill
+	// one buffer of exactly that size.
+	type group struct{ i, iEnd, j, jEnd int }
+	var groups []group
+	pairs := 0
 	i, j := aLo, bLo
 	for i < aHi && j < bHi {
 		ra := a.rows[i*aAr:]
@@ -180,37 +188,48 @@ func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, src
 		for jEnd < bHi && compareShared(b.rows[jEnd*bAr:], rb, p) == 0 {
 			jEnd++
 		}
-		for x := i; x < iEnd; x++ {
+		groups = append(groups, group{i, iEnd, j, jEnd})
+		pairs += (iEnd - i) * (jEnd - j)
+		i, j = iEnd, jEnd
+	}
+	rows := make([]int32, pairs*outW)
+	vals := make([]T, pairs)
+	n := 0
+	for _, g := range groups {
+		for x := g.i; x < g.iEnd; x++ {
 			ta := a.Tuple(x)
-			for y := j; y < jEnd; y++ {
-				tb := b.Tuple(y)
+			for y := g.j; y < g.jEnd; y++ {
 				v := s.Mul(a.vals[x], b.vals[y])
 				if s.IsZero(v) {
 					continue
 				}
+				tb := b.Tuple(y)
+				row := rows[n*outW : (n+1)*outW]
 				for k, sc := range srcs {
 					if sc.fromA {
-						scratch[k] = ta[sc.col]
+						row[k] = ta[sc.col]
 					} else {
-						scratch[k] = tb[sc.col]
+						row[k] = tb[sc.col]
 					}
 				}
-				rows = append(rows, scratch...)
-				vals = append(vals, v)
+				vals[n] = v
+				n++
 			}
 		}
-		i, j = iEnd, jEnd
 	}
-	return rows, vals
+	return rows[:n*outW], vals[:n]
 }
 
-// mergeEmit wraps a merge join's generated rows into a relation: the
-// ordered orientation is already the output's lexicographic order, the
-// unordered one re-sorts through the Builder (whose ⊕-merge sees the
+// joinOutput wraps a join's generated rows into a relation. The ordered
+// orientation (restBefore) is already the output's lexicographic order
+// and skips the Builder, but still passes the Builder's failpoint, so
+// every materialization stays a fault and cancellation point. The
+// unordered one re-sorts through the Builder, whose ⊕-merge sees the
 // rows in exactly the generation order, keeping duplicate combination
-// order identical across sequential and parallel paths).
-func mergeEmit[T any](s semiring.Semiring[T], outSchema []int, ordered bool, rows []int32, vals []T) *Relation[T] {
+// order identical across sequential and parallel paths.
+func joinOutput[T any](s semiring.Semiring[T], outSchema []int, ordered bool, rows []int32, vals []T) *Relation[T] {
 	if ordered {
+		buildSite.Inject()
 		return fromSorted(outSchema, rows, vals)
 	}
 	return buildFrom(s, outSchema, rows, vals)

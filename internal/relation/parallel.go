@@ -10,14 +10,15 @@ import (
 
 // Range-split parallel twins of the kernels. Every twin cuts its input
 // into contiguous row ranges, runs the sequential core of its operator
-// on each range on the exec worker pool, and concatenates the range
-// outputs in range order (collectChunks):
+// on each range on the exec worker pool, and lays the range outputs
+// out in range order:
 //
 //   - the prefix merge Join and Semijoin and the prefix Project and
 //     EliminateVar folds cut on key-group boundaries (mergeCuts,
-//     prefixCuts), so no group straddles a range;
+//     prefixCuts), so no group straddles a range, and concatenate the
+//     range outputs (collectChunks);
 //   - the non-prefix Join cuts only its emission, into blocks of probe
-//     rows (joinOrdered).
+//     rows that write disjoint ranges of one presized buffer (emitJoin).
 //
 // Bit-identical guarantee: range order is the sequential generation
 // order, so the concatenation is exactly the sequential output sequence
@@ -119,7 +120,7 @@ func joinMergeParallel[T any](s semiring.Semiring[T], a, b *Relation[T], p, part
 		}
 		return joinMergeRange(s, a, b, p, srcs, len(outSchema), aCut[i], aCut[i+1], bCut[i], bCut[i+1])
 	})
-	return mergeEmit(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
 }
 
 // semijoinMergeParallel is the range-split twin of semijoinMerge: the

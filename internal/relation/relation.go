@@ -21,7 +21,9 @@
 //     variables are a schema prefix of both operands (always true for
 //     same-key star reductions) the operands are already in key order.
 //     Otherwise both are first radix-sorted on the key, and Join emits
-//     in the first operand's row order.
+//     in the first operand's row order. When one operand's variables
+//     all precede the other's unshared ones, Join makes it the first:
+//     its output is then generated sorted and skips the Builder.
 //   - Project and EliminateVar reduce contiguous runs of a schema prefix
 //     in one linear pass. Projecting onto leading variables or
 //     eliminating the innermost one needs no re-sort; eliminating any
@@ -29,11 +31,13 @@
 //     leading, in stable key order.
 //   - Builder batches row growth, radix-sorts packed keys for arity ≤ 2
 //     (a stable LSD sort, so duplicates merge in input order), and can be
-//     presized via NewBuilderHint.
+//     presized via NewBuilderHint. It records each relation's value
+//     range as it emits the rows, so a domain check needs no scan.
 package relation
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -59,6 +63,8 @@ type Relation[T any] struct {
 	schema []int
 	rows   []int32 // flattened: len = arity * Len()
 	vals   []T
+	lo, hi int32 // least and greatest cell value, when ranged
+	ranged bool  // the Builder recorded lo and hi while emitting rows
 }
 
 // Schema returns the sorted variable ids. Callers must not modify it.
@@ -79,6 +85,13 @@ func (r *Relation[T]) Len() int {
 func (r *Relation[T]) Tuple(i int) []int32 {
 	a := len(r.schema)
 	return r.rows[i*a : (i+1)*a]
+}
+
+// ValueRange returns the least and greatest cell value of r, as the
+// Builder recorded them while emitting r's rows. ok is false when r has
+// no cells or was not built by a Builder; its range is then unknown.
+func (r *Relation[T]) ValueRange() (lo, hi int32, ok bool) {
+	return r.lo, r.hi, r.ranged && len(r.rows) > 0
 }
 
 // Value returns the annotation of the i-th tuple.
@@ -281,6 +294,7 @@ func (b *Builder[T]) buildPacked() *Relation[T] {
 	pr = radixSortPacked(pr)
 	rows := make([]int32, 0, n*a)
 	vals := make([]T, 0, n)
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i := 0; i < n; {
 		j := i + 1
 		v := b.vals[pr[i].idx]
@@ -290,16 +304,19 @@ func (b *Builder[T]) buildPacked() *Relation[T] {
 		}
 		if !b.s.IsZero(v) {
 			if a == 1 {
-				rows = append(rows, keys.Unpack1(pr[i].key))
+				x := keys.Unpack1(pr[i].key)
+				rows = append(rows, x)
+				lo, hi = min(lo, x), max(hi, x)
 			} else {
 				x, y := keys.Unpack2(pr[i].key)
 				rows = append(rows, x, y)
+				lo, hi = min(lo, x, y), max(hi, x, y)
 			}
 			vals = append(vals, v)
 		}
 		i = j
 	}
-	return fromSorted(b.schema, rows, vals)
+	return &Relation[T]{schema: b.schema, rows: rows, vals: vals, lo: lo, hi: hi, ranged: true}
 }
 
 func (b *Builder[T]) buildGeneric() *Relation[T] {
@@ -340,6 +357,7 @@ func (b *Builder[T]) buildGeneric() *Relation[T] {
 	}
 	rows := make([]int32, 0, n*a)
 	vals := make([]T, 0, n)
+	lo, hi := int32(math.MaxInt32), int32(math.MinInt32)
 	for i := 0; i < n; {
 		j := i + 1
 		v := b.vals[idx[i]]
@@ -348,12 +366,14 @@ func (b *Builder[T]) buildGeneric() *Relation[T] {
 			j++
 		}
 		if !b.s.IsZero(v) {
-			rows = append(rows, all[int(idx[i])*a:int(idx[i])*a+a]...)
+			row := all[int(idx[i])*a : int(idx[i])*a+a]
+			lo, hi = min(lo, slices.Min(row)), max(hi, slices.Max(row))
+			rows = append(rows, row...)
 			vals = append(vals, v)
 		}
 		i = j
 	}
-	return fromSorted(b.schema, rows, vals)
+	return &Relation[T]{schema: b.schema, rows: rows, vals: vals, lo: lo, hi: hi, ranged: true}
 }
 
 // Empty returns the empty relation over a schema.
