@@ -25,11 +25,15 @@
 #                 unsuppressed findings required (part of `make check`)
 #   make fuzz   — every fuzz target for FUZZTIME each
 #   make procs  — process hygiene: prints any faqd, faqw, faqbench or
-#                 bench/run.sh binary (.bench_build/) still running and
-#                 exits 1 if there is one; the last CI step. Run it as a
-#                 command of its own: the bracketed pattern does not
-#                 match itself, but does match a shell whose command line
-#                 names one of those programs elsewhere
+#                 bench/run.sh binary (.bench_build/) still running, any
+#                 *.test binary, any running `go build`, `go test` or
+#                 `go run`, and the Go telemetry sidecar (`go "** telemetry
+#                 **"`, which a first `go` command in a fresh config
+#                 directory can start detached), and exits 1 if there is
+#                 one; the last CI step. Run it as a command of its own:
+#                 the bracketed pattern does not match itself, but does
+#                 match a shell whose command line names one of those
+#                 programs elsewhere
 #   make chaos  — failpoint sweep under the race detector at 1/2/8
 #                 workers: every registered fault-injection site fired
 #                 in every mode must yield a typed error or a
@@ -112,4 +116,4 @@ fuzz:
 	$(GO) test ./internal/shard/ -run=NONE -fuzz=FuzzShardDecode -fuzztime=$(FUZZTIME)
 
 procs:
-	@if pgrep -fa '[f]aqd|[f]aqw|[f]aqbench|\.[b]ench_build'; then exit 1; fi
+	@if pgrep -fa '[f]aqd|[f]aqw|[f]aqbench|\.[b]ench_build|\.tes[t]( |$$)|[g]o (build|test|run)( |$$)|\*\* [t]elemetry'; then exit 1; fi

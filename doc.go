@@ -50,8 +50,29 @@
 // its children in join order, the postorder, and its keep set
 // χ(v) ∩ (F ∪ χ(parent)); it is the only place F ⊆ χ(root) is checked
 // (a wrapped faq.ErrFreeOutsideRoot). faq.EvalNode is the one node
-// evaluator: start from the node's factor (the unit when factorless),
-// join the children's relations in order, aggregate to the keep set.
+// evaluator. Its meaning is a chain: start from the node's factor (the
+// unit when factorless), join the children's relations in order,
+// aggregate to the keep set. It runs as one walk over the factor
+// (relation.EvalFused): each child message becomes a dense array over
+// DomSize^arity, addressed by the row's cells, so each factor row is
+// multiplied by its children's values in child order (a product that
+// turns 0 drops the row, as Join drops it) and folded into its keep
+// group. A keep set that is a schema prefix folds through one
+// accumulator per eliminated variable, closed innermost first, and
+// splits into blocks at keep-group boundaries on the pool; one with a
+// single eliminated variable ahead of its last kept one folds into a
+// dense accumulator over keep. Either way the ⊕ order is the chain's,
+// so answers are bit-identical, floats included, and the walk passes
+// the chain's relation.join, relation.build and relation.eliminate
+// failpoints. A node takes the chain itself when it has no factor
+// (the fat core root; EvalAt(…, nil, …) at the cluster coordinator and
+// in the protocol), no child and nothing to eliminate (the chain hands
+// the factor back as is), aggregates a variable with ⊗ (VarOps), has a
+// child variable outside its factor, a cell outside [0, DomSize) (read
+// from the Builder's recorded range, else scanned: cluster workers never
+// run Validate), dense arrays over relation.FuseSpan·(rows in), or more
+// than one eliminated variable ahead of its last kept one.
+//
 // Four walkers run over that plan: the local forest pass (faq.SolveGHD
 // via faq.Messages); the retaining pass of delta.Materialize and the
 // root-path walks of its updates; the cluster's scatter/gather stars,

@@ -84,11 +84,22 @@ func NodeFactor[T any](q *Query[T], p *Pass, v int, factors []*relation.Relation
 	return cur
 }
 
-// EvalNode is the node evaluator of the pass: start from factor (the
-// multiplicative unit when nil), join the children's relations in
-// order, then aggregate out, innermost first, every variable outside
-// keep (sorted).
+// EvalNode is the node evaluator of the pass. Its meaning is the chain:
+// start from factor (the multiplicative unit when nil), join the
+// children's relations in order, then aggregate out, innermost first,
+// every variable outside keep (sorted). It runs that chain as one walk
+// over the factor (relation.EvalFused): each row is multiplied by every
+// child's value at its key, read from a dense array, and folded into
+// its keep group, with no intermediate relation and no sort. A node
+// takes the chain itself when it has no factor, nothing to join or
+// fold, aggregates a variable with ⊗, has a child variable outside the
+// factor, a cell outside [0, DomSize), dense arrays over
+// relation.FuseSpan·(rows in), or more than one eliminated variable
+// ahead of the last kept one.
 func EvalNode[T any](q *Query[T], factor *relation.Relation[T], children []*relation.Relation[T], keep []int) (*relation.Relation[T], error) {
+	if out, ok, err := relation.EvalFused(q.S, factor, children, keep, q.Op, q.DomSize); ok {
+		return out, err
+	}
 	cur := factor
 	if cur == nil {
 		cur = relation.Unit(q.S, q.S.One())

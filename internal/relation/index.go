@@ -177,7 +177,14 @@ func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 	} else {
 		emit(0)
 	}
-	// Close the gaps that zero products left at the ends of blocks.
+	n := closeGaps(rows, vals, w, off, wrote)
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
+}
+
+// closeGaps packs blocks that wrote wrote[i] rows of width w from
+// offset off[i] (leaving gaps where zero products or groups dropped)
+// into one run from the start, and returns its length.
+func closeGaps[T any](rows []int32, vals []T, w int, off, wrote []int) int {
 	n := 0
 	for i, k := range wrote {
 		if n != off[i] {
@@ -186,7 +193,7 @@ func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 		}
 		n += k
 	}
-	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
+	return n
 }
 
 // emitRuns crosses a's rows [lo, hi) with their matching runs of b
