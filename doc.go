@@ -111,21 +111,22 @@
 //     Theorem G.3 pass concurrently (exec.Pool.Forest orders children
 //     before parents), joining each node only when its children's
 //     messages resolved.
-//   - The relation kernel range-splits its hot operators once they
-//     touch ≥ 2^14 tuples and more than one worker is configured. The
-//     prefix merge Join/Semijoin and the Project/EliminateVar folds cut
-//     on key-group boundaries (binary-searched lower bounds, so no group
-//     straddles a chunk) and concatenate chunk outputs in order. A
-//     non-prefix Join radix-sorts both operands on the key, walks them
-//     once, and splits only its emission into blocks of probe rows,
-//     each writing its own range of one output buffer sized by the
-//     exact pair count. Every Join orients its operands so that, when
-//     either one's variables all precede the other's unshared ones, it
-//     is the probe side: its rows then come out already sorted and
-//     unique, and the Builder is skipped. Builder.Build radix-sorts
-//     packed keys (arity ≤ 2) sequentially with a stable LSD sort, and
-//     sorts wider rows via concurrent sub-sorts plus pairwise merges;
-//     both yield the strict (key, input-index) order, whose sorted
+//   - Two relation kernels split into blocks once they touch ≥ 2^14
+//     tuples and more than one worker is configured, and no other
+//     intra-node work does. The fused GHD-node walk (EvalFused) cuts the
+//     factor's rows on keep-group boundaries (binary-searched lower
+//     bounds, so no group straddles a block). A non-prefix Join
+//     radix-sorts both operands on the key, walks them once, and splits
+//     only its emission (emitJoin) into blocks of probe rows. Each block
+//     writes its own range of one output buffer sized up front, and the
+//     ranges are packed in block order. The prefix merge Join, Semijoin,
+//     Project and EliminateVar run sequentially. Every Join orients its
+//     operands so that, when either one's variables all precede the
+//     other's unshared ones, it is the probe side: its rows then come
+//     out already sorted and unique, and the Builder is skipped.
+//     Builder.Build sorts sequentially: a stable LSD radix sort of
+//     packed keys (arity ≤ 2), a comparison sort of wider rows. Both
+//     yield the strict (key, input-index) order, whose sorted
 //     permutation is unique.
 //   - The protocol engine reduces star children (child messages) in
 //     parallel and shards its per-factor flow.MaxFlow analyses
@@ -137,10 +138,10 @@
 // The scheduler contract is that parallelism is configuration, not
 // semantics: all parallel paths are bit-identical to sequential
 // execution and race-clean (`make race`, CI). Bit-identity holds
-// because every range-split operator preserves the sequential
-// generation order — chunks are contiguous ranges of the sequential
-// sequence, chunk outputs concatenate in range order, and duplicate
-// groups reach the Builder's ⊕-merge in exactly the sequential
+// because both block splits preserve the sequential generation order —
+// blocks are contiguous ranges of the sequential sequence, block
+// outputs are packed in block order, and duplicate groups reach ⊕ (in
+// the fused walk or the Builder's merge) in exactly the sequential
 // sequence. The randomized
 // equivalence harness (internal/relation/prop_test.go and the protocol
 // worker-sweep tests) pins this across semirings, worker counts, and

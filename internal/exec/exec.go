@@ -3,11 +3,11 @@
 // dispatches sibling subtrees of its bottom-up pass onto the pool (the
 // node computations of Theorem G.3 are independent across subtrees and
 // per-node messages are bounded by N tuples, eq. 24, so subtree work is
-// balanced), the relation kernel range-splits its joins and group folds
-// across workers, and the protocol engine reduces star
-// children locally in parallel — while the netsim round ledger itself
-// stays strictly sequential so measured communication costs remain
-// byte-identical to the sequential engine.
+// balanced), the relation kernel splits the fused GHD-node walk and the
+// non-prefix join's emission into blocks across workers, and the
+// protocol engine reduces star children locally in parallel — while the
+// netsim round ledger itself stays strictly sequential so measured
+// communication costs remain byte-identical to the sequential engine.
 //
 // Parallelism here is configuration, not semantics: every scheduler
 // contract guarantees results bit-identical to sequential execution, so

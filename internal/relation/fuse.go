@@ -161,8 +161,9 @@ func address(row []int32, cols []int, dom int) (i int) {
 
 // run walks the factor. When keep is a prefix, the rows split into blocks
 // at keep-group boundaries (prefixCuts) on the pool, and each block writes
-// its own range of one buffer, sized by its group count. Otherwise one
-// walk fills the dense accumulator, which is read out in key order.
+// its own range of one buffer, sized by a bound on its group count read
+// off its first and last rows. Otherwise one walk fills the dense
+// accumulator, which is read out in key order.
 func (nd *fusedNode[T]) run() *Relation[T] {
 	f, n, p := nd.f, nd.f.Len(), len(nd.kcols)
 	schema := make([]int, p)
@@ -190,14 +191,20 @@ func (nd *fusedNode[T]) run() *Relation[T] {
 		parts = parallelParts(n)
 		cuts = prefixCuts(f, p, parts)
 	}
+	// A block of k rows holds at most one group when nothing is kept, at
+	// most one per value of the first keep column between its first and
+	// last row when one is kept, and at most k otherwise; closeGaps packs
+	// what the bound leaves over.
 	off, wrote := make([]int, parts+1), make([]int, parts)
 	for i := range parts {
-		off[i+1] = off[i] + min(cuts[i+1]-cuts[i], 1)
-		for x := cuts[i] + 1; x < cuts[i+1]; x++ {
-			if compareShared(f.rows[x*a:], f.rows[(x-1)*a:], p) != 0 {
-				off[i+1]++
-			}
+		lo, hi := cuts[i], cuts[i+1]
+		groups := hi - lo
+		if p == 0 {
+			groups = min(groups, 1)
+		} else if p == 1 && groups > 0 {
+			groups = min(groups, int(f.rows[(hi-1)*a]-f.rows[lo*a])+1)
 		}
+		off[i+1] = off[i] + groups
 	}
 	rows, vals := make([]int32, off[parts]*p), make([]T, off[parts])
 	exec.Default().Map(parts, func(i int) {

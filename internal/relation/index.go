@@ -181,21 +181,6 @@ func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
 }
 
-// closeGaps packs blocks that wrote wrote[i] rows of width w from
-// offset off[i] (leaving gaps where zero products or groups dropped)
-// into one run from the start, and returns its length.
-func closeGaps[T any](rows []int32, vals []T, w int, off, wrote []int) int {
-	n := 0
-	for i, k := range wrote {
-		if n != off[i] {
-			copy(rows[n*w:], rows[off[i]*w:(off[i]+k)*w])
-			copy(vals[n:], vals[off[i]:off[i]+k])
-		}
-		n += k
-	}
-	return n
-}
-
 // emitRuns crosses a's rows [lo, hi) with their matching runs of b
 // (positions into bpr), writes the joined rows and values from the
 // start of rows and vals, and returns how many it wrote: the pair count

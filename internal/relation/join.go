@@ -124,7 +124,8 @@ func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 	return join(s, a, b, parallelParts(a.Len()+b.Len()))
 }
 
-// join is Join with its work split into the given number of parts.
+// join is Join with a non-prefix join's emission split into the given
+// number of parts; a prefix merge join runs sequentially.
 func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation[T] {
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
 	p := len(shared)
@@ -132,9 +133,6 @@ func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation
 		a, b = b, a // ⊗ is commutative; this orientation emits sorted output
 	}
 	if isPrefixOf(shared, a.schema) && isPrefixOf(shared, b.schema) {
-		if p >= 1 && parts > 1 {
-			return joinMergeParallel(s, a, b, p, parts)
-		}
 		return joinMerge(s, a, b, p)
 	}
 	aCols, _ := Columns(a.schema, shared)
@@ -143,49 +141,39 @@ func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation
 }
 
 // joinMerge is the sorted-merge join: both operands are sorted by their
-// shared-column prefix, so matching key groups are found by a galloping
-// two-pointer scan and crossed directly.
+// shared p-column prefix, so matching key groups are found by a galloping
+// two-pointer scan and crossed directly. Rows are generated in ascending
+// shared key, then a-row, then b-row order, which is the output order
+// when a leads (restBefore) and the Builder's ⊕-merge order otherwise.
 func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	rows, vals := joinMergeRange(s, a, b, p, srcs, len(outSchema), 0, a.Len(), 0, b.Len())
-	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, p), rows, vals)
-}
-
-// joinMergeRange crosses the matching key groups of a[aLo:aHi) ×
-// b[bLo:bHi) and returns the joined rows and values in generation order
-// (ascending shared key, then a-row, then b-row). It is the shared core
-// of the sequential merge join and of each chunk of the range-split
-// parallel merge: chunk outputs concatenated in chunk order are exactly
-// the sequential generation sequence, which is what makes the parallel
-// path bit-identical.
-func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, srcs []colSrc, outW,
-	aLo, aHi, bLo, bHi int) ([]int32, []T) {
+	outW, na, nb := len(outSchema), a.Len(), b.Len()
 	aAr, bAr := len(a.schema), len(b.schema)
 	// Find the matching key groups and their pair count first, then fill
 	// one buffer of exactly that size.
 	type group struct{ i, iEnd, j, jEnd int }
 	var groups []group
 	pairs := 0
-	i, j := aLo, bLo
-	for i < aHi && j < bHi {
+	i, j := 0, 0
+	for i < na && j < nb {
 		ra := a.rows[i*aAr:]
 		rb := b.rows[j*bAr:]
 		c := compareShared(ra, rb, p)
 		if c < 0 {
-			i = gallopShared(a.rows, aAr, aHi, i+1, rb, p)
+			i = gallopShared(a.rows, aAr, na, i+1, rb, p)
 			continue
 		}
 		if c > 0 {
-			j = gallopShared(b.rows, bAr, bHi, j+1, ra, p)
+			j = gallopShared(b.rows, bAr, nb, j+1, ra, p)
 			continue
 		}
 		iEnd := i + 1
-		for iEnd < aHi && compareShared(a.rows[iEnd*aAr:], ra, p) == 0 {
+		for iEnd < na && compareShared(a.rows[iEnd*aAr:], ra, p) == 0 {
 			iEnd++
 		}
 		jEnd := j + 1
-		for jEnd < bHi && compareShared(b.rows[jEnd*bAr:], rb, p) == 0 {
+		for jEnd < nb && compareShared(b.rows[jEnd*bAr:], rb, p) == 0 {
 			jEnd++
 		}
 		groups = append(groups, group{i, iEnd, j, jEnd})
@@ -217,7 +205,7 @@ func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, src
 			}
 		}
 	}
-	return rows[:n*outW], vals[:n]
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, p), rows[:n*outW], vals[:n])
 }
 
 // joinOutput wraps a join's generated rows into a relation. The ordered
@@ -225,8 +213,8 @@ func joinMergeRange[T any](s semiring.Semiring[T], a, b *Relation[T], p int, src
 // and skips the Builder, but still passes the Builder's failpoint, so
 // every materialization stays a fault and cancellation point. The
 // unordered one re-sorts through the Builder, whose ⊕-merge sees the
-// rows in exactly the generation order, keeping duplicate combination
-// order identical across sequential and parallel paths.
+// rows in exactly the generation order, which emitJoin keeps the same
+// at every part count.
 func joinOutput[T any](s semiring.Semiring[T], outSchema []int, ordered bool, rows []int32, vals []T) *Relation[T] {
 	if ordered {
 		buildSite.Inject()
@@ -245,20 +233,13 @@ func buildFrom[T any](s semiring.Semiring[T], outSchema []int, rows []int32, val
 
 // Semijoin returns a ⋉ b (Definition 3.5 with set semantics on the
 // match): the tuples of a whose projection onto the shared variables
-// appears in b, annotations unchanged. This is the filtering primitive of
-// the star protocol (Algorithm 1); the value-combining variant used by
-// the general FAQ protocol is Join followed by Project.
+// appears in b, annotations unchanged. No solve calls it: the GHD pass
+// and the protocols combine values, by Join followed by elimination.
 func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 	semijoinSite.Inject()
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
 	if isPrefixOf(shared, a.schema) && isPrefixOf(shared, b.schema) {
-		p := len(shared)
-		if p >= 1 {
-			if parts := parallelParts(a.Len() + b.Len()); parts > 1 {
-				return semijoinMergeParallel(a, b, p, parts)
-			}
-		}
-		return semijoinMerge(a, b, p)
+		return semijoinMerge(a, b, len(shared))
 	}
 	// Non-prefix: keep each a row whose key has a non-empty run in b,
 	// in a's row order, which is already sorted.
@@ -275,35 +256,27 @@ func Semijoin[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 }
 
 // semijoinMerge filters a against b with a galloping two-pointer scan on
-// the shared prefix; the output is a's row order, already sorted.
+// the shared p-column prefix; the output is a's row order, already
+// sorted.
 func semijoinMerge[T any](a, b *Relation[T], p int) *Relation[T] {
-	rows, vals := semijoinMergeRange(a, b, p, 0, a.Len(), 0, b.Len())
-	return fromSorted(a.schema, rows, vals)
-}
-
-// semijoinMergeRange filters a[aLo:aHi) against b[bLo:bHi) on the shared
-// p-column prefix, returning the surviving rows in a's order — the
-// shared core of the sequential semijoin merge and of each chunk of its
-// range-split parallel twin.
-func semijoinMergeRange[T any](a, b *Relation[T], p, aLo, aHi, bLo, bHi int) ([]int32, []T) {
-	aAr, bAr := len(a.schema), len(b.schema)
-	rows := make([]int32, 0, (aHi-aLo)*aAr)
-	vals := make([]T, 0, aHi-aLo)
-	i, j := aLo, bLo
-	for i < aHi && j < bHi {
+	aAr, bAr, na, nb := len(a.schema), len(b.schema), a.Len(), b.Len()
+	rows := make([]int32, 0, na*aAr)
+	vals := make([]T, 0, na)
+	i, j := 0, 0
+	for i < na && j < nb {
 		ra := a.rows[i*aAr:]
 		c := compareShared(ra, b.rows[j*bAr:], p)
 		if c < 0 {
-			i = gallopShared(a.rows, aAr, aHi, i+1, b.rows[j*bAr:], p)
+			i = gallopShared(a.rows, aAr, na, i+1, b.rows[j*bAr:], p)
 			continue
 		}
 		if c > 0 {
-			j = gallopShared(b.rows, bAr, bHi, j+1, ra, p)
+			j = gallopShared(b.rows, bAr, nb, j+1, ra, p)
 			continue
 		}
 		rows = append(rows, a.Tuple(i)...)
 		vals = append(vals, a.vals[i])
 		i++
 	}
-	return rows, vals
+	return fromSorted(a.schema, rows, vals)
 }

@@ -12,9 +12,9 @@ import (
 	"repro/internal/semiring"
 )
 
-// The parallel≡sequential axis of the kernel equivalence properties: the
-// range-split operators must be BIT-identical to the sequential ones —
-// not merely semiring-Equal (whose float comparison tolerates
+// The worker-count axis of the kernel equivalence properties: every
+// kernel's output must be BIT-identical at every worker and partition
+// count — not merely semiring-Equal (whose float comparison tolerates
 // re-association) but identical schema, row buffer, and value slices.
 
 func bitIdentical[T comparable](a, b *Relation[T]) bool {
@@ -162,13 +162,24 @@ func TestNonPrefixWideKeyAboveThreshold(t *testing.T) {
 	checkNonPrefix(t, s, short, long, "short⋈long")
 }
 
-// eliminateFold is the reference EliminateVar: one pass over r's rows in
-// input order, folding each group of the remaining columns with op and
-// counting its rows, then dropping product groups short of domSize rows
-// and zero results. It keys groups by up to four remaining columns.
+// eliminateFold is the reference EliminateVar: foldGroups over the
+// columns that remain once v is gone.
 func eliminateFold[T any](s semiring.Semiring[T], r *Relation[T], v int, op semiring.Op[T], domSize int) *Relation[T] {
-	rest := hypergraph.DiffSorted(r.schema, []int{v})
-	cols, _ := Columns(r.schema, rest)
+	return foldGroups(s, r, hypergraph.DiffSorted(r.schema, []int{v}), op, domSize)
+}
+
+// projectFold is the reference Project: foldGroups with ⊕ over the
+// groups of the kept variables.
+func projectFold[T any](s semiring.Semiring[T], r *Relation[T], keep []int) *Relation[T] {
+	return foldGroups(s, r, keep, semiring.AddOf(s), 0)
+}
+
+// foldGroups makes one pass over r's rows in input order, folding each
+// group of the variables keep (sorted) with op and counting its rows,
+// then drops product groups short of domSize rows and zero results. It
+// keys groups by up to four columns.
+func foldGroups[T any](s semiring.Semiring[T], r *Relation[T], keep []int, op semiring.Op[T], domSize int) *Relation[T] {
+	cols, _ := Columns(r.schema, keep)
 	type group struct {
 		key   []int32
 		val   T
@@ -190,7 +201,7 @@ func eliminateFold[T any](s semiring.Semiring[T], r *Relation[T], v int, op semi
 		g.val = op.Combine(g.val, r.vals[i])
 		g.count++
 	}
-	b := NewBuilder(s, rest)
+	b := NewBuilder(s, keep)
 	for _, g := range order {
 		if !op.IsProduct() || g.count >= domSize {
 			b.AddRow(g.key, g.val)

@@ -8,12 +8,12 @@ import (
 	"repro/internal/semiring"
 )
 
-// Range-split prefix fast paths (Project onto a leading-column prefix,
-// EliminateVar of the innermost variable): the parallel twins must stay
-// bit-identical to the sequential contiguous-run reductions across the
-// adversarial distribution grid, including product aggregates whose
-// zero-annihilation rule (unlisted tuples kill the group) must be applied
-// per group on both paths.
+// Prefix folds (Project onto a leading-column prefix, EliminateVar of
+// the innermost variable) must stay bit-identical to the input-order
+// reference folds at 1, 2 and 8 workers across the adversarial
+// distribution grid, including product aggregates whose
+// zero-annihilation rule (unlisted tuples kill the group) applies per
+// group.
 
 func checkPrefixParallel[T comparable](t *testing.T, s semiring.Semiring[T], val func(*rand.Rand) T, seed int64) {
 	t.Helper()
@@ -24,31 +24,31 @@ func checkPrefixParallel[T comparable](t *testing.T, s semiring.Semiring[T], val
 			rel := randRelDist(s, r, schema, n, 2, dist, val)
 			for _, p := range []int{1, 2} {
 				keep := schema[:p]
-				want, err := Project(s, rel, keep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, parts := range propParts {
-					if got := projectPrefixParallel(s, rel, append([]int(nil), keep...), p, parts); !bitIdentical(got, want) {
-						t.Fatalf("%s n=%d p=%d parts=%d: parallel prefix Project not bit-identical\n got=%v\nwant=%v",
-							dist.name, n, p, parts, got, want)
-					}
-				}
-			}
-			for _, op := range []semiring.Op[T]{semiring.AddOf(s), semiring.MulOf(s)} {
-				for _, domSize := range []int{1, 3, 1 << 20} {
-					want, err := EliminateVar(s, rel, 2, op, domSize)
+				want := projectFold(s, rel, keep)
+				sweepWorkers(func(w int) {
+					got, err := Project(s, rel, keep)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rest := schema[:2]
-					for _, parts := range propParts {
-						got := eliminatePrefixParallel(s, rel, append([]int(nil), rest...), op, domSize, 2, parts)
-						if !bitIdentical(got, want) {
-							t.Fatalf("%s n=%d product=%v dom=%d parts=%d: parallel prefix EliminateVar not bit-identical",
-								dist.name, n, op.IsProduct(), domSize, parts)
-						}
+					if !bitIdentical(got, want) {
+						t.Fatalf("%s n=%d p=%d workers=%d: prefix Project != reference fold\n got=%v\nwant=%v",
+							dist.name, n, p, w, got, want)
 					}
+				})
+			}
+			for _, op := range []semiring.Op[T]{semiring.AddOf(s), semiring.MulOf(s)} {
+				for _, domSize := range []int{1, 3, 1 << 20} {
+					want := eliminateFold(s, rel, 2, op, domSize)
+					sweepWorkers(func(w int) {
+						got, err := EliminateVar(s, rel, 2, op, domSize)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitIdentical(got, want) {
+							t.Fatalf("%s n=%d product=%v dom=%d workers=%d: prefix EliminateVar != reference fold",
+								dist.name, n, op.IsProduct(), domSize, w)
+						}
+					})
 				}
 			}
 		}

@@ -12,24 +12,24 @@ import (
 	"repro/internal/semiring"
 )
 
-// Randomized parallel≡sequential equivalence harness.
+// Randomized worker-count equivalence harness.
 //
-// Every parallel kernel in this package has a sequential twin, and the
-// exec-layer contract says the pair must be BIT-identical — same schema,
-// same row buffer, same value bytes — at every worker count, partition
-// count, and input shape. This file is the reusable harness enforcing
-// that: a grid of adversarial key distributions (duplicate-heavy,
-// all-equal, one giant group, alternating runs, skewed) × input sizes
-// (including empty and singleton) × semirings (Boolean, counting,
-// sum-product over floats — whose non-associativity under reordering
-// makes bit-identity equivalent to "the parallel path preserved the
-// exact sequential ⊕-order" — and min-plus) × partition counts, driven
-// through each kernel pair directly plus through the public dispatchers
-// at exec.SetWorkers 1/2/8. `make test-workers` re-runs the whole suite
+// The exec-layer contract says every kernel's output is BIT-identical —
+// same schema, same row buffer, same value bytes — at every worker
+// count, partition count, and input shape. This file is the reusable
+// harness enforcing that: a grid of adversarial key distributions
+// (duplicate-heavy, all-equal, one giant group, alternating runs,
+// skewed) × input sizes (including empty and singleton) × semirings
+// (Boolean, counting, sum-product over floats — whose non-associativity
+// under reordering makes bit-identity equivalent to "the exact
+// sequential ⊕-order was kept" — and min-plus), driven through the
+// public Join and Semijoin at exec.SetWorkers 1/2/8 against the
+// nested-loop references, and through the non-prefix block split at
+// several partition counts. `make test-workers` re-runs the whole suite
 // under those worker counts process-wide (FAQ_WORKERS).
 
 // keyDist generates the shared-key column values that decide group
-// boundaries — the axis parallel range-splitting can get wrong.
+// boundaries — the axis block splitting can get wrong.
 type keyDist struct {
 	name string
 	key  func(r *rand.Rand, i, n int) int
@@ -56,10 +56,8 @@ var keyDists = []keyDist{
 }
 
 // propSizes includes the empty and singleton edge cases alongside sizes
-// that produce multiple non-trivial chunks at every partition count.
+// that produce multiple non-trivial blocks at every partition count.
 var propSizes = []int{0, 1, 2, 7, 63, 200}
-
-var propParts = []int{2, 3, 8}
 
 // randRelDist builds a relation whose first p columns (the shared join
 // prefix) follow dist and whose remaining columns are dense uniform (to
@@ -115,18 +113,18 @@ func checkParallelEquivalence[T comparable](t *testing.T, s semiring.Semiring[T]
 			for _, pair := range mergePairs {
 				a := randRelDist(s, r, pair.a, na, pair.p, dist, val)
 				b := randRelDist(s, r, pair.b, nb, pair.p, dist, val)
-				jWant := joinMerge(s, a, b, pair.p)
-				sjWant := semijoinMerge(a, b, pair.p)
-				for _, parts := range propParts {
-					if got := joinMergeParallel(s, a, b, pair.p, parts); !bitIdentical(got, jWant) {
-						t.Fatalf("%s/%s na=%d nb=%d parts=%d: parallel merge join not bit-identical\n got=%v\nwant=%v",
-							dist.name, pair.name, na, nb, parts, got, jWant)
+				jWant := joinNestedLoop(s, a, b)
+				sjWant := semijoinNestedLoop(a, b, pair.a[:pair.p])
+				sweepWorkers(func(w int) {
+					if got := Join(s, a, b); !bitIdentical(got, jWant) {
+						t.Fatalf("%s/%s na=%d nb=%d workers=%d: merge Join != nested loop\n got=%v\nwant=%v",
+							dist.name, pair.name, na, nb, w, got, jWant)
 					}
-					if got := semijoinMergeParallel(a, b, pair.p, parts); !bitIdentical(got, sjWant) {
-						t.Fatalf("%s/%s na=%d nb=%d parts=%d: parallel merge semijoin not bit-identical",
-							dist.name, pair.name, na, nb, parts)
+					if got := Semijoin(s, a, b); !bitIdentical(got, sjWant) {
+						t.Fatalf("%s/%s na=%d nb=%d workers=%d: merge Semijoin != nested loop",
+							dist.name, pair.name, na, nb, w)
 					}
-				}
+				})
 			}
 			for _, pair := range keyOrderPairs {
 				a := randRelDist(s, r, pair.a, na, 1, dist, val)
@@ -194,45 +192,6 @@ func TestRadixSortPackedMatchesComparison(t *testing.T) {
 	}
 }
 
-// TestParallelSortFuncMatchesSequential drives buildGeneric's concurrent
-// sub-sort + pairwise-merge path directly against slices.SortFunc on the
-// same strict total order (value, then index, as buildGeneric's
-// comparator tiebreaks), across the distribution grid and partition
-// counts (including parts > len).
-func TestParallelSortFuncMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(308))
-	for _, dist := range keyDists {
-		for _, n := range []int{0, 1, 2, 3, 17, 100, 1000} {
-			vals := make([]int32, n)
-			for i := range vals {
-				vals[i] = int32(dist.key(r, i, n))
-			}
-			cmp := func(x, y int32) int {
-				if vals[x] != vals[y] {
-					if vals[x] < vals[y] {
-						return -1
-					}
-					return 1
-				}
-				return int(x) - int(y)
-			}
-			idx := make([]int32, n)
-			for i := range idx {
-				idx[i] = int32(i)
-			}
-			want := slices.Clone(idx)
-			slices.SortFunc(want, cmp)
-			for _, parts := range []int{2, 3, 7, 64, n + 1} {
-				got := slices.Clone(idx)
-				parallelSortFunc(got, cmp, parts)
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s n=%d parts=%d: parallel sort != sequential sort", dist.name, n, parts)
-				}
-			}
-		}
-	}
-}
-
 // TestPublicDispatchWorkerSweep crosses the engage threshold through the
 // public Join/Semijoin/Build entry points and pins bit-identity across
 // worker counts 1/2/8 for every dispatch shape: merge join (ordered and
@@ -288,15 +247,14 @@ func TestPublicDispatchWorkerSweep(t *testing.T) {
 }
 
 // FuzzJoinMergeParallel seeds adversarial packed-key layouts — all-equal
-// keys, one giant group, alternating runs — and asserts that the
-// range-split parallel joins and semijoins produce byte-identical output
-// to their sequential twins at every partition count. The config byte's
-// low bits pick the partition count; its high bit picks the layout. In
-// the prefix layout the key variable leads every schema: the range-split
-// merge join and semijoin, in both the ordered and the Builder
-// (unordered) orientation. In the non-prefix layout the key variable
-// trails every schema: joinOrdered's block-split emission, plus the
-// public Join and Semijoin, against the nested-loop references.
+// keys, one giant group, alternating runs — and asserts that joins and
+// semijoins produce byte-identical output to the nested-loop references.
+// The config byte's low bits pick the partition count; its high bit
+// picks the layout. In the prefix layout the key variable leads every
+// schema: the public merge Join, in both the ordered and the Builder
+// (unordered) orientation, and Semijoin. In the non-prefix layout the
+// key variable trails every schema: joinOrdered's block-split emission,
+// plus the public Join and Semijoin.
 func FuzzJoinMergeParallel(f *testing.F) {
 	f.Add([]byte{3}, bytes.Repeat([]byte{5, 1}, 40))                        // all-equal keys: one giant group on both sides
 	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))                        // all-equal at a different parts count
@@ -366,16 +324,14 @@ func FuzzJoinMergeParallel(f *testing.F) {
 			}
 			return
 		}
-		for _, pc := range []int{2, parts, 64} {
-			if got, want := joinMergeParallel(s, a, b, 1, pc), joinMerge(s, a, b, 1); !bitIdentical(got, want) {
-				t.Fatalf("parts=%d: ordered parallel merge join != sequential\n got=%v\nwant=%v", pc, got, want)
-			}
-			if got, want := joinMergeParallel(s, u, b, 1, pc), joinMerge(s, u, b, 1); !bitIdentical(got, want) {
-				t.Fatalf("parts=%d: unordered parallel merge join != sequential", pc)
-			}
-			if got, want := semijoinMergeParallel(a, b, 1, pc), semijoinMerge(a, b, 1); !bitIdentical(got, want) {
-				t.Fatalf("parts=%d: parallel merge semijoin != sequential", pc)
-			}
+		if got, want := Join(s, a, b), joinNestedLoop(s, a, b); !bitIdentical(got, want) {
+			t.Fatalf("ordered merge Join != nested loop\n got=%v\nwant=%v", got, want)
+		}
+		if got, want := Join(s, u, b), joinNestedLoop(s, u, b); !bitIdentical(got, want) {
+			t.Fatal("unordered merge Join != nested loop")
+		}
+		if got, want := Semijoin(s, a, b), semijoinNestedLoop(a, b, []int{key}); !bitIdentical(got, want) {
+			t.Fatal("merge Semijoin != nested loop")
 		}
 	})
 }

@@ -340,11 +340,7 @@ func (b *Builder[T]) buildGeneric() *Relation[T] {
 		}
 		return int(x) - int(y)
 	}
-	if parts := parallelParts(n); parts > 1 {
-		parallelSortFunc(idx, cmp, parts)
-	} else {
-		slices.SortFunc(idx, cmp)
-	}
+	slices.SortFunc(idx, cmp)
 	rowEq := func(x, y int32) bool {
 		rx := all[int(x)*a : int(x)*a+a]
 		ry := all[int(y)*a : int(y)*a+a]
@@ -450,15 +446,24 @@ func Project[T any](s semiring.Semiring[T], r *Relation[T], vs []int) (*Relation
 	n := r.Len()
 	if isIdentPrefix(cols) {
 		// Keeping a schema prefix: groups are contiguous runs of the
-		// sorted rows — one linear merge, already in output order. With
-		// p ≥ 1 the run reduction range-splits on group boundaries
-		// (p = 0 collapses everything into one group, which cannot split).
-		if p >= 1 {
-			if parts := parallelParts(n); parts > 1 {
-				return projectPrefixParallel(s, r, sorted, p, parts), nil
+		// sorted rows, each folded in row order — one linear pass,
+		// already in output order.
+		a := len(r.schema)
+		var rows []int32
+		var vals []T
+		for i := 0; i < n; {
+			j := i + 1
+			v := r.vals[i]
+			for j < n && compareShared(r.rows[i*a:], r.rows[j*a:], p) == 0 {
+				v = s.Add(v, r.vals[j])
+				j++
 			}
+			if !s.IsZero(v) {
+				rows = append(rows, r.rows[i*a:i*a+p]...)
+				vals = append(vals, v)
+			}
+			i = j
 		}
-		rows, vals := projectPrefixRange(s, r, p, 0, n)
 		return fromSorted(sorted, rows, vals), nil
 	}
 	b := NewBuilderHint(s, sorted, n)
@@ -512,15 +517,24 @@ func EliminateVar[T any](s semiring.Semiring[T], r *Relation[T], v int, op semir
 		r = &Relation[T]{schema: append(rest[:p:p], v), rows: rows, vals: vals}
 	}
 	// The remaining columns now lead and v is innermost, so groups are
-	// contiguous runs. With p ≥ 1 the run reduction range-splits on group
-	// boundaries (p = 0 collapses everything into one group, which cannot
-	// split).
-	if p >= 1 {
-		if parts := parallelParts(n); parts > 1 {
-			return eliminatePrefixParallel(s, r, rest, op, domSize, p, parts), nil
+	// contiguous runs, each folded in row order. The product aggregate's
+	// zero-annihilation rule applies per group: it survives only with
+	// domSize listed tuples.
+	var rows []int32
+	var vals []T
+	for i := 0; i < n; {
+		j := i + 1
+		acc := op.Combine(op.Identity(), r.vals[i])
+		for j < n && compareShared(r.rows[i*a:], r.rows[j*a:], p) == 0 {
+			acc = op.Combine(acc, r.vals[j])
+			j++
 		}
+		if !(op.IsProduct() && j-i < domSize) && !s.IsZero(acc) {
+			rows = append(rows, r.rows[i*a:i*a+p]...)
+			vals = append(vals, acc)
+		}
+		i = j
 	}
-	rows, vals := eliminatePrefixRange(s, r, op, domSize, p, 0, n)
 	return fromSorted(rest, rows, vals), nil
 }
 
