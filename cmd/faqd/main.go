@@ -77,7 +77,7 @@ import (
 	"repro/faqs"
 )
 
-// maxRequestBytes bounds /solve bodies (64 MiB: ~1M tuples of arity 8).
+// maxRequestBytes bounds every request body (64 MiB: ~1M tuples of arity 8).
 const maxRequestBytes = 64 << 20
 
 // retryAfterSeconds is the backoff hint sent with every 503 (a hint to
@@ -302,27 +302,27 @@ type wireError struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest reads one bounded JSON WireRequest body. The body goes
-// to the request's own decoder in one piece: a json.Decoder would scan
-// it twice more, to find where the value ends and again to hand it to
-// UnmarshalJSON.
-func decodeRequest(w http.ResponseWriter, r *http.Request) (*faqs.WireRequest, bool) {
+// readBody reads one bounded POST body into decode, answering 405 or
+// 400 itself and reporting whether decode succeeded. Every handler that
+// takes a body reads it this way. The body is read whole and decoded in
+// one piece, so input after the top-level JSON value is an error: a
+// json.Decoder would stop after the first value and accept the rest.
+func readBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return nil, false
+		return false
 	}
-	var wr faqs.WireRequest
 	var body bytes.Buffer
 	body.Grow(int(max(0, min(r.ContentLength, maxRequestBytes))) + bytes.MinRead)
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err == nil {
-		err = wr.UnmarshalJSON(body.Bytes())
+		err = decode(body.Bytes())
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
-		return nil, false
+		return false
 	}
-	return &wr, true
+	return true
 }
 
 // planHeaders surfaces the serving metadata every response carries.
@@ -351,8 +351,8 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	wr, ok := decodeRequest(w, r)
-	if !ok {
+	var wr faqs.WireRequest
+	if !readBody(w, r, wr.UnmarshalJSON) {
 		return
 	}
 	if err := solveFailpoint.Hit(r.Context()); err != nil {
@@ -361,7 +361,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-request cancellation: client disconnect (and the engine's
 	// per-request deadline) stops the GHD pass.
-	wa, err := s.engine.SolveWire(r.Context(), wr)
+	wa, err := s.engine.SolveWire(r.Context(), &wr)
 	if err != nil {
 		solveError(w, err)
 		return
@@ -371,11 +371,11 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	wr, ok := decodeRequest(w, r)
-	if !ok {
+	var wr faqs.WireRequest
+	if !readBody(w, r, wr.UnmarshalJSON) {
 		return
 	}
-	q, err := faqs.BuildWireQuery(wr)
+	q, err := faqs.BuildWireQuery(&wr)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -396,14 +396,8 @@ func (s *server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var mr faqs.WireMaterializeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&mr); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !readBody(w, r, func(b []byte) error { return json.Unmarshal(b, &mr) }) {
 		return
 	}
 	if mr.Name == "" {
@@ -440,14 +434,8 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if s.rejectDraining(w) {
 		return
 	}
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST required"))
-		return
-	}
 	var ur faqs.WireUpdateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	if err := dec.Decode(&ur); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !readBody(w, r, func(b []byte) error { return json.Unmarshal(b, &ur) }) {
 		return
 	}
 	s.matsMu.Lock()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -160,5 +161,39 @@ func TestStatsUpdatesCounters(t *testing.T) {
 		if !strings.Contains(body, field) {
 			t.Fatalf("stats JSON missing %s: %s", field, body)
 		}
+	}
+}
+
+// TestMaterializeUpdateRejectTrailingInput: /materialize and /update
+// read their bodies like /solve, so input after the top-level JSON
+// value is a 400 and the view registry does not change.
+func TestMaterializeUpdateRejectTrailingInput(t *testing.T) {
+	srv := newServer(faqs.WithPlanCache(16))
+	mux := srv.mux()
+	if rec := postJSON(t, mux, "/materialize", faqs.WireMaterializeRequest{Name: "v1", Request: *testRequest()}); rec.Code != http.StatusOK {
+		t.Fatalf("materialize: status %d, body %s", rec.Code, rec.Body.String())
+	}
+	post := func(path string, payload any) *httptest.ResponseRecorder {
+		body, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body = append(body, " junk"...)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	if rec := post("/materialize", faqs.WireMaterializeRequest{Name: "v2", Request: *testRequest()}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("/materialize with trailing input: status %d, want 400", rec.Code)
+	}
+	if rec := post("/update", faqs.WireUpdateRequest{Name: "v1", Close: true}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("/update with trailing input: status %d, want 400", rec.Code)
+	}
+	srv.matsMu.Lock()
+	_, v1 := srv.mats["v1"]
+	n := len(srv.mats)
+	srv.matsMu.Unlock()
+	if !v1 || n != 1 {
+		t.Fatalf("view registry changed by rejected requests: v1 present %v, %d views", v1, n)
 	}
 }

@@ -29,7 +29,7 @@
 // operators, a semiring chosen from the Bool/Count/SumProduct/MinPlus/
 // MaxTimes/F2 registry), and Engine — constructed once with functional
 // options (WithWorkers, WithPlanCache, WithMemoryBudget,
-// WithBruteForceFallback) — serves Solve, SolveBatch, Explain, and
+// WithBruteForceFallback) — serves Solve, Materialize, Explain, and
 // SolveOnNetwork. Engines route through internal/plan + internal/service,
 // so the library and the cmd/faqd daemon share one execution path, which
 // ends in the single faq.SolveGHD ctx+options core. Explain surfaces the
@@ -177,9 +177,8 @@
 //   - internal/service admits requests, binds cached plans to fresh
 //     factor data, and executes a timed faq.SolveGHD on the shared exec
 //     pool with per-request cancellation (exec.Pool.ForestCtx gates
-//     every node task on ctx). A batching path groups same-plan requests
-//     into
-//     one cache round-trip and fans execution across the pool. Shapes
+//     every node task on ctx). Solve, Materialize and Update share one
+//     resilience envelope (gate, deadline, panic containment). Shapes
 //     violating the paper's free-variable restriction fall back to
 //     faq.BruteForce (the fallback plan is itself cached).
 //   - cmd/faqd serves /solve and /stats over HTTP/JSON (one service per

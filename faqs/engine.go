@@ -89,10 +89,10 @@ func WithBruteForceFallback(enabled bool) Option {
 	return func(c *engineConfig) { c.fallback = enabled }
 }
 
-// WithDeadline caps every request's wall time: each Solve (and each
-// SolveBatch, as one unit) runs under a context.WithTimeout child of
-// the caller's ctx, so every node task downstream is gated and a slow
-// solve returns context.DeadlineExceeded instead of running forever.
+// WithDeadline caps every request's wall time: each Solve, Materialize
+// and Materialized.Update runs under a context.WithTimeout child of the
+// caller's ctx, so every node task downstream is gated and a slow
+// request returns context.DeadlineExceeded instead of running forever.
 // d <= 0 disables the cap.
 func WithDeadline(d time.Duration) Option { return func(c *engineConfig) { c.deadline = d } }
 
@@ -188,48 +188,6 @@ func (e *Engine) Solve(ctx context.Context, q *Query) (*Result, error) {
 	return r.solve(ctx, q)
 }
 
-// SolveBatch serves a batch. Results and errors align with qs; queries
-// sharing a plan shape (and semiring) do one cache round-trip per shape
-// and execution fans across the pool. Queries of different semirings may
-// be mixed freely.
-func (e *Engine) SolveBatch(ctx context.Context, qs []*Query) ([]*Result, []error) {
-	results := make([]*Result, len(qs))
-	errs := make([]error, len(qs))
-	// Group by semiring, preserving input order within each group, and
-	// hand each group to its typed service's batching path.
-	groups := make(map[string][]int)
-	var order []string
-	for i, q := range qs {
-		if q == nil || q.typed == nil {
-			errs[i] = fmt.Errorf("faqs: nil or unbuilt query at index %d", i)
-			continue
-		}
-		if _, ok := groups[q.sem.name]; !ok {
-			order = append(order, q.sem.name)
-		}
-		groups[q.sem.name] = append(groups[q.sem.name], i)
-	}
-	for _, name := range order {
-		idx := groups[name]
-		r, ok := e.runners[name]
-		if !ok {
-			for _, i := range idx {
-				errs[i] = fmt.Errorf("faqs: no runner for semiring %q", name)
-			}
-			continue
-		}
-		sub := make([]*Query, len(idx))
-		for k, i := range idx {
-			sub[k] = qs[i]
-		}
-		subRes, subErrs := r.solveBatch(ctx, sub)
-		for k, i := range idx {
-			results[i], errs[i] = subRes[k], subErrs[k]
-		}
-	}
-	return results, errs
-}
-
 // Explain compiles (or fetches) the query's plan and reports it without
 // executing: the canonical GHD tree bound to the query's own variable
 // names, the paper's widths (y(H), n₂(H), hypertree width, depth),
@@ -316,7 +274,6 @@ type CacheStats struct {
 type ServiceStats struct {
 	Semiring         string `json:"semiring"`
 	Requests         int64  `json:"requests"`
-	Batches          int64  `json:"batches"`
 	Fallbacks        int64  `json:"fallbacks"`
 	Rejected         int64  `json:"rejected"`
 	Errors           int64  `json:"errors"`

@@ -353,13 +353,6 @@ func TestMemoryBudget(t *testing.T) {
 	if ex.EstimateBytes != be.EstimateBytes {
 		t.Errorf("explain estimate %v != rejection estimate %v", ex.EstimateBytes, be.EstimateBytes)
 	}
-
-	// Batch requests are admitted per-request too.
-	tight2 := NewEngine(WithMemoryBudget(4 << 10))
-	_, errs := tight2.SolveBatch(context.Background(), []*Query{q})
-	if !errors.Is(errs[0], ErrOverBudget) {
-		t.Errorf("batch: err = %v, want ErrOverBudget", errs[0])
-	}
 }
 
 func findService(st Stats, name string) ServiceStats {
@@ -427,36 +420,6 @@ func referenceBrute(t testing.TB, q *Query) *Result {
 	}
 	tr := &typedRunner[int64]{im: q.sem.impl.(impl[int64])}
 	return tr.toResult(q, rel, nil)
-}
-
-// TestSolveBatchMixedSemirings: one batch mixing semirings and repeated
-// shapes — results align with inputs, repeated shapes hit the cache,
-// nil entries error individually.
-func TestSolveBatchMixedSemirings(t *testing.T) {
-	eng := NewEngine(WithPlanCache(64))
-	qs := []*Query{
-		buildTemplate(t, Count, templates[0].spec, templates[0].free, nil, 1, 24, 24),
-		buildTemplate(t, Bool, templates[1].spec, templates[1].free, nil, 2, 24, 24),
-		nil,
-		buildTemplate(t, Count, templates[0].spec, templates[0].free, nil, 4, 24, 24),
-		buildTemplate(t, SumProduct, templates[2].spec, templates[2].free, nil, 5, 24, 24),
-	}
-	results, errs := eng.SolveBatch(context.Background(), qs)
-	if errs[2] == nil {
-		t.Error("nil query: want error")
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if errs[i] != nil {
-			t.Fatalf("batch[%d]: %v", i, errs[i])
-		}
-		want := referenceSolve(t, qs[i])
-		if err := sameAnswer(results[i], want, isExact(qs[i].sem)); err != nil {
-			t.Errorf("batch[%d]: %v", i, err)
-		}
-	}
-	if !results[3].CacheHit {
-		t.Error("repeated shape in batch should hit the cache")
-	}
 }
 
 // TestScalarNormalization: scalar answers always carry exactly one row,

@@ -123,7 +123,6 @@ type semiringImpl interface {
 // runner is the per-semiring serving surface an Engine dispatches to.
 type runner interface {
 	solve(ctx context.Context, q *Query) (*Result, error)
-	solveBatch(ctx context.Context, qs []*Query) ([]*Result, []error)
 	explain(q *Query) (*Explain, error)
 	materialize(ctx context.Context, q *Query) (*Materialized, error)
 	network(q *Query, topo Topology, assign []int, output int) (*NetworkRun, error)
@@ -238,33 +237,6 @@ func (r *typedRunner[T]) solve(ctx context.Context, q *Query) (*Result, error) {
 	return r.toResult(q, ans, &info), nil
 }
 
-func (r *typedRunner[T]) solveBatch(ctx context.Context, qs []*Query) ([]*Result, []error) {
-	results := make([]*Result, len(qs))
-	errs := make([]error, len(qs))
-	// Only well-typed queries reach the service batch — a nil entry
-	// would dereference inside the pool fan-out instead of erroring.
-	typed := make([]*faq.Query[T], 0, len(qs))
-	idx := make([]int, 0, len(qs))
-	for i, q := range qs {
-		tq, err := r.typedQuery(q)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		typed = append(typed, tq)
-		idx = append(idx, i)
-	}
-	answers, infos, svcErrs := r.svc.SolveBatch(ctx, typed)
-	for k, i := range idx {
-		if svcErrs[k] != nil {
-			errs[i] = svcErrs[k]
-			continue
-		}
-		results[i] = r.toResult(qs[i], answers[k], &infos[k])
-	}
-	return results, errs
-}
-
 func (r *typedRunner[T]) explain(q *Query) (*Explain, error) {
 	tq, err := r.typedQuery(q)
 	if err != nil {
@@ -315,8 +287,8 @@ func (r *typedRunner[T]) network(q *Query, topo Topology, assign []int, output i
 func (r *typedRunner[T]) stats() ServiceStats {
 	s := r.svc.Stats()
 	return ServiceStats{
-		Semiring: s.Semiring, Requests: s.Requests, Batches: s.Batches,
-		Fallbacks: s.Fallbacks, Rejected: s.Rejected, Errors: s.Errors,
+		Semiring: s.Semiring, Requests: s.Requests, Fallbacks: s.Fallbacks,
+		Rejected: s.Rejected, Errors: s.Errors,
 		Shed: s.Shed, DeadlineExceeded: s.DeadlineExceeded, Panics: s.Panics,
 		Updates: s.Updates, DeltaFallbacks: s.DeltaFallbacks,
 	}

@@ -24,7 +24,6 @@ type Trace struct {
 	Fingerprint string    `json:"fingerprint,omitempty"`
 	CacheHit    bool      `json:"cache_hit"`
 	Fallback    bool      `json:"fallback,omitempty"`
-	Batch       bool      `json:"batch,omitempty"`
 	Err         string    `json:"err,omitempty"`
 	TotalNS     int64     `json:"total_ns"`
 	Spans       []Span    `json:"spans"`

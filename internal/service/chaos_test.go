@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/delta"
 	"repro/internal/exec"
 	"repro/internal/faq"
 	"repro/internal/fault"
@@ -137,53 +138,6 @@ func TestChaosSweep(t *testing.T) {
 	}
 }
 
-// TestChaosBatch runs the panic and error sweeps through SolveBatch:
-// the faulted member (or the whole batch, when the fault hits a shared
-// phase) fails typed, and no member's success is corrupt.
-func TestChaosBatch(t *testing.T) {
-	defer fault.Reset()
-	fault.Reset()
-
-	qs := make([]*faq.Query[int64], 6)
-	wants := make([]*relation.Relation[int64], len(qs))
-	for i := range qs {
-		qs[i] = countQuery(t, pathEdges, 5, 40, 8, []int{0}, int64(9000+i))
-		w, err := faq.Solve(qs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wants[i] = w
-	}
-
-	for _, site := range chaosSites {
-		for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
-			t.Run(fmt.Sprintf("%s/%s", site, mode), func(t *testing.T) {
-				sv := New[int64](semiring.Count{}, "count", plan.NewCache(8))
-				fault.Enable(site, fault.Config{Mode: mode, Once: true})
-				defer fault.Reset()
-				answers, _, errs := sv.SolveBatch(context.Background(), qs)
-				sawFault := false
-				for i := range qs {
-					if errs[i] != nil {
-						if !typedChaosError(errs[i]) {
-							t.Fatalf("member %d: untyped error: %v", i, errs[i])
-						}
-						sawFault = true
-						continue
-					}
-					if !bitIdentical(answers[i], wants[i]) {
-						t.Fatalf("member %d: corrupt answer next to an injected fault", i)
-					}
-				}
-				s, _ := fault.Lookup(site)
-				if s.Fired() > 0 && mode == fault.ModePanic && !sawFault {
-					t.Fatalf("panic at %s fired but no member errored", site)
-				}
-			})
-		}
-	}
-}
-
 // TestChaosCancellationPropagation is the cancellation satellite: with
 // a delay armed at each failpoint site (always-firing, so the solve is
 // provably mid-flight), canceling the request context returns
@@ -243,5 +197,109 @@ func TestChaosCancellationPropagation(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// envelopeOps are the three entry points that share the resilience
+// envelope. prep readies one request against sv (Update needs a live
+// handle, materialized before any gate slot is held or fault armed) and
+// returns it; site is a failpoint the request reaches on a cold plan
+// cache, with the request's ctx where the site takes one.
+var envelopeOps = []struct {
+	name string
+	site string
+	prep func(t *testing.T, sv *Service[int64]) func(context.Context) error
+}{
+	{"solve", "service.solve", func(t *testing.T, sv *Service[int64]) func(context.Context) error {
+		q := countQuery(t, pathEdges, 5, 40, 8, []int{0}, 31)
+		return func(ctx context.Context) error {
+			_, _, err := sv.Solve(ctx, q)
+			return err
+		}
+	}},
+	{"materialize", "plan.compile", func(t *testing.T, sv *Service[int64]) func(context.Context) error {
+		q := countQuery(t, pathEdges, 5, 40, 8, []int{0}, 32)
+		return func(ctx context.Context) error {
+			mz, _, err := sv.Materialize(ctx, q)
+			if err == nil {
+				mz.Close()
+			}
+			return err
+		}
+	}},
+	{"update", "delta.apply", func(t *testing.T, sv *Service[int64]) func(context.Context) error {
+		q := countQuery(t, pathEdges, 5, 40, 8, []int{0}, 33)
+		mz, _, err := sv.Materialize(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(mz.Close)
+		b := delta.Batch[int64]{Edge: 0, Inserts: []delta.Tuple[int64]{{Row: []int{1, 1}, Val: 1}}}
+		return func(ctx context.Context) error { return mz.Update(ctx, b) }
+	}},
+}
+
+// TestChaosServiceEnvelope pins the envelope that Solve, Materialize and
+// Update share: a full gate sheds with a typed *OverloadError, the
+// per-request deadline cuts a stalled request off with
+// context.DeadlineExceeded, and a panic below the service surfaces as a
+// typed *InternalError — each moving its degradation counter by one.
+func TestChaosServiceEnvelope(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	ctx := context.Background()
+	for _, op := range envelopeOps {
+		t.Run(op.name+"/shed", func(t *testing.T) {
+			gate := NewGate(1)
+			sv := New[int64](semiring.Count{}, "count", plan.NewCache(8), WithGate(gate))
+			run := op.prep(t, sv)
+			if !gate.TryAcquire() {
+				t.Fatal("gate full before the test held its slot")
+			}
+			defer gate.Release()
+			before := sv.Stats()
+			err := run(ctx)
+			var oe *OverloadError
+			if !errors.As(err, &oe) || oe.Limit != 1 {
+				t.Fatalf("full gate: err = %v, want *OverloadError with limit 1", err)
+			}
+			after := sv.Stats()
+			if after.Shed != before.Shed+1 || after.Errors != before.Errors+1 || after.Requests != before.Requests+1 {
+				t.Fatalf("shed/errors/requests %d/%d/%d -> %d/%d/%d, want each +1",
+					before.Shed, before.Errors, before.Requests, after.Shed, after.Errors, after.Requests)
+			}
+		})
+		t.Run(op.name+"/deadline", func(t *testing.T) {
+			defer fault.Reset()
+			sv := New[int64](semiring.Count{}, "count", plan.NewCache(8), WithDeadline(20*time.Millisecond))
+			run := op.prep(t, sv)
+			// The stall outlasts the deadline; a site handed the ctx
+			// returns as the deadline passes, plan.compile sleeps it out
+			// and the pass's ctx gate then fails.
+			fault.Enable(op.site, fault.Config{Mode: fault.ModeDelay, Delay: 200 * time.Millisecond, Once: true})
+			before := sv.Stats()
+			err := run(ctx)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("stalled at %s: err = %v, want context.DeadlineExceeded", op.site, err)
+			}
+			if after := sv.Stats(); after.DeadlineExceeded != before.DeadlineExceeded+1 {
+				t.Fatalf("deadline_exceeded %d -> %d, want +1", before.DeadlineExceeded, after.DeadlineExceeded)
+			}
+		})
+		t.Run(op.name+"/panic", func(t *testing.T) {
+			defer fault.Reset()
+			sv := New[int64](semiring.Count{}, "count", plan.NewCache(8))
+			run := op.prep(t, sv)
+			fault.Enable(op.site, fault.Config{Mode: fault.ModePanic, Once: true})
+			before := sv.Stats()
+			err := run(ctx)
+			var ie *InternalError
+			if !errors.As(err, &ie) || ie.Site != op.site {
+				t.Fatalf("panic at %s: err = %v, want *InternalError from that site", op.site, err)
+			}
+			if after := sv.Stats(); after.Panics != before.Panics+1 {
+				t.Fatalf("panics %d -> %d, want +1", before.Panics, after.Panics)
+			}
+		})
 	}
 }

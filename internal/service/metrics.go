@@ -14,7 +14,6 @@ import (
 // touch atomics.
 type svcMetrics struct {
 	requests         *obs.Counter
-	batches          *obs.Counter
 	fallbacks        *obs.Counter
 	rejected         *obs.Counter
 	errors           *obs.Counter
@@ -31,10 +30,7 @@ type svcMetrics struct {
 func bindMetrics(r *obs.Registry, name string) svcMetrics {
 	return svcMetrics{
 		requests: r.NewCounterVec("faq_service_requests_total",
-			"Requests accepted for processing (solve, batch member, materialize, update).",
-			"semiring").With(name),
-		batches: r.NewCounterVec("faq_service_batches_total",
-			"SolveBatch calls (members count into faq_service_requests_total).",
+			"Requests accepted for processing (solve, materialize, update).",
 			"semiring").With(name),
 		fallbacks: r.NewCounterVec("faq_service_fallbacks_total",
 			"Requests served by the brute-force fallback path.",
@@ -81,7 +77,7 @@ func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } 
 // recordTrace emits one solve trace from a request's Info. No-op
 // without a configured tracer; the per-request cost is building the
 // span slice, paid only when tracing is on (it is on in faqd).
-func (sv *Service[T]) recordTrace(start time.Time, info *Info, err error, batch bool) {
+func (sv *Service[T]) recordTrace(start time.Time, info *Info, err error) {
 	if sv.cfg.tracer == nil {
 		return
 	}
@@ -101,7 +97,6 @@ func (sv *Service[T]) recordTrace(start time.Time, info *Info, err error, batch 
 		Semiring: sv.name,
 		CacheHit: info.CacheHit,
 		Fallback: info.Fallback,
-		Batch:    batch,
 		TotalNS:  info.TotalNS,
 		Spans:    spans,
 	}

@@ -11,9 +11,8 @@ import (
 	"repro/internal/fault"
 )
 
-// solveSite injects faults into the per-request execute path — the
-// single choke point both Solve and SolveBatch members pass through
-// after admission, so a chaos sweep reaches it from either entry.
+// solveSite injects faults into Solve's execute path, after admission
+// and before the GHD pass (or the brute-force fallback).
 var solveSite = fault.Register("service.solve")
 
 // ErrOverloaded is the load-shedding sentinel: the service's in-flight
@@ -115,44 +114,50 @@ func (g *Gate) Limit() int { return int(g.limit) }
 // for an engine-wide bound). A nil gate disables shedding.
 func WithGate(g *Gate) Option { return func(c *config) { c.gate = g } }
 
-// WithDeadline caps each request's wall time: Solve (and SolveBatch as
-// one unit) runs under a context.WithTimeout child of the caller's ctx,
-// so every node task downstream is gated by it and a slow solve returns
-// context.DeadlineExceeded instead of holding its slot forever.
-// d <= 0 disables the cap.
+// WithDeadline caps each request's wall time: Solve, Materialize and
+// Materialized.Update each run under a context.WithTimeout child of the
+// caller's ctx, so every node task downstream is gated by it and a slow
+// request returns context.DeadlineExceeded instead of holding its slot
+// forever. d <= 0 disables the cap.
 func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
-// shed records and types a gate rejection.
-func (sv *Service[T]) shedReject() error {
-	sv.met.shed.Inc()
-	g := sv.cfg.gate
-	return &OverloadError{InFlight: g.InFlight(), Limit: g.Limit()}
-}
-
-// withDeadline applies the configured per-request deadline to ctx.
-func (sv *Service[T]) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+// serve is the resilience envelope of Solve, Materialize and
+// Materialized.Update. It counts the request, claims a gate slot
+// (shedding with a typed *OverloadError when the gate is full), applies
+// the per-request deadline, and runs run under the service-boundary
+// recover, which converts an escaped panic into a counted, typed
+// *InternalError. The pool already re-surfaces worker panics on the
+// calling goroutine (exec.TaskPanic), so this one recover is sufficient
+// at every worker count. Any error is classified into the degradation
+// counters.
+func (sv *Service[T]) serve(ctx context.Context, run func(context.Context) error) (err error) {
+	sv.met.requests.Inc()
+	defer func() {
+		if r := recover(); r != nil {
+			sv.met.panics.Inc()
+			err = asInternal(r)
+		}
+		if err != nil {
+			sv.met.errors.Inc()
+			if errors.Is(err, context.DeadlineExceeded) {
+				sv.met.deadlineExceeded.Inc()
+			}
+		}
+	}()
+	if g := sv.cfg.gate; g != nil {
+		if !g.TryAcquire() {
+			sv.met.shed.Inc()
+			return &OverloadError{InFlight: g.InFlight(), Limit: g.Limit()}
+		}
+		defer g.Release()
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if sv.cfg.deadline > 0 {
-		return context.WithTimeout(ctx, sv.cfg.deadline)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sv.cfg.deadline)
+		defer cancel()
 	}
-	return ctx, func() {}
-}
-
-// recoverInternal is the service-boundary containment point: deferred
-// around every execution path, it converts an escaped panic into a
-// typed *InternalError and counts it. The pool already re-surfaces
-// worker panics on the calling goroutine (exec.TaskPanic), so this
-// single recover is sufficient at every worker count.
-func (sv *Service[T]) recoverInternal(err *error) {
-	if r := recover(); r != nil {
-		sv.met.panics.Inc()
-		*err = asInternal(r)
-	}
-}
-
-// countErr classifies a request error into the degradation counters.
-func (sv *Service[T]) countErr(err error) {
-	sv.met.errors.Inc()
-	if errors.Is(err, context.DeadlineExceeded) {
-		sv.met.deadlineExceeded.Inc()
-	}
+	return run(ctx)
 }

@@ -2,8 +2,11 @@
 // it admits FAQ requests, fingerprints their shape, binds the cached
 // compiled plan (compiling once per shape under singleflight) to the
 // request's fresh factor data, and executes on the shared exec pool with
-// per-request cancellation. A batching path groups same-plan requests so
-// one cache round-trip serves the whole group.
+// per-request cancellation. Solve, Materialize and Materialized.Update
+// run inside one resilience envelope (request count, in-flight gate,
+// per-request deadline, panic containment, error classification), and
+// Solve, Materialize and Explain resolve their plan through one
+// canonicalize → cache step.
 //
 // Answer contract: a served answer is exactly faq.SolveGHD(ctx, q, g, opts) for
 // the bound plan GHD g. For exact semirings (Bool, Count, F2) that is
@@ -24,6 +27,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/faq"
 	"repro/internal/ghd"
+	"repro/internal/hypergraph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/relation"
@@ -166,7 +170,6 @@ func (sv *Service[T]) Semiring() semiring.Semiring[T] { return sv.s }
 type Stats struct {
 	Semiring         string `json:"semiring"`
 	Requests         int64  `json:"requests"`
-	Batches          int64  `json:"batches"`
 	Fallbacks        int64  `json:"fallbacks"`
 	Rejected         int64  `json:"rejected"` // admission-control rejections
 	Errors           int64  `json:"errors"`
@@ -198,9 +201,8 @@ func (sv *Service[T]) Stats() Stats {
 	st.Rejected = sv.met.rejected.Value()
 	st.Fallbacks = sv.met.fallbacks.Value()
 	st.Errors = sv.met.errors.Value()
-	// ...then the envelope counters they are subsets of.
+	// ...then the request counter they are subsets of.
 	st.Requests = sv.met.requests.Value()
-	st.Batches = sv.met.batches.Value()
 	return st
 }
 
@@ -228,66 +230,16 @@ func opNames[T any](q *faq.Query[T]) map[int]string {
 // node tasks once ctx is done (exec.Pool.ForestCtx) and ctx.Err() is
 // returned. A panic escaping any layer below (kernel, pool task,
 // compile) is recovered here into a typed *InternalError.
-func (sv *Service[T]) Solve(ctx context.Context, q *faq.Query[T]) (*relation.Relation[T], Info, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func (sv *Service[T]) Solve(ctx context.Context, q *faq.Query[T]) (ans *relation.Relation[T], info Info, err error) {
 	t0 := time.Now()
-	sv.met.requests.Inc()
-	var info Info
-	fail := func(err error) (*relation.Relation[T], Info, error) {
-		sv.countErr(err)
-		info.TotalNS = time.Since(t0).Nanoseconds()
-		sv.met.latency.Observe(info.TotalNS)
-		sv.recordTrace(t0, &info, err, false)
-		return nil, info, err
-	}
-	if sv.cfg.gate != nil {
-		if !sv.cfg.gate.TryAcquire() {
-			return fail(sv.shedReject())
-		}
-		defer sv.cfg.gate.Release()
-	}
-	ctx, cancel := sv.withDeadline(ctx)
-	defer cancel()
-
-	ans, err := sv.solveAdmitted(ctx, q, &info)
-	if err != nil {
-		return fail(err)
-	}
+	err = sv.serve(ctx, func(ctx context.Context) (err error) {
+		ans, err = sv.execute(ctx, q, &info)
+		return err
+	})
 	info.TotalNS = time.Since(t0).Nanoseconds()
 	sv.met.latency.Observe(info.TotalNS)
-	sv.recordTrace(t0, &info, nil, false)
-	return ans, info, nil
-}
-
-// solveAdmitted is Solve past admission: the panic-containment boundary
-// wraps fingerprinting, the cache round-trip, and execution.
-func (sv *Service[T]) solveAdmitted(ctx context.Context, q *faq.Query[T], info *Info) (ans *relation.Relation[T], err error) {
-	defer sv.recoverInternal(&err)
-	t0 := time.Now()
-	// Shape only: faq.SolveGHD or faq.BruteForce domain-checks the tuples
-	// when it executes the query.
-	if err := q.ValidateShape(); err != nil {
-		return nil, err
-	}
-	fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))
-	if err != nil {
-		return nil, err
-	}
-	info.CanonNS = time.Since(t0).Nanoseconds()
-	info.Exact = fp.Exact
-
-	tp := time.Now()
-	p, hit, err := sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
-	if err != nil {
-		return nil, err
-	}
-	info.PlanNS = time.Since(tp).Nanoseconds()
-	info.PlanHash = p.Hash
-	info.CacheHit = hit
-
-	return sv.execute(ctx, q, p, fp, info)
+	sv.recordTrace(t0, &info, err)
+	return ans, info, err
 }
 
 // admit applies admission control and the fallback policy to a resolved
@@ -309,10 +261,21 @@ func (sv *Service[T]) admit(q *faq.Query[T], p *plan.Plan) error {
 	return nil
 }
 
-// execute binds and runs one request against a resolved plan.
-func (sv *Service[T]) execute(ctx context.Context, q *faq.Query[T], p *plan.Plan, fp *plan.Fingerprint, info *Info) (*relation.Relation[T], error) {
+// execute is Solve inside the envelope: resolve the plan, admit, then
+// run the GHD pass on the bound plan (or the brute-force fallback).
+func (sv *Service[T]) execute(ctx context.Context, q *faq.Query[T], info *Info) (*relation.Relation[T], error) {
+	t0 := time.Now()
+	// Shape only: faq.SolveGHD or faq.BruteForce domain-checks the tuples
+	// when it executes the query.
+	if err := q.ValidateShape(); err != nil {
+		return nil, err
+	}
+	p, fp, err := sv.resolve(q, t0, info)
+	if err != nil {
+		return nil, err
+	}
 	ta := time.Now()
-	err := sv.admit(q, p)
+	err = sv.admit(q, p)
 	info.AdmitNS = time.Since(ta).Nanoseconds()
 	if err != nil {
 		return nil, err
@@ -335,12 +298,10 @@ func (sv *Service[T]) execute(ctx context.Context, q *faq.Query[T], p *plan.Plan
 		p.RecordExec(nil)
 		return ans, nil
 	}
-	tb := time.Now()
-	g, err := p.Bind(fp, q.H)
+	g, err := bind(p, fp, q.H, info)
 	if err != nil {
 		return nil, err
 	}
-	info.BindNS = time.Since(tb).Nanoseconds()
 	te := time.Now()
 	ans, m, err := faq.SolveGHD(ctx, q, g, faq.SolveOptions{
 		Pool: sv.cfg.pool, Timed: true, Distributed: sv.cfg.distributed,
@@ -352,6 +313,36 @@ func (sv *Service[T]) execute(ctx context.Context, q *faq.Query[T], p *plan.Plan
 	info.NodeNS = m.Costs
 	p.RecordExec(m.Costs)
 	return ans, nil
+}
+
+// resolve fingerprints q's shape and fetches its plan from the cache,
+// compiling it on a miss. It fills info's canonicalization (timed from
+// t0) and plan-cache fields.
+func (sv *Service[T]) resolve(q *faq.Query[T], t0 time.Time, info *Info) (*plan.Plan, *plan.Fingerprint, error) {
+	fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))
+	if err != nil {
+		return nil, nil, err
+	}
+	info.CanonNS = time.Since(t0).Nanoseconds()
+	info.Exact = fp.Exact
+	tp := time.Now()
+	p, hit, err := sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
+	if err != nil {
+		return nil, nil, err
+	}
+	info.PlanNS = time.Since(tp).Nanoseconds()
+	info.PlanHash = p.Hash
+	info.CacheHit = hit
+	return p, fp, nil
+}
+
+// bind binds a resolved plan's decomposition onto h's own variable ids,
+// timing it into info.BindNS.
+func bind(p *plan.Plan, fp *plan.Fingerprint, h *hypergraph.Hypergraph, info *Info) (*ghd.GHD, error) {
+	tb := time.Now()
+	g, err := p.Bind(fp, h)
+	info.BindNS = time.Since(tb).Nanoseconds()
+	return g, err
 }
 
 // Explain resolves (compiling on a miss, counted exactly like Solve) the
@@ -367,183 +358,17 @@ func (sv *Service[T]) Explain(q *faq.Query[T]) (*plan.Plan, *ghd.GHD, Info, erro
 	if err := q.Validate(); err != nil {
 		return nil, nil, info, err
 	}
-	fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))
+	p, fp, err := sv.resolve(q, t0, &info)
 	if err != nil {
 		return nil, nil, info, err
 	}
-	info.CanonNS = time.Since(t0).Nanoseconds()
-	info.Exact = fp.Exact
-	tp := time.Now()
-	p, hit, err := sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
-	if err != nil {
-		return nil, nil, info, err
-	}
-	info.PlanNS = time.Since(tp).Nanoseconds()
-	info.PlanHash = p.Hash
-	info.CacheHit = hit
 	info.Fallback = p.Fallback
 	var g *ghd.GHD
 	if !p.Fallback {
-		tb := time.Now()
-		g, err = p.Bind(fp, q.H)
-		if err != nil {
+		if g, err = bind(p, fp, q.H, &info); err != nil {
 			return nil, nil, info, err
 		}
-		info.BindNS = time.Since(tb).Nanoseconds()
 	}
 	info.TotalNS = time.Since(t0).Nanoseconds()
 	return p, g, info, nil
-}
-
-// SolveBatch serves a batch, grouping same-plan requests: each distinct
-// shape does one cache round-trip (one compile under singleflight), then
-// the requests fan out across the exec pool — per-request results and
-// errors align with the input slice, and a canceled ctx stops dispatch.
-//
-// Admission treats the batch as one unit: it claims one gate slot (a
-// full gate sheds every member with a typed *OverloadError) and runs
-// under one per-request deadline. Per-member panics are recovered into
-// typed *InternalError values in the member's error slot.
-func (sv *Service[T]) SolveBatch(ctx context.Context, qs []*faq.Query[T]) ([]*relation.Relation[T], []Info, []error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sv.met.batches.Inc()
-	n := len(qs)
-	answers := make([]*relation.Relation[T], n)
-	infos := make([]Info, n)
-	errs := make([]error, n)
-	starts := make([]time.Time, n)
-
-	if sv.cfg.gate != nil {
-		if !sv.cfg.gate.TryAcquire() {
-			for i := range qs {
-				sv.met.requests.Inc()
-				errs[i] = sv.shedReject()
-				sv.countErr(errs[i])
-			}
-			return answers, infos, errs
-		}
-		defer sv.cfg.gate.Release()
-	}
-	ctx, cancel := sv.withDeadline(ctx)
-	defer cancel()
-
-	// Phase 1: fingerprint everything and group by shape key. Every
-	// request keeps its own Fingerprint — members of one group are
-	// renamed variants of the shape, and each binds the shared plan
-	// through its own variable/edge maps.
-	type group struct {
-		fp      *plan.Fingerprint // the first member's (compile input)
-		members []int
-		p       *plan.Plan
-		err     error
-	}
-	// Validation and canonicalization are independent per request — the
-	// dominant warm-path CPU cost — so they fan out across the pool;
-	// grouping itself stays a sequential request-order scan to keep the
-	// group order deterministic.
-	fps := make([]*plan.Fingerprint, n)
-	exec.Default().Map(n, func(i int) {
-		starts[i] = time.Now()
-		sv.met.requests.Inc()
-		q := qs[i]
-		if err := q.ValidateShape(); err != nil { // execution domain-checks
-			errs[i] = err
-			sv.met.errors.Inc()
-			return
-		}
-		fp, err := plan.Canonicalize(q.H, q.Free, opNames(q))
-		if err != nil {
-			errs[i] = err
-			sv.met.errors.Inc()
-			return
-		}
-		fps[i] = fp
-		infos[i].CanonNS = time.Since(starts[i]).Nanoseconds()
-		infos[i].PlanHash = fp.Hash
-		infos[i].Exact = fp.Exact
-	})
-	groups := make(map[string]*group)
-	var order []*group
-	for i := range qs {
-		fp := fps[i]
-		if fp == nil {
-			continue
-		}
-		key := sv.name + "|" + fp.Key
-		g, ok := groups[key]
-		if !ok {
-			g = &group{fp: fp}
-			groups[key] = g
-			order = append(order, g)
-		}
-		g.members = append(g.members, i)
-	}
-
-	// Phase 2: one cache round-trip per distinct shape, distinct shapes
-	// compiling concurrently across the pool (the cache's singleflight
-	// handles any overlap with other callers).
-	exec.Default().Map(len(order), func(gi int) {
-		g := order[gi]
-		tp := time.Now()
-		fp := g.fp
-		var p *plan.Plan
-		var hit bool
-		err := func() (err error) {
-			defer sv.recoverInternal(&err)
-			p, hit, err = sv.cache.Get(sv.name+"|"+fp.Key, func() (*plan.Plan, error) { return plan.Compile(fp) })
-			return err
-		}()
-		planNS := time.Since(tp).Nanoseconds()
-		g.p, g.err = p, err
-		for mi, i := range g.members {
-			infos[i].PlanNS = planNS
-			infos[i].CacheHit = hit || mi > 0
-		}
-	})
-
-	// Phase 3: one flat fan-out over every request — no barrier between
-	// groups, so a slow group cannot idle the rest of the batch. Each
-	// request's own work is unchanged from Solve, so per-request answers
-	// keep the service answer contract; nested pool calls are safe
-	// because pools spawn goroutines per call.
-	groupOf := make([]*group, n)
-	for _, g := range order {
-		for _, i := range g.members {
-			groupOf[i] = g
-		}
-	}
-	exec.Default().Map(n, func(i int) {
-		g := groupOf[i]
-		if g == nil {
-			return // failed phase 1 (error already recorded)
-		}
-		finish := func(err error) {
-			infos[i].TotalNS = time.Since(starts[i]).Nanoseconds()
-			sv.met.latency.Observe(infos[i].TotalNS)
-			sv.recordTrace(starts[i], &infos[i], err, true)
-		}
-		if g.err != nil {
-			errs[i] = g.err
-			sv.countErr(g.err)
-			finish(g.err)
-			return
-		}
-		var ans *relation.Relation[T]
-		err := func() (err error) {
-			defer sv.recoverInternal(&err)
-			ans, err = sv.execute(ctx, qs[i], g.p, fps[i], &infos[i])
-			return err
-		}()
-		if err != nil {
-			errs[i] = err
-			sv.countErr(err)
-			finish(err)
-			return
-		}
-		answers[i] = ans
-		finish(nil)
-	})
-	return answers, infos, errs
 }

@@ -31,7 +31,7 @@ func bitIdentical[T comparable](a, b *relation.Relation[T]) bool {
 	return true
 }
 
-func countQuery(t *testing.T, edges [][]int, nv, n, dom int, free []int, seed int64) *faq.Query[int64] {
+func countQuery(t testing.TB, edges [][]int, nv, n, dom int, free []int, seed int64) *faq.Query[int64] {
 	t.Helper()
 	h := hypergraph.New(nv)
 	for _, e := range edges {
@@ -129,9 +129,9 @@ func TestServiceCancellation(t *testing.T) {
 	}
 }
 
-// renameEdges applies a vertex-id bijection to an edge list (batch
-// members of one plan group are renamed variants, each of which must
-// bind the shared plan through its own maps).
+// renameEdges applies a vertex-id bijection to an edge list (renamed
+// variants of one shape share its plan, and each must bind it through
+// its own maps).
 func renameEdges(edges [][]int, perm []int) [][]int {
 	out := make([][]int, len(edges))
 	for i, e := range edges {
@@ -144,11 +144,12 @@ func renameEdges(edges [][]int, perm []int) [][]int {
 	return out
 }
 
-// TestServiceBatchGroupsPlans: a mixed batch compiles once per distinct
-// shape — including renamed variants, which share the group but carry
-// their own fingerprints — answers align with inputs and match direct
-// solves, and errors stay per-request.
-func TestServiceBatchGroupsPlans(t *testing.T) {
+// TestServiceRenamedShapesShareOnePlan: renamed variants of two shapes,
+// served one Solve at a time, compile exactly one plan per shape — each
+// variant binds the shared plan through its own fingerprint — and every
+// answer is bit-identical to a direct solve. A malformed request among
+// them fails alone.
+func TestServiceRenamedShapesShareOnePlan(t *testing.T) {
 	sv := New[int64](semiring.Count{}, "count", plan.NewCache(8))
 	starEdges := [][]int{{0, 1}, {0, 2}, {0, 3}}
 	perms5 := [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}, {1, 4, 0, 3, 2}}
@@ -163,27 +164,52 @@ func TestServiceBatchGroupsPlans(t *testing.T) {
 	bad.Free = []int{99}
 	qs = append(qs[:3], append([]*faq.Query[int64]{bad}, qs[3:]...)...)
 
-	answers, infos, errs := sv.SolveBatch(context.Background(), qs)
 	for i, q := range qs {
+		ans, _, err := sv.Solve(context.Background(), q)
 		if q == bad {
-			if errs[i] == nil {
+			if err == nil {
 				t.Fatalf("request %d: want validation error", i)
 			}
 			continue
 		}
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 		want, err := faq.Solve(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bitIdentical(answers[i], want) {
-			t.Fatalf("request %d: batch answer differs from direct solve", i)
+		if !bitIdentical(ans, want) {
+			t.Fatalf("request %d: service answer differs from direct solve", i)
 		}
-		_ = infos[i]
 	}
 	if st := sv.Cache().Stats(); st.Compiles != 2 {
-		t.Fatalf("batch compiled %d plans for 2 shapes", st.Compiles)
+		t.Fatalf("compiled %d plans for 2 shapes", st.Compiles)
+	}
+	if st := sv.Stats(); st.Requests != int64(len(qs)) || st.Errors != 1 {
+		t.Fatalf("service stats %+v, want %d requests and 1 error", st, len(qs))
+	}
+}
+
+var benchAnswerRows int
+
+// BenchmarkServiceSolve is one warm Solve of a small Count path: a plan
+// cache hit, so the cost is the envelope, canonicalization, the cache
+// round-trip, bind and the pass.
+func BenchmarkServiceSolve(b *testing.B) {
+	sv := New[int64](semiring.Count{}, "count", plan.NewCache(8))
+	q := countQuery(b, pathEdges, 5, 64, 8, []int{0}, 41)
+	ctx := context.Background()
+	if _, _, err := sv.Solve(ctx, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ans, _, err := sv.Solve(ctx, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchAnswerRows = ans.Len()
 	}
 }
