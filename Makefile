@@ -21,9 +21,10 @@
 #                 clients of the public faqs façade; wired into CI)
 #   make lint   — gofmt (fails if `gofmt -l .` lists any file), then
 #                 faqlint, the repo's static-analysis suite
-#                 (internal/lint): seven analyzers compiling the standing
+#                 (internal/lint): eight analyzers compiling the standing
 #                 contracts — facade, nopanic, mapiter, ctxflow,
-#                 hotpath, failpoint, metricreg — into build failures; zero
+#                 hotpath, failpoint, metricreg, deadexport — into build
+#                 failures; zero
 #                 unsuppressed findings required (part of `make check`)
 #   make fuzz   — every fuzz target for FUZZTIME each
 #   make procs  — process hygiene: prints any faqd, faqw, faqbench or

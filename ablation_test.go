@@ -118,7 +118,7 @@ func BenchmarkAblationSteinerPacking(b *testing.B) {
 			st := 0
 			for i := 0; i < b.N; i++ {
 				// Exact family packing (zigzag/Walecki decomposition).
-				st = flow.STCount(g, K, g.N())
+				st = len(flow.PackSteinerTrees(g, K, g.N()))
 			}
 			b.ReportMetric(float64(st), "ST")
 			b.ReportMetric(float64(n/st+p), "boundN/ST+Δ")

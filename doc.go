@@ -28,8 +28,8 @@
 // QueryBuilder assembles FAQs (free variables, per-variable aggregate
 // operators, a semiring chosen from the Bool/Count/SumProduct/MinPlus/
 // MaxTimes/F2 registry), and Engine — constructed once with functional
-// options (WithWorkers, WithPlanCache, WithMemoryBudget,
-// WithBruteForceFallback) — serves Solve, Materialize, Explain, and
+// options (WithWorkers, WithPlanCache, WithMemoryBudget, WithDeadline,
+// WithMaxInFlight) — serves Solve, Materialize, Explain, and
 // SolveOnNetwork. Engines route through internal/plan + internal/service,
 // so the library and the cmd/faqd daemon share one execution path, which
 // ends in the single faq.SolveGHD ctx+options core. Explain surfaces the

@@ -4,8 +4,8 @@
 // admission control rejects the core when the engine's memory
 // budget is too small, the distributed run reduces the pendant forest
 // with star protocols before finishing the core trivially (Lemma 4.2),
-// and a free-variable set no bag covers demonstrates the brute-force
-// fallback policy.
+// and a free-variable set no bag covers takes the brute-force fallback,
+// which the same budget prices — and rejects — at N^|V|.
 package main
 
 import (
@@ -65,7 +65,7 @@ func main() {
 		ex.Y, ex.N2, ex.Width, ex.Depth, ex.EstimateBytes)
 	fmt.Println(ex.Tree)
 
-	// The N^3 core bound is exactly what admission control reads: a
+	// The N^4 core bound is exactly what admission control reads: a
 	// 64 KiB budget rejects this query before execution, a generous one
 	// admits it.
 	tight := faqs.NewEngine(faqs.WithMemoryBudget(64 << 10))
@@ -97,8 +97,9 @@ func main() {
 		b.Y, b.N2, b.Degeneracy, b.Upper, b.LowerTilde, b.Gap())
 
 	// Free variables {A, E} sit in no single bag, so the GHD pass cannot
-	// deliver the marginal: the default engine falls back to brute
-	// force, a fallback-disabled engine rejects with a typed error.
+	// deliver the marginal and the engine falls back to brute force over
+	// all five variables. The budget prices that at N^5: a 1 GiB budget
+	// admits the core query but rejects the fallback before execution.
 	qf, err := build(rand.New(rand.NewSource(5)), "A", "E").Build()
 	if err != nil {
 		log.Fatal(err)
@@ -108,10 +109,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("free {A,E}    : %d rows via brute-force fallback (fallback=%v)\n", resF.Len(), resF.Fallback)
-	strict := faqs.NewEngine(faqs.WithBruteForceFallback(false))
-	if _, err := strict.Solve(context.Background(), qf); errors.Is(err, faqs.ErrFallbackDisabled) {
-		fmt.Printf("strict engine : rejected (fallback disabled)\n")
+	roomy := faqs.NewEngine(faqs.WithMemoryBudget(1 << 30))
+	if _, err := roomy.Solve(context.Background(), q); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := roomy.Solve(context.Background(), qf); errors.Is(err, faqs.ErrOverBudget) {
+		fmt.Printf("1 GiB budget  : admits the core, rejects the fallback before execution\n")
 	} else {
-		log.Fatalf("expected a fallback-disabled rejection, got %v", err)
+		log.Fatalf("expected an over-budget rejection of the fallback, got %v", err)
 	}
 }

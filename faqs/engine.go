@@ -20,10 +20,6 @@ var (
 	// structural memory bound (per-node NodeBounds at the request's N)
 	// exceeds the engine's WithMemoryBudget. Raised before execution.
 	ErrOverBudget = service.ErrOverBudget
-	// ErrFallbackDisabled matches rejections of shapes that violate the
-	// paper's free-variable restriction when WithBruteForceFallback(false)
-	// turned the exponential path off.
-	ErrFallbackDisabled = service.ErrFallbackDisabled
 	// ErrFreeOutsideRoot is the underlying structural condition: no bag
 	// of the decomposition covers the free variables (F ⊄ V(C(H)),
 	// Appendix G.5 of the paper).
@@ -54,7 +50,6 @@ type engineConfig struct {
 	cacheSize    int
 	workers      int
 	budget       int64
-	fallback     bool
 	deadline     time.Duration
 	maxInFlight  int
 	clusterAddrs []string
@@ -75,19 +70,12 @@ func WithPlanCache(size int) Option { return func(c *engineConfig) { c.cacheSize
 
 // WithMemoryBudget enables admission control: a query whose plan's
 // structural bound — the sum of per-node output bounds (N tuples for
-// label-covered nodes per eq. 24, N^|χ(v)| for a fat core root), priced
-// at the columnar layout — exceeds bytes is rejected with an error
+// label-covered nodes per eq. 24, N^|χ(v)| for a fat core root, N^|V|
+// for a shape that takes the brute-force fallback), priced at the
+// columnar layout — exceeds bytes is rejected with an error
 // matching ErrOverBudget before any execution work. bytes <= 0 disables
 // the check.
 func WithMemoryBudget(bytes int64) Option { return func(c *engineConfig) { c.budget = bytes } }
-
-// WithBruteForceFallback toggles the exponential brute-force path for
-// query shapes violating the paper's free-variable restriction
-// (default: enabled, mirroring the solver contract). Disabled engines
-// return an error matching ErrFallbackDisabled for such shapes.
-func WithBruteForceFallback(enabled bool) Option {
-	return func(c *engineConfig) { c.fallback = enabled }
-}
 
 // WithDeadline caps every request's wall time: each Solve, Materialize
 // and Materialized.Update runs under a context.WithTimeout child of the
@@ -121,7 +109,7 @@ type Engine struct {
 
 // NewEngine builds an engine from functional options.
 func NewEngine(opts ...Option) *Engine {
-	cfg := engineConfig{fallback: true}
+	var cfg engineConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -133,7 +121,6 @@ func NewEngine(opts ...Option) *Engine {
 	}
 	e.runtime = obs.NewRuntimeCollector(e.metrics)
 	svcOpts := []service.Option{
-		service.WithBruteForceFallback(cfg.fallback),
 		service.WithMetrics(e.metrics),
 		service.WithTracer(e.tracer),
 	}

@@ -365,8 +365,9 @@ func findService(st Stats, name string) ServiceStats {
 }
 
 // TestBruteForceFallbackPolicy: free variables outside every bag take
-// the brute-force path by default and are rejected with typed errors
-// when the fallback is disabled.
+// the brute-force path, and the memory budget, which prices that path
+// at N^|V|, rejects it with a typed error where it admits the coverable
+// shape.
 func TestBruteForceFallbackPolicy(t *testing.T) {
 	// Free {A0, A2} on a path: no bag of the edge GHD covers both.
 	q := buildTemplate(t, Count, "A0,A1;A1,A2", "A0", nil, 3, 16, 16)
@@ -400,14 +401,14 @@ func TestBruteForceFallbackPolicy(t *testing.T) {
 		t.Errorf("fallback answer: %v", err)
 	}
 
-	strict := NewEngine(WithBruteForceFallback(false))
-	_, err = strict.Solve(context.Background(), qf)
-	if !errors.Is(err, ErrFallbackDisabled) || !errors.Is(err, ErrFreeOutsideRoot) {
-		t.Errorf("strict: err = %v, want ErrFallbackDisabled wrapping ErrFreeOutsideRoot", err)
+	// 16^3 rows of 20 bytes for the fallback; the coverable shape's
+	// edge bags stay far below the budget.
+	strict := NewEngine(WithMemoryBudget(16 << 10))
+	if _, err = strict.Solve(context.Background(), qf); !errors.Is(err, ErrOverBudget) {
+		t.Errorf("budgeted fallback: err = %v, want ErrOverBudget", err)
 	}
-	// Coverable shapes still work on the strict engine.
 	if _, err := strict.Solve(context.Background(), q); err != nil {
-		t.Errorf("strict on coverable shape: %v", err)
+		t.Errorf("budgeted coverable shape: %v", err)
 	}
 }
 

@@ -254,19 +254,16 @@ func (r *typedRunner[T]) network(q *Query, topo Topology, assign []int, output i
 	if err != nil {
 		return nil, err
 	}
-	eng, err := core.New(tq, topo.g, protocol.Assignment(assign), output)
+	s := &protocol.Setup[T]{Q: tq, G: topo.g, Assign: protocol.Assignment(assign), Output: output}
+	ans, rep, err := protocol.Run(s)
 	if err != nil {
 		return nil, err
 	}
-	ans, rep, err := eng.Run()
+	_, repT, err := protocol.RunTrivial(s)
 	if err != nil {
 		return nil, err
 	}
-	_, repT, err := eng.RunTrivial()
-	if err != nil {
-		return nil, err
-	}
-	b, err := eng.Bounds()
+	b, err := core.ComputeBounds(tq.H, tq.MaxFactorSize(), topo.g, s.Players())
 	if err != nil {
 		return nil, err
 	}

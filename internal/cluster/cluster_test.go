@@ -349,8 +349,8 @@ func TestSimTransportLedger(t *testing.T) {
 	if _, err := solver.SolveGHD(context.Background(), q, g); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Rounds() == 0 || tr.TotalBits() == 0 {
-		t.Fatalf("netsim ledger empty after a solve: rounds=%d bits=%d", tr.Rounds(), tr.TotalBits())
+	if rounds, bits := tr.net.Rounds(), tr.net.TotalBits(); rounds == 0 || bits == 0 {
+		t.Fatalf("netsim ledger empty after a solve: rounds=%d bits=%d", rounds, bits)
 	}
 	out, in := tr.Bytes()
 	st := c.Stats()

@@ -79,12 +79,6 @@ func NewClient(tr Transport, opts Options) *Client {
 	return &Client{tr: tr, inflight: opts.InFlight}
 }
 
-// Workers returns the fleet size.
-func (c *Client) Workers() int { return c.tr.Workers() }
-
-// Transport exposes the underlying transport (tests and benchmarks).
-func (c *Client) Transport() Transport { return c.tr }
-
 // Close releases the transport.
 func (c *Client) Close() error { return c.tr.Close() }
 
@@ -244,18 +238,16 @@ func planStars[T any](q *faq.Query[T], g *ghd.GHD) (*starPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &starPlan{Pass: pass, key: make([][]int, len(pass.Edges))}
+	p := &starPlan{Pass: pass, key: make([][]int, len(pass.Factor))}
 	// key[v] for a factor node: a column set contained in the node's own
 	// schema and in every child message's schema, so hash-routing rows
 	// and message slices by it co-locates all joining pairs. A factor
 	// child c's message schema is statically Keep[c] (its bag is its
 	// factor's schema); a factorless child's is data-dependent, so any
 	// such child forces the empty key — the worker-0 serialization.
-	for v, es := range p.Edges {
+	for v, e := range p.Factor {
 		switch {
-		case len(es) > 1:
-			return nil, fmt.Errorf("%w: GHD node %d carries multiple factors", faq.ErrNotDistributable, v)
-		case len(es) == 0:
+		case e < 0:
 			continue // computed at the coordinator
 		case len(p.Children[v]) == 0:
 			p.key[v] = append([]int(nil), p.Keep[v]...)
@@ -263,7 +255,7 @@ func planStars[T any](q *faq.Query[T], g *ghd.GHD) (*starPlan, error) {
 		}
 		key := []int(nil)
 		for i, ch := range p.Children[v] {
-			if len(p.Edges[ch]) == 0 {
+			if p.Factor[ch] < 0 {
 				key = nil
 				break
 			}
@@ -313,7 +305,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	// it knows each relation's schema.
 	var loads []workerReq
 	for _, v := range plan.Order {
-		f := faq.NodeFactor(q, plan.Pass, v, q.Factors)
+		f := faq.NodeFactor(plan.Pass, v, q.Factors)
 		if f == nil {
 			continue
 		}
@@ -335,7 +327,7 @@ func (s *Solver[T]) SolveGHD(ctx context.Context, q *faq.Query[T], g *ghd.GHD) (
 	// Bottom-up pass: one scatter/gather per star, in postorder.
 	msgs := make([]*relation.Relation[T], len(plan.Parent))
 	for _, v := range plan.Order {
-		if len(plan.Edges[v]) == 0 {
+		if plan.Factor[v] < 0 {
 			// Factorless node (the fat core root of Construction 2.8):
 			// its children's merged messages are already here — evaluate
 			// it at the coordinator, as the protocol runner runs its core

@@ -50,21 +50,6 @@ func (t *SimTransport) Workers() int { return len(t.workers) }
 
 func (t *SimTransport) Bytes() (out, in int64) { return t.out.Load(), t.in.Load() }
 
-// Rounds returns the ledger's round count so far (netsim semantics:
-// last occupied round + 1).
-func (t *SimTransport) Rounds() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.net.Rounds()
-}
-
-// TotalBits returns the total bits booked on the ledger so far.
-func (t *SimTransport) TotalBits() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.net.TotalBits()
-}
-
 func (t *SimTransport) RoundTrip(ctx context.Context, worker int, req *rpc.Frame) (*rpc.Frame, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

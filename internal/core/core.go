@@ -1,64 +1,19 @@
-// Package core is the headline API of the reproduction of "Topology
-// Dependent Bounds For FAQs" (Langberg, Li, Mani Jayaraman, Rudra;
-// PODS 2019): given an FAQ query, a network topology, and an assignment
-// of input functions to players, it
-//
-//   - executes the paper's protocols on the synchronous simulator and
-//     reports the exact round/bit cost (Theorems 4.1, 5.1, 5.2, F.1,
-//     G.4), and
-//   - evaluates the paper's closed-form upper and lower bound formulas
-//     (internal-node-width y(H), core size n₂(H), MinCut(G,K), Steiner
-//     packing and τ_MCF terms) so measured rounds can be compared
-//     against theory.
+// Package core evaluates the closed-form upper and lower bound formulas
+// of "Topology Dependent Bounds For FAQs" (Langberg, Li, Mani
+// Jayaraman, Rudra; PODS 2019) — internal-node-width y(H), core size
+// n₂(H), MinCut(G,K), Steiner packing and τ_MCF terms — so the rounds
+// protocol.Run and protocol.RunTrivial measure on the synchronous
+// simulator can be compared against theory.
 package core
 
 import (
 	"fmt"
 
-	"repro/internal/faq"
 	"repro/internal/flow"
 	"repro/internal/ghd"
 	"repro/internal/hypergraph"
-	"repro/internal/protocol"
-	"repro/internal/relation"
 	"repro/internal/topology"
 )
-
-// Engine binds a query to a topology and an assignment and exposes the
-// protocols and bounds.
-type Engine[T any] struct {
-	setup *protocol.Setup[T]
-}
-
-// New validates and returns an engine. assign[e] is the player holding
-// factor e; output is the player that must learn the answer.
-func New[T any](q *faq.Query[T], g *topology.Graph, assign protocol.Assignment, output int) (*Engine[T], error) {
-	s := &protocol.Setup[T]{Q: q, G: g, Assign: assign, Output: output}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &Engine[T]{setup: s}, nil
-}
-
-// Setup exposes the underlying protocol setup (benchmarks tweak the
-// channel width through it).
-func (e *Engine[T]) Setup() *protocol.Setup[T] { return e.setup }
-
-// Run executes the paper's main protocol (forest stars bottom-up +
-// trivial core, Theorem 4.1/F.1/G.4).
-func (e *Engine[T]) Run() (*relation.Relation[T], protocol.Report, error) {
-	return protocol.Run(e.setup)
-}
-
-// RunTrivial executes the trivial protocol baseline (Lemma 3.1).
-func (e *Engine[T]) RunTrivial() (*relation.Relation[T], protocol.Report, error) {
-	return protocol.RunTrivial(e.setup)
-}
-
-// Bounds evaluates the closed-form bounds for this instance.
-func (e *Engine[T]) Bounds() (*Bounds, error) {
-	return ComputeBounds(e.setup.Q.H, e.setup.Q.MaxFactorSize(), e.setup.G, e.setup.Players())
-}
 
 // Bounds packages the paper's structural parameters and round bounds for
 // one (H, G, K, N) instance.

@@ -14,8 +14,7 @@ import (
 
 var sb = semiring.Bool{}
 
-func starEngine(t *testing.T, g *topology.Graph, n int, output int) *Engine[bool] {
-	t.Helper()
+func starSetup(g *topology.Graph, n int, output int) *protocol.Setup[bool] {
 	h := hypergraph.ExampleH1()
 	factors := make([]*relation.Relation[bool], h.NumEdges())
 	for i := range factors {
@@ -26,17 +25,17 @@ func starEngine(t *testing.T, g *topology.Graph, n int, output int) *Engine[bool
 		factors[i] = b.Build()
 	}
 	q := faq.NewBCQ(h, factors, n)
-	e, err := New(q, g, protocol.Assignment{0, 1, 2, 3}, output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return &protocol.Setup[bool]{Q: q, G: g, Assign: protocol.Assignment{0, 1, 2, 3}, Output: output}
+}
+
+// setupBounds evaluates the closed-form bounds of a protocol instance.
+func setupBounds(s *protocol.Setup[bool]) (*Bounds, error) {
+	return ComputeBounds(s.Q.H, s.Q.MaxFactorSize(), s.G, s.Players())
 }
 
 func TestEngineRunStarLine(t *testing.T) {
 	n := 64
-	e := starEngine(t, topology.Line(4), n, 1)
-	ans, rep, err := e.Run()
+	ans, rep, err := protocol.Run(starSetup(topology.Line(4), n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +51,7 @@ func TestEngineRunStarLine(t *testing.T) {
 func TestBoundsStarOnLine(t *testing.T) {
 	// Table 1 row 1 instance: constant-degeneracy query on a line.
 	n := 64
-	e := starEngine(t, topology.Line(4), n, 1)
-	b, err := e.Bounds()
+	b, err := setupBounds(starSetup(topology.Line(4), n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +86,8 @@ func TestBoundsCliqueVsLine(t *testing.T) {
 	// The same query on the clique has MinCut 3 and a 2-tree packing:
 	// both bounds drop relative to the line.
 	n := 128
-	line, _ := starEngine(t, topology.Line(4), n, 1).Bounds()
-	clique, err := starEngine(t, topology.Clique(4), n, 1).Bounds()
+	line, _ := setupBounds(starSetup(topology.Line(4), n, 1))
+	clique, err := setupBounds(starSetup(topology.Clique(4), n, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,19 +118,15 @@ func TestBoundsCyclicQuery(t *testing.T) {
 		factors[i] = b.Build()
 	}
 	q := faq.NewBCQ(h, factors, n)
-	g := topology.Ring(3)
-	e, err := New(q, g, protocol.Assignment{0, 1, 2}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.Bounds()
+	s := &protocol.Setup[bool]{Q: q, G: topology.Ring(3), Assign: protocol.Assignment{0, 1, 2}, Output: 0}
+	b, err := setupBounds(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.N2 != 3 {
 		t.Errorf("n2(triangle) = %d, want 3", b.N2)
 	}
-	ans, rep, err := e.Run()
+	ans, rep, err := protocol.Run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +166,12 @@ func TestMeasuredRoundsBracketedByBounds(t *testing.T) {
 		for i := range assign {
 			assign[i] = i
 		}
-		e, err := New(q, g, assign, 0)
+		s := &protocol.Setup[bool]{Q: q, G: g, Assign: assign, Output: 0}
+		_, rep, err := protocol.Run(s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := e.Bounds()
+		b, err := setupBounds(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,14 +183,15 @@ func TestMeasuredRoundsBracketedByBounds(t *testing.T) {
 	}
 }
 
-func TestNewRejectsInvalidSetup(t *testing.T) {
+func TestRunRejectsInvalidSetup(t *testing.T) {
 	h := hypergraph.PathGraph(3)
 	factors := []*relation.Relation[bool]{
 		relation.Empty[bool](h.Edge(0)),
 		relation.Empty[bool](h.Edge(1)),
 	}
 	q := faq.NewBCQ(h, factors, 2)
-	if _, err := New(q, topology.Line(2), protocol.Assignment{0}, 0); err == nil {
+	s := &protocol.Setup[bool]{Q: q, G: topology.Line(2), Assign: protocol.Assignment{0}, Output: 0}
+	if _, _, err := protocol.Run(s); err == nil {
 		t.Error("expected error for short assignment")
 	}
 }

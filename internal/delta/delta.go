@@ -304,27 +304,6 @@ func (m *Materialized[T]) Answer() (*relation.Relation[T], error) {
 	return m.msgs[m.p.Root], nil
 }
 
-// Factor returns the handle's current view of base relation e (the
-// factors the maintained answer corresponds to).
-func (m *Materialized[T]) Factor(e int) (*relation.Relation[T], error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
-	if e < 0 || e >= len(m.q.Factors) {
-		return nil, fmt.Errorf("delta: factor %d out of range [0,%d)", e, len(m.q.Factors))
-	}
-	if m.strategy == StrategySupport {
-		f, err := m.lift.Factor(e)
-		if err != nil {
-			return nil, err
-		}
-		return oneOf(m.s, f), nil
-	}
-	return m.q.Factors[e], nil
-}
-
 // oneOf maps every listed tuple of c onto the semiring's 1 — the
 // Bool view of a non-negative support count (count > 0 ⇔ true).
 func oneOf[T any, U any](s semiring.Semiring[T], c *relation.Relation[U]) *relation.Relation[T] {
@@ -506,38 +485,21 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 			}
 		}
 		u := m.p.NodeOf[b.Edge]
-		if m.indexesFactor(u) {
-			for _, c := range m.p.Children[u] {
-				fix[c] = rebase(fix[c], factors[b.Edge], d, nf)
-			}
+		for _, c := range m.p.Children[u] {
+			fix[c] = rebase(fix[c], factors[b.Edge], d, nf)
 		}
 		factors[b.Edge] = nf
-		// Node-local delta: join the factor delta with the node's other
-		// designated factors (unchanged in this batch, so the product's
-		// delta is Join(Δ, siblings) by distributivity).
-		dn := d
-		for _, e := range m.p.Edges[u] {
-			if e != b.Edge {
-				dn = relation.Join(m.s, dn, factors[e])
-			}
-		}
 		// Walk the root path. from == -1 means the delta replaces the
-		// node's own factor slot; otherwise it replaces child `from`'s
+		// node's own factor; otherwise it replaces child `from`'s
 		// message and the node's factor joins in.
-		dcur, v, from := dn, u, -1
+		dcur, v, from := d, u, -1
 		for {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			cur := dcur
-			if from != -1 {
-				switch f := faq.NodeFactor(m.q, m.p, v, factors); {
-				case f == nil:
-				case m.indexesFactor(v):
-					cur = m.joinAt(fix, from, cur, f)
-				default:
-					cur = relation.Join(m.s, cur, f)
-				}
+			if f := faq.NodeFactor(m.p, v, factors); from != -1 && f != nil {
+				cur = m.joinAt(fix, from, cur, f)
 			}
 			for _, c := range m.p.Children[v] {
 				if c != from {
@@ -565,12 +527,6 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 	m.q.Factors, m.msgs, m.fix, m.mix = factors, msgs, fix, mix
 	return nil
 }
-
-// indexesFactor reports whether node v's factor is a retained relation
-// an index slot can follow: exactly one designated factor. A node with
-// several joins them afresh on every probe (faq.NodeFactor), so deltas
-// join it one-shot.
-func (m *Materialized[T]) indexesFactor(v int) bool { return len(m.p.Edges[v]) == 1 }
 
 // joinAt joins a delta against one retained relation through index
 // slot c of slots, building the slot's index on its first probe.
@@ -643,7 +599,7 @@ func (m *Materialized[T]) applyRecompute(ctx context.Context, batches []Batch[T]
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			nm, err := faq.EvalAt(m.q, m.p, v, faq.NodeFactor(m.q, m.p, v, factors), msgs)
+			nm, err := faq.EvalAt(m.q, m.p, v, faq.NodeFactor(m.p, v, factors), msgs)
 			if err != nil {
 				return err
 			}

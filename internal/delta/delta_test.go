@@ -347,31 +347,9 @@ func TestClosedHandle(t *testing.T) {
 	if _, err := m.Answer(); !errors.Is(err, delta.ErrClosed) {
 		t.Fatalf("Answer on closed = %v, want ErrClosed", err)
 	}
-	if _, err := m.Factor(0); !errors.Is(err, delta.ErrClosed) {
-		t.Fatalf("Factor on closed = %v, want ErrClosed", err)
-	}
 	err := m.Update(ctx, delta.Batch[int64]{Edge: 0, Inserts: []delta.Tuple[int64]{{Row: []int{0, 0}, Val: 1}}})
 	if !errors.Is(err, delta.ErrClosed) {
 		t.Fatalf("Update on closed = %v, want ErrClosed", err)
-	}
-}
-
-func TestFactorAccessor(t *testing.T) {
-	ctx := context.Background()
-	m, _ := materializeTpl(t, semiring.Count{}, "path7", pathRows(int64(1)))
-	if err := m.Update(ctx, delta.Batch[int64]{Edge: 2, Inserts: []delta.Tuple[int64]{{Row: []int{7, 7}, Val: 4}}}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := m.Factor(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := relation.LookupRow(f, []int32{7, 7})
-	if !ok || got != 4 {
-		t.Fatalf("Factor(2) lookup = %d,%v want 4,true", got, ok)
-	}
-	if _, err := m.Factor(42); err == nil {
-		t.Fatal("Factor out of range must error")
 	}
 }
 

@@ -24,22 +24,9 @@ import (
 // Dist is a probability distribution over uint64-encoded outcomes.
 type Dist map[uint64]float64
 
-// Validate checks non-negativity and unit mass (tolerance 1e-9).
-func (d Dist) Validate() error {
-	total := 0.0
-	for x, p := range d {
-		if p < 0 {
-			return fmt.Errorf("entropy: negative mass %g at %d", p, x)
-		}
-		total += p
-	}
-	if math.Abs(total-1) > 1e-9 {
-		return fmt.Errorf("entropy: total mass %g != 1", total)
-	}
-	return nil
-}
-
 // Shannon returns H(D) = −Σ p log₂ p.
+//
+//faqlint:allow deadexport(item 12: Appendix I.3's Shannon entropy, checked by its own tests until it gets a paper-table row)
 func Shannon(d Dist) float64 {
 	h := 0.0
 	for _, p := range d {
@@ -68,6 +55,8 @@ func MinEntropy(d Dist) float64 {
 // P[X = x, E] over events E with P(E) ≥ 1−ε. The optimum caps the
 // largest probabilities at a water-filling threshold t with total
 // trimmed mass ε, giving H = −log₂ t.
+//
+//faqlint:allow deadexport(item 12: eq. 6's smooth min-entropy, checked by its own tests until it gets a paper-table row)
 func SmoothMinEntropy(d Dist, eps float64) float64 {
 	if eps <= 0 {
 		return MinEntropy(d)
@@ -116,16 +105,6 @@ func FromSamples(xs []uint64) Dist {
 	inc := 1 / float64(len(xs))
 	for _, x := range xs {
 		d[x] += inc
-	}
-	return d
-}
-
-// UniformOver returns the uniform distribution on the given outcomes.
-func UniformOver(outcomes []uint64) Dist {
-	d := make(Dist, len(outcomes))
-	p := 1 / float64(len(outcomes))
-	for _, x := range outcomes {
-		d[x] += p
 	}
 	return d
 }

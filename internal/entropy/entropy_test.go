@@ -1,6 +1,7 @@
 package entropy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -210,4 +211,29 @@ func TestCounterexampleSampledAgreesWithExact(t *testing.T) {
 	if !almost(got, res.HShX, 0.05) {
 		t.Errorf("sampled H_Sh(x) = %v, exact %v", got, res.HShX)
 	}
+}
+
+// UniformOver returns the uniform distribution on the given outcomes.
+func UniformOver(outcomes []uint64) Dist {
+	d := make(Dist, len(outcomes))
+	p := 1 / float64(len(outcomes))
+	for _, x := range outcomes {
+		d[x] += p
+	}
+	return d
+}
+
+// Validate checks non-negativity and unit mass (tolerance 1e-9).
+func (d Dist) Validate() error {
+	total := 0.0
+	for x, p := range d {
+		if p < 0 {
+			return fmt.Errorf("entropy: negative mass %g at %d", p, x)
+		}
+		total += p
+	}
+	if math.Abs(total-1) > 1e-9 {
+		return fmt.Errorf("entropy: total mass %g != 1", total)
+	}
+	return nil
 }

@@ -1,9 +1,31 @@
 package exec
 
 import (
+	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
+
+// queueDepth scrapes the faq_exec_queue_depth gauge.
+func queueDepth(t *testing.T) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := obs.Default().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := obstest.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := s.Value("faq_exec_queue_depth", nil)
+	if !ok {
+		t.Fatal("faq_exec_queue_depth missing from the exposition")
+	}
+	return v
+}
 
 // TestTaskInstrumentationAllocs pins the observability cost of the
 // exec hot path: metering a Forest node task must add zero allocations
@@ -36,7 +58,7 @@ func TestTaskInstrumentationAllocs(t *testing.T) {
 // starting value after parallel Forest runs — including the failure
 // path that cancels queued tasks.
 func TestQueueDepthBalanced(t *testing.T) {
-	before := metricQueueDepth.Value()
+	before := queueDepth(t)
 	parent := make([]int, 64)
 	for i := range parent {
 		parent[i] = -1
@@ -55,8 +77,8 @@ func TestQueueDepthBalanced(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if after := metricQueueDepth.Value(); after != before {
-		t.Fatalf("queue depth gauge leaked: before %d, after %d", before, after)
+	if after := queueDepth(t); after != before {
+		t.Fatalf("queue depth gauge leaked: before %v, after %v", before, after)
 	}
 }
 

@@ -88,16 +88,6 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// IsZero reports whether v is the zero vector.
-func (v *Vector) IsZero() bool {
-	for _, x := range v.w {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Uint returns the vector packed into a uint64 (n ≤ 64), used as a map
 // key by the entropy experiments.
 func (v *Vector) Uint() uint64 {
@@ -166,9 +156,6 @@ func (m *Matrix) Get(i, j int) byte { return m.r[i].Get(j) }
 // Set assigns entry (i, j).
 func (m *Matrix) Set(i, j int, b byte) { m.r[i].Set(j, b) }
 
-// Row returns row i as a vector view; callers must not modify it.
-func (m *Matrix) Row(i int) *Vector { return m.r[i] }
-
 // MulVec returns m·x over F₂.
 func (m *Matrix) MulVec(x *Vector) *Vector {
 	if x.Len() != m.cols {
@@ -202,15 +189,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// Identity returns the n×n identity.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // RandomMatrix samples a uniform rows×cols matrix.
 func RandomMatrix(rows, cols int, r *rand.Rand) *Matrix {
 	m := &Matrix{rows: rows, cols: cols, r: make([]*Vector, rows)}
@@ -220,19 +198,6 @@ func RandomMatrix(rows, cols int, r *rand.Rand) *Matrix {
 	return m
 }
 
-// Equal reports entrywise equality.
-func (m *Matrix) Equal(b *Matrix) bool {
-	if m.rows != b.rows || m.cols != b.cols {
-		return false
-	}
-	for i := range m.r {
-		if !m.r[i].Equal(b.r[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{rows: m.rows, cols: m.cols, r: make([]*Vector, m.rows)}
@@ -240,30 +205,4 @@ func (m *Matrix) Clone() *Matrix {
 		out.r[i] = m.r[i].Clone()
 	}
 	return out
-}
-
-// Rank returns the rank over F₂ (Gaussian elimination on a copy).
-func (m *Matrix) Rank() int {
-	work := m.Clone()
-	rank := 0
-	for col := 0; col < work.cols && rank < work.rows; col++ {
-		pivot := -1
-		for i := rank; i < work.rows; i++ {
-			if work.Get(i, col) == 1 {
-				pivot = i
-				break
-			}
-		}
-		if pivot == -1 {
-			continue
-		}
-		work.r[rank], work.r[pivot] = work.r[pivot], work.r[rank]
-		for i := 0; i < work.rows; i++ {
-			if i != rank && work.Get(i, col) == 1 {
-				work.r[i] = work.r[i].Xor(work.r[rank])
-			}
-		}
-		rank++
-	}
-	return rank
 }

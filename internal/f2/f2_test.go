@@ -86,25 +86,6 @@ func TestIdentity(t *testing.T) {
 	if !id.Mul(m).Equal(m) || !m.Mul(id).Equal(m) {
 		t.Error("I·M != M")
 	}
-	if id.Rank() != n {
-		t.Errorf("rank(I) = %d, want %d", id.Rank(), n)
-	}
-}
-
-func TestRank(t *testing.T) {
-	// Rank-1 matrix: outer product of two nonzero vectors.
-	n := 8
-	m := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		m.Set(0, j, byte(j%2))
-		m.Set(3, j, byte(j%2)) // duplicate row
-	}
-	if got := m.Rank(); got != 1 {
-		t.Errorf("rank = %d, want 1", got)
-	}
-	if got := NewMatrix(4, 4).Rank(); got != 0 {
-		t.Errorf("rank(0) = %d, want 0", got)
-	}
 }
 
 func TestUintRoundTrip(t *testing.T) {
@@ -127,4 +108,26 @@ func TestRandomVectorMasksTail(t *testing.T) {
 			t.Fatal("tail bits beyond n are set")
 		}
 	}
+}
+
+// Identity returns the n×n identity.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Equal reports entrywise equality.
+func (m *Matrix) Equal(b *Matrix) bool {
+	if m.rows != b.rows || m.cols != b.cols {
+		return false
+	}
+	for i := range m.r {
+		if !m.r[i].Equal(b.r[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -43,7 +43,7 @@ func TestStarBCQIntersectionSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		v, err := BCQValue(q, res)
+		v, err := relation.ScalarValue(q.S, res)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestStarBCQIntersectionSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := BCQValue(q, res)
+	v, _ := relation.ScalarValue(q.S, res)
 	if v {
 		t.Error("BCQ = 1, want 0 for disjoint projections")
 	}
@@ -81,7 +81,7 @@ func TestSelfLoopBCQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := BCQValue(q, res)
+	v, _ := relation.ScalarValue(q.S, res)
 	if !v {
 		t.Error("BCQ = 0, want 1 (5 is in every set)")
 	}
@@ -130,7 +130,7 @@ func TestNaturalJoinQuery(t *testing.T) {
 	b1.AddOne(1, 0)
 	b1.AddOne(1, 2)
 	factors := []*relation.Relation[bool]{b0.Build(), b1.Build()}
-	q := NewNaturalJoin(h, factors, 3)
+	q := naturalJoin(h, factors, 3)
 	got, err := BruteForce(q)
 	if err != nil {
 		t.Fatal(err)
@@ -435,4 +435,14 @@ func TestMaxFactorSize(t *testing.T) {
 	if got := q.MaxFactorSize(); got != 3 {
 		t.Errorf("N = %d, want 3", got)
 	}
+}
+
+// naturalJoin builds the natural join query (footnote 4: F = V over
+// the Boolean semiring).
+func naturalJoin(h *hypergraph.Hypergraph, factors []*relation.Relation[bool], domSize int) *Query[bool] {
+	q := NewBCQ(h, factors, domSize)
+	for v := 0; v < h.NumVertices(); v++ {
+		q.Free = append(q.Free, v)
+	}
+	return q
 }

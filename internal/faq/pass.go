@@ -20,9 +20,9 @@ import (
 // re-derives child order, keep sets or factor placement.
 type Pass struct {
 	Root   int
-	Parent []int   // node → parent, -1 at the root
-	NodeOf []int   // edge → its designated node
-	Edges  [][]int // node → designated factor edges, ascending; empty when factorless
+	Parent []int // node → parent, -1 at the root
+	NodeOf []int // edge → its designated node
+	Factor []int // node → its designated edge, -1 when factorless
 	// Children lists each node's children in g.Children() order, the
 	// order every walker joins their messages in.
 	Children [][]int
@@ -34,7 +34,8 @@ type Pass struct {
 
 // NewPass plans the pass of g for the free variables F. It is the one
 // place the paper's free-variable restriction F ⊆ χ(root) (Appendix G.5)
-// is checked; a violation returns a wrapped ErrFreeOutsideRoot.
+// is checked; a violation returns a wrapped ErrFreeOutsideRoot. g is a
+// valid GHD, so no node is designated for two edges (ghd.Validate).
 func NewPass(g *ghd.GHD, free []int) (*Pass, error) {
 	rootBag := g.Bags[g.Root]
 	for _, x := range free {
@@ -47,13 +48,16 @@ func NewPass(g *ghd.GHD, free []int) (*Pass, error) {
 		Root:     g.Root,
 		Parent:   g.Parent,
 		NodeOf:   g.NodeOf,
-		Edges:    make([][]int, n),
+		Factor:   make([]int, n),
 		Children: g.Children(),
 		Order:    g.PostOrder(),
 		Keep:     make([][]int, n),
 	}
+	for v := range p.Factor {
+		p.Factor[v] = -1
+	}
 	for e, v := range g.NodeOf {
-		p.Edges[v] = append(p.Edges[v], e)
+		p.Factor[v] = e
 	}
 	for v, bag := range g.Bags {
 		var parentBag []int
@@ -69,19 +73,13 @@ func NewPass(g *ghd.GHD, free []int) (*Pass, error) {
 	return p, nil
 }
 
-// NodeFactor returns node v's factor: the join of its designated
-// factors (taken from factors, indexed by edge) in ascending edge order,
-// or nil for a factorless node such as the fat core root.
-func NodeFactor[T any](q *Query[T], p *Pass, v int, factors []*relation.Relation[T]) *relation.Relation[T] {
-	var cur *relation.Relation[T]
-	for _, e := range p.Edges[v] {
-		if cur == nil {
-			cur = factors[e]
-		} else {
-			cur = relation.Join(q.S, cur, factors[e])
-		}
+// NodeFactor returns node v's factor from factors (indexed by edge), or
+// nil for a factorless node such as the fat core root.
+func NodeFactor[T any](p *Pass, v int, factors []*relation.Relation[T]) *relation.Relation[T] {
+	if e := p.Factor[v]; e >= 0 {
+		return factors[e]
 	}
-	return cur
+	return nil
 }
 
 // EvalNode is the node evaluator of the pass. Its meaning is the chain:
@@ -130,7 +128,7 @@ func Messages[T any](ctx context.Context, q *Query[T], p *Pass, opts SolveOption
 	var metrics SolveMetrics
 	msgs := make([]*relation.Relation[T], len(p.Parent))
 	task := func(v int) error {
-		m, err := EvalAt(q, p, v, NodeFactor(q, p, v, q.Factors), msgs)
+		m, err := EvalAt(q, p, v, NodeFactor(p, v, q.Factors), msgs)
 		msgs[v] = m
 		return err
 	}

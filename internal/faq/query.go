@@ -159,27 +159,3 @@ func NewBCQ(h *hypergraph.Hypergraph, factors []*relation.Relation[bool], domSiz
 		DomSize: domSize,
 	}
 }
-
-// NewNaturalJoin builds the natural join query (footnote 4: F = V over
-// the Boolean semiring).
-func NewNaturalJoin(h *hypergraph.Hypergraph, factors []*relation.Relation[bool], domSize int) *Query[bool] {
-	free := make([]int, 0, h.NumVertices())
-	covered := make(map[int]bool)
-	for _, e := range h.Edges() {
-		for _, v := range e {
-			covered[v] = true
-		}
-	}
-	for v := 0; v < h.NumVertices(); v++ {
-		if covered[v] {
-			free = append(free, v)
-		}
-	}
-	return &Query[bool]{
-		S:       semiring.Bool{},
-		H:       h,
-		Factors: factors,
-		Free:    free,
-		DomSize: domSize,
-	}
-}

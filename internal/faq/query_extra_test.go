@@ -90,7 +90,7 @@ func TestNaturalJoinOnHypergraph(t *testing.T) {
 		}
 		factors[i] = b.Build()
 	}
-	q := NewNaturalJoin(h, factors, dom)
+	q := naturalJoin(h, factors, dom)
 	got, err := BruteForce(q)
 	if err != nil {
 		t.Fatal(err)
@@ -188,8 +188,8 @@ func TestBCQValueHelper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := BCQValue(q, res)
+	v, err := relation.ScalarValue(q.S, res)
 	if err != nil || !v {
-		t.Errorf("BCQValue = %v, %v; want true", v, err)
+		t.Errorf("BCQ value = %v, %v; want true", v, err)
 	}
 }

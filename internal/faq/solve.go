@@ -179,8 +179,8 @@ type DistributedSolver[T any] interface {
 }
 
 // ErrNotDistributable is returned (wrapped) by a DistributedSolver that
-// cannot run the query's shape remotely — per-variable aggregate
-// operators, multiple factors on one GHD node. SolveGHD treats it as
+// cannot run the query's shape remotely, such as one with per-variable
+// aggregate operators. SolveGHD treats it as
 // "run locally", every other solver error as a real failure.
 var ErrNotDistributable = errors.New("faq: query not distributable")
 
@@ -222,10 +222,4 @@ func SolveGHD[T any](ctx context.Context, q *Query[T], g *ghd.GHD, opts SolveOpt
 		return nil, SolveMetrics{}, err
 	}
 	return msgs[p.Root], metrics, nil
-}
-
-// BCQValue extracts the Boolean answer of a BCQ result (a scalar
-// relation).
-func BCQValue(q *Query[bool], res *relation.Relation[bool]) (bool, error) {
-	return relation.ScalarValue(q.S, res)
 }

@@ -238,7 +238,7 @@ func TestPackingMeetsMinCutBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := STCount(g, K, g.N())
+		st := len(PackSteinerTrees(g, K, g.N()))
 		if 2*st < mincut {
 			t.Errorf("ST = %d below MinCut/2 = %d/2 on %v K=%v", st, mincut, g, K)
 		}

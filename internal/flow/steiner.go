@@ -227,11 +227,6 @@ func greedyPacking(g *topology.Graph, K []int, delta int) []*SteinerTree {
 	}
 }
 
-// STCount returns |ST(G, K, Δ)| as produced by PackSteinerTrees.
-func STCount(g *topology.Graph, K []int, delta int) int {
-	return len(PackSteinerTrees(g, K, delta))
-}
-
 // BestDelta minimizes the set-intersection round bound of Theorem 3.11,
 // min over Δ of (units/ST(G,K,Δ) + Δ), over the sensible Δ range
 // [1, |V|]. It returns the chosen Δ, the packing, and the bound value.

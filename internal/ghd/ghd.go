@@ -88,7 +88,9 @@ func (g *GHD) Depth() int {
 // e ⊆ χ(v) and e ∈ λ(v); and the running intersection property holds
 // (for every vertex, the nodes whose bags contain it form a connected
 // subtree). It also checks the reduced-GHD property via NodeOf: each
-// hyperedge's designated node has a bag exactly equal to the edge.
+// hyperedge's designated node has a bag exactly equal to the edge, and
+// no node is designated for two edges, so every node carries at most
+// one factor (two parallel edges get two nodes with equal bags).
 func (g *GHD) Validate() error {
 	n := g.NumNodes()
 	if n == 0 {
@@ -125,11 +127,16 @@ func (g *GHD) Validate() error {
 	if len(g.NodeOf) != g.H.NumEdges() {
 		return fmt.Errorf("ghd: NodeOf has %d entries for %d edges", len(g.NodeOf), g.H.NumEdges())
 	}
+	edgeAt := make([]int, n) // node -> 1 + its designated edge, 0 if none
 	for e := 0; e < g.H.NumEdges(); e++ {
 		v := g.NodeOf[e]
 		if v < 0 || v >= n {
 			return fmt.Errorf("ghd: edge %d mapped to invalid node %d", e, v)
 		}
+		if edgeAt[v] != 0 {
+			return fmt.Errorf("ghd: node %d designated for edges %d and %d (one factor per node)", v, edgeAt[v]-1, e)
+		}
+		edgeAt[v] = e + 1
 		ev := g.H.Edge(e)
 		if !equalInts(g.Bags[v], ev) {
 			return fmt.Errorf("ghd: node %d bag %v != edge %d vertices %v (reduced property)",

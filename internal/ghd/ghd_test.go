@@ -197,6 +197,38 @@ func TestValidateDetectsMissingEdge(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsTwoEdgesOnOneNode: every node carries at most one
+// factor. A hand-built GHD that designates one node for two parallel
+// edges is invalid, while Construct and Minimize give each its own node.
+func TestValidateRejectsTwoEdgesOnOneNode(t *testing.T) {
+	b := hypergraph.NewBuilder()
+	b.Edge("A", "B")
+	b.Edge("A", "B")
+	b.Edge("B", "C")
+	h := b.Build()
+	g := &GHD{
+		H:        h,
+		Bags:     [][]int{h.Edge(0), h.Edge(2)},
+		Labels:   [][]int{{0, 1}, {2}},
+		Parent:   []int{-1, 0},
+		Root:     0,
+		NodeOf:   []int{0, 0, 1},
+		CoreRoot: -1,
+	}
+	if err := g.Validate(); err == nil {
+		t.Error("two edges designated to one node: got valid")
+	}
+	for _, build := range []func(*hypergraph.Hypergraph) (*GHD, error){Construct, Minimize} {
+		built, err := build(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := built.Validate(); err != nil || built.NodeOf[0] == built.NodeOf[1] {
+			t.Errorf("parallel edges on nodes %d and %d: %v", built.NodeOf[0], built.NodeOf[1], err)
+		}
+	}
+}
+
 func TestPostOrderChildrenBeforeParents(t *testing.T) {
 	h := hypergraph.ExampleH3()
 	g, err := Construct(h)

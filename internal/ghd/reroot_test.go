@@ -83,8 +83,11 @@ func TestReRootInternalCount(t *testing.T) {
 // TestWidthStability: Minimize must be deterministic across calls.
 func TestWidthStability(t *testing.T) {
 	for i := 0; i < 3; i++ {
-		y1 := MustWidth(hypergraph.ExampleH3())
-		y2 := MustWidth(hypergraph.ExampleH3())
+		y1, err1 := Width(hypergraph.ExampleH3())
+		y2, err2 := Width(hypergraph.ExampleH3())
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
 		if y1 != y2 {
 			t.Fatalf("width changed across calls: %d vs %d", y1, y2)
 		}

@@ -1,7 +1,6 @@
 package ghd
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/hypergraph"
@@ -288,14 +287,4 @@ func (s nodeSet) meets(t nodeSet) bool {
 		}
 	}
 	return false
-}
-
-// MustWidth is Width for callers holding hypergraphs already validated by
-// construction (tests, benchmarks); it panics on error.
-func MustWidth(h *hypergraph.Hypergraph) int {
-	w, err := Width(h)
-	if err != nil {
-		panic(fmt.Sprintf("ghd: %v", err))
-	}
-	return w
 }

@@ -53,16 +53,6 @@ type GYOResult struct {
 	Steps []GYOStep
 }
 
-// Removed reports whether edge e was removed by the reduction.
-func (r *GYOResult) Removed(e int) bool {
-	for _, x := range r.RemovedOrder {
-		if x == e {
-			return true
-		}
-	}
-	return false
-}
-
 // RunGYO executes the GYO algorithm (GYOA, Definition 2.6) on h and
 // returns the reduction trace. The algorithm repeatedly (a) eliminates a
 // vertex present in only one active edge and (b) deletes an active edge
@@ -323,19 +313,6 @@ func (d *Decomposition) N2() int {
 		return 0
 	}
 	return len(d.CoreVertices)
-}
-
-// TreeChildren returns, for tree t, a map from each edge to its child
-// edges within the tree (inverse of Parent).
-func (t *ForestTree) TreeChildren() map[int][]int {
-	ch := make(map[int][]int)
-	for e, p := range t.Parent {
-		ch[p] = append(ch[p], e)
-	}
-	for _, c := range ch {
-		sort.Ints(c)
-	}
-	return ch
 }
 
 // Degeneracy returns the degeneracy d of h (Definition 3.3): the smallest

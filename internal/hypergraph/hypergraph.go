@@ -120,19 +120,6 @@ func (h *Hypergraph) String() string {
 	return fmt.Sprintf("H{n=%d, %s}", h.n, strings.Join(parts, " "))
 }
 
-// Clone returns a deep copy of h.
-func (h *Hypergraph) Clone() *Hypergraph {
-	c := &Hypergraph{n: h.n}
-	c.edges = make([][]int, len(h.edges))
-	for i, e := range h.edges {
-		c.edges[i] = append([]int(nil), e...)
-	}
-	if h.names != nil {
-		c.names = append([]string(nil), h.names...)
-	}
-	return c
-}
-
 // IsSimpleGraph reports whether every edge has arity at most two, i.e. H
 // is a (multi)graph in the sense of Section 4.
 func (h *Hypergraph) IsSimpleGraph() bool { return h.Arity() <= 2 }

@@ -453,12 +453,3 @@ func TestIsGraphForest(t *testing.T) {
 		t.Error("parallel edges should not be a forest")
 	}
 }
-
-func TestCloneIsDeep(t *testing.T) {
-	h := ExampleH2()
-	c := h.Clone()
-	c.AddEdge(0)
-	if h.NumEdges() == c.NumEdges() {
-		t.Error("clone shares edge storage")
-	}
-}

@@ -346,6 +346,8 @@ func StrongIndependentSet(h *Hypergraph, restrict []int) []int {
 }
 
 // IsStrongIndependentSet verifies Definition F.4 for a candidate set.
+//
+//faqlint:allow deadexport(item 12: the hypergraph lower bound's strong independent set, read by its own lemma test until it gets a paper-table row)
 func IsStrongIndependentSet(h *Hypergraph, set []int) bool {
 	in := make(map[int]bool, len(set))
 	for _, v := range set {

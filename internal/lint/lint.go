@@ -2,7 +2,8 @@
 // compiles the ROADMAP's standing contracts — the faqs façade is the
 // only embedding surface, typed errors never panics, deterministic
 // (bit-identical) answers, the allocation discipline of the relation
-// kernels, and the failpoint/chaos-sweep coverage invariants — into
+// kernels, the failpoint/chaos-sweep coverage invariants, and exported
+// means used (every exported name in internal/ has a non-test reader) — into
 // machine-checked analyzers, so violating a contract is a build
 // failure in `make lint` / CI rather than a flaky runtime find.
 //
@@ -24,6 +25,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -52,9 +54,15 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) error
-	// Finish reports cross-package findings through the reporter.
+	// Finish reports cross-package findings through the reporter. It
+	// returns errPartialRun when the analyzed packages cannot decide
+	// the contract; the Runner then judges none of its pragmas stale.
 	Finish func(report func(token.Pos, string, ...any)) error
 }
+
+// errPartialRun is Finish's verdict that the run loaded too little of
+// the module to check its contract.
+var errPartialRun = errors.New("lint: run does not cover the contract")
 
 // Pass is the per-package view handed to an analyzer's Run.
 type Pass struct {
@@ -213,7 +221,9 @@ func (r *Runner) RunPackages(pkgs []*Package) ([]Diagnostic, error) {
 			}
 		}
 	}
+	judged := make(map[string]bool, len(r.Analyzers))
 	for _, a := range r.Analyzers {
+		judged[a.Name] = true
 		if a.Finish == nil {
 			continue
 		}
@@ -221,11 +231,13 @@ func (r *Runner) RunPackages(pkgs []*Package) ([]Diagnostic, error) {
 		err := a.Finish(func(pos token.Pos, format string, args ...any) {
 			r.report(name, pos, format, args...)
 		})
-		if err != nil {
+		if errors.Is(err, errPartialRun) {
+			judged[name] = false
+		} else if err != nil {
 			return nil, fmt.Errorf("lint: %s finish: %v", name, err)
 		}
 	}
-	r.reportUnusedPragmas()
+	r.reportUnusedPragmas(judged)
 	sort.Slice(r.diags, func(i, j int) bool {
 		a, b := r.diags[i], r.diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -245,16 +257,13 @@ func (r *Runner) RunPackages(pkgs []*Package) ([]Diagnostic, error) {
 // reportUnusedPragmas flags allow pragmas that suppressed nothing —
 // stale suppressions are contract documentation that has drifted from
 // the code and must be deleted rather than accumulate. Only pragmas
-// for analyzers that actually ran are judged: under a restricted
-// `-only` run the other pragmas never had a finding to suppress.
-func (r *Runner) reportUnusedPragmas() {
-	ran := make(map[string]bool, len(r.Analyzers))
-	for _, a := range r.Analyzers {
-		ran[a.Name] = true
-	}
+// of judged analyzers count: under a restricted `-only` run the other
+// pragmas never had a finding to suppress, nor do those of an analyzer
+// whose Finish found the run too partial to check.
+func (r *Runner) reportUnusedPragmas(judged map[string]bool) {
 	for _, ps := range r.pragmas {
 		for _, p := range ps {
-			if !p.used && ran[p.analyzer] {
+			if !p.used && judged[p.analyzer] {
 				r.report("faqlint", p.pos, "unused pragma: no %s finding on this or the next line", p.analyzer)
 			}
 		}
@@ -262,7 +271,7 @@ func (r *Runner) reportUnusedPragmas() {
 }
 
 // NewAnalyzers builds a fresh instance of the full analyzer suite (the
-// seven repo contracts). Fresh instances matter because some analyzers
+// eight repo contracts). Fresh instances matter because some analyzers
 // accumulate cross-package state consumed by Finish.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
@@ -273,6 +282,7 @@ func NewAnalyzers() []*Analyzer {
 		NewHotPath(DefaultHotPathConfig()),
 		NewFailpoint(DefaultFailpointConfig()),
 		NewMetricReg(DefaultMetricRegConfig()),
+		NewDeadExport(DefaultDeadExportConfig()),
 	}
 }
 

@@ -218,6 +218,37 @@ func TestGoldenMetricReg(t *testing.T) {
 	}, lint.NewMetricReg(lint.DefaultMetricRegConfig()))
 }
 
+// TestGoldenDeadExport loads the fixtures under their real import
+// paths, so the reader package sees lib through compiler export data,
+// as every package of a live run sees its dependencies.
+func TestGoldenDeadExport(t *testing.T) {
+	const root = "repro/internal/lint/testdata/src/deadexport/"
+	cfg := lint.DeadExportConfig{Scope: root, Module: []string{root + "lib", root + "reader", root + "support"}}
+	runGolden(t, []fixture{
+		{"deadexport/lib", root + "lib"},
+		{"deadexport/reader", root + "reader"},
+		{"deadexport/support", root + "support"},
+		{"deadexport/readertest", root + "reader_test"},
+	}, lint.NewDeadExport(cfg))
+}
+
+// TestDeadExportNarrowRunIsSilent: a run over one package never loads
+// the packages that read its exports, so deadexport must report nothing
+// rather than flag symbols that are in fact read.
+func TestDeadExportNarrowRunIsSilent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("package-closure lint run skipped in -short mode")
+	}
+	runner := &lint.Runner{Loader: loader(t), Analyzers: []*lint.Analyzer{lint.NewDeadExport(lint.DefaultDeadExportConfig())}}
+	diags, err := runner.Run([]string{"./internal/relation/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("narrow run finding: %s", d)
+	}
+}
+
 // TestGoldenPragmas exercises the pragma grammar itself (malformed,
 // unknown-analyzer, empty-reason, and stale suppressions are all
 // findings) under the full default analyzer suite.
@@ -226,10 +257,10 @@ func TestGoldenPragmas(t *testing.T) {
 		lint.NewAnalyzers()...)
 }
 
-// TestAnalyzerCatalogue pins the suite: exactly the seven contract
+// TestAnalyzerCatalogue pins the suite: exactly the eight contract
 // analyzers, under their documented names.
 func TestAnalyzerCatalogue(t *testing.T) {
-	want := []string{"facade", "nopanic", "mapiter", "ctxflow", "hotpath", "failpoint", "metricreg"}
+	want := []string{"facade", "nopanic", "mapiter", "ctxflow", "hotpath", "failpoint", "metricreg", "deadexport"}
 	as := lint.NewAnalyzers()
 	if len(as) != len(want) {
 		t.Fatalf("got %d analyzers, want %d", len(as), len(want))

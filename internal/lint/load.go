@@ -106,6 +106,20 @@ func (l *Loader) goList(patterns []string) ([]*listPackage, error) {
 	return pkgs, nil
 }
 
+// list returns the import paths of the packages the patterns match,
+// without building or loading them.
+func (l *Loader) list(patterns ...string) ([]string, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-f", "{{.ImportPath}}"}, patterns...)...)
+	cmd.Dir = l.ModuleDir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+	}
+	return strings.Fields(string(out)), nil
+}
+
 // Load lists the patterns, selects the analyzable module packages, and
 // type-checks each one. For a package with in-package tests the [test]
 // variant is analyzed (its GoFiles are the base files plus the test
@@ -163,29 +177,6 @@ func (l *Loader) Load(patterns []string) ([]*Package, error) {
 		return out[i].Name < out[j].Name
 	})
 	return out, nil
-}
-
-// LoadDir type-checks one directory of Go files as a stand-alone
-// package under the given import path — the entry point the golden
-// test harness uses for testdata fixture packages. The fixture may
-// import standard-library and repro packages; export data for any
-// import not already cached is resolved with an on-demand `go list`.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			files = append(files, filepath.Join(dir, e.Name()))
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	sort.Strings(files)
-	return l.check(importPath, "", dir, files, nil)
 }
 
 func absFiles(dir string, names []string) []string {

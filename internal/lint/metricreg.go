@@ -31,7 +31,7 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 // argument 1.
 var registerMethods = map[string]bool{
 	"NewCounter": true, "NewGauge": true, "NewHistogram": true,
-	"NewCounterVec": true, "NewGaugeVec": true, "NewHistogramVec": true,
+	"NewCounterVec": true, "NewHistogramVec": true,
 }
 
 type metricSite struct {

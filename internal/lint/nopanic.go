@@ -17,8 +17,8 @@ type NoPanicConfig struct {
 	// to the reason they are exempt.
 	Contain map[string]string
 	// MustIdiom, when true, exempts exported Must-prefixed functions:
-	// the documented panic-on-error constructor idiom (MustSchema,
-	// MustWidth) for statically-known inputs.
+	// the documented panic-on-error constructor idiom (MustSchema) for
+	// statically-known inputs.
 	MustIdiom bool
 }
 

@@ -98,9 +98,6 @@ func New(g *topology.Graph, bitsPerRound int) (*Network, error) {
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
 
-// BitsPerRound returns the edge capacity B.
-func (n *Network) BitsPerRound() int { return n.b }
-
 // Rounds returns the number of rounds the schedule uses so far (the
 // paper's round complexity): lastOccupiedRound + 1.
 func (n *Network) Rounds() int { return n.lastRound + 1 }
@@ -108,13 +105,6 @@ func (n *Network) Rounds() int { return n.lastRound + 1 }
 // TotalBits returns the total bits moved (for communication-volume
 // comparisons with the total-communication literature, Section 7).
 func (n *Network) TotalBits() int64 { return n.totalBits }
-
-// Reset clears the ledger.
-func (n *Network) Reset() {
-	n.used = make([][]int, n.g.M())
-	n.lastRound = -1
-	n.totalBits = 0
-}
 
 // reserve books `bits` (≤ B) on edge e at the earliest round ≥ r with
 // spare capacity, returning the booked round.
@@ -312,6 +302,8 @@ func (n *Network) children(t *Tree) (map[int][]int, map[int]int, error) {
 // BroadcastTree pushes a message of the given size from the root to
 // every tree node (Step 3 of Algorithm 1). Returns the round at which
 // the last node holds it.
+//
+//faqlint:allow deadexport(item 12: Algorithm 1's broadcast schedule, checked by its own test until it gets a paper-table row)
 func (n *Network) BroadcastTree(t *Tree, start, bits int) (int, error) {
 	ch, _, err := n.children(t)
 	if err != nil {
@@ -345,6 +337,8 @@ func (n *Network) BroadcastTree(t *Tree, start, bits int) (int, error) {
 // children (aggregation keeps message size constant, as in the bit-wise
 // AND of Theorem 3.11). Returns the round at which the root has heard
 // from all children.
+//
+//faqlint:allow deadexport(item 12: read by the root converge-pipelining ablation benchmark)
 func (n *Network) ConvergeTree(t *Tree, start, bits int) (int, error) {
 	ch, _, err := n.children(t)
 	if err != nil {
@@ -379,6 +373,8 @@ func (n *Network) ConvergeTree(t *Tree, start, bits int) (int, error) {
 // keep(node, item) — the source's own filter applies before sending.
 // It returns, for each item, whether it reached the end of the path, and
 // the overall completion round.
+//
+//faqlint:allow deadexport(item 12: the Example 2.1/2.2 semijoin chain, read by the root converge-pipelining ablation benchmark)
 func (n *Network) StreamItems(path []int, start, items, itemBits int, keep func(node, item int) bool) ([]bool, int, error) {
 	if len(path) == 0 {
 		return nil, 0, fmt.Errorf("netsim: empty path")

@@ -233,17 +233,6 @@ func TestStreamItemsTooLarge(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	n := mustNet(t, topology.Line(2), 8)
-	if _, err := n.SendBits(0, 1, 0, 8); err != nil {
-		t.Fatal(err)
-	}
-	n.Reset()
-	if n.Rounds() != 0 || n.TotalBits() != 0 {
-		t.Error("Reset did not clear the ledger")
-	}
-}
-
 // TestCapacityNeverExceeded drives random primitives and then audits the
 // ledger: no (edge, round) cell may exceed B — the defining constraint
 // of Model 2.1.

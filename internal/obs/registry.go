@@ -248,9 +248,6 @@ func (g *Gauge) Inc() { g.g.val.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.g.val.Add(-1) }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.g.val.Load() }
-
 // Histogram counts observations into fixed buckets. Observe is a
 // linear scan over the (small) bucket array plus two atomic adds —
 // zero allocations.
@@ -272,29 +269,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveSince observes the elapsed nanoseconds since t0.
 func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0).Nanoseconds()) }
 
-// HistSnapshot is a point-in-time copy of a histogram child. Counts are
-// per-bucket (non-cumulative); Counts[len(Buckets)] is the +Inf
-// overflow bucket.
-type HistSnapshot struct {
-	Buckets []int64
-	Counts  []int64
-	Count   int64
-	Sum     int64
-}
-
-// Snapshot copies the histogram's current state. Each bucket counter is
-// monotone; the set of loads is not atomic as a group.
-func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{Buckets: h.buckets, Counts: make([]int64, len(h.h.counts))}
-	for i := range h.h.counts {
-		c := h.h.counts[i].Load()
-		s.Counts[i] = c
-		s.Count += c
-	}
-	s.Sum = h.h.sum.Load()
-	return s
-}
-
 // CounterVec is a counter family with labels. With pre-binds a child;
 // call it at construction time, never per-sample.
 type CounterVec struct{ f *family }
@@ -302,12 +276,6 @@ type CounterVec struct{ f *family }
 // With returns the child counter for the given label values,
 // creating it on first use. Idempotent: same values, same child.
 func (v *CounterVec) With(values ...string) *Counter { return &Counter{c: v.f.get(values)} }
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return &Gauge{g: v.f.get(values)} }
 
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
@@ -339,11 +307,6 @@ func (r *Registry) NewHistogram(name, help string, buckets []int64) *Histogram {
 // NewCounterVec registers a labelled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{f: r.register(name, help, counterKind, nil, labels)}
-}
-
-// NewGaugeVec registers a labelled gauge family.
-func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, gaugeKind, nil, labels)}
 }
 
 // NewHistogramVec registers a labelled histogram family.

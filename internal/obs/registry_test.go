@@ -118,16 +118,12 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != goroutines*perG {
-		t.Fatalf("count = %d, want %d", s.Count, goroutines*perG)
+	var count int64
+	for i := range h.h.counts {
+		count += h.h.counts[i].Load()
 	}
-	var bucketTotal int64
-	for _, c := range s.Counts {
-		bucketTotal += c
-	}
-	if bucketTotal != s.Count {
-		t.Fatalf("bucket counts %d != count %d", bucketTotal, s.Count)
+	if count != goroutines*perG {
+		t.Fatalf("bucket counts sum to %d, want %d", count, goroutines*perG)
 	}
 }
 

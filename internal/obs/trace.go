@@ -84,16 +84,3 @@ func (t *Tracer) Recent(n int) []Trace {
 	}
 	return out
 }
-
-// Len returns the number of traces currently retained.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.n > uint64(len(t.buf)) {
-		return len(t.buf)
-	}
-	return int(t.n)
-}

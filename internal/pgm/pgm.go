@@ -26,12 +26,6 @@ type Model struct {
 	DomSize int
 }
 
-// Validate checks the model's queries will validate.
-func (m *Model) Validate() error {
-	q := m.query(nil)
-	return q.Validate()
-}
-
 func (m *Model) query(free []int) *faq.Query[float64] {
 	return &faq.Query[float64]{
 		S:       sp,
@@ -47,6 +41,8 @@ func (m *Model) query(free []int) *faq.Query[float64] {
 func (m *Model) MarginalQuery(free []int) *faq.Query[float64] { return m.query(free) }
 
 // Partition computes the partition function Z (all variables bound).
+//
+//faqlint:allow deadexport(item 12: the PGM partition function, checked by its own tests until it gets a paper-table row)
 func (m *Model) Partition() (float64, error) {
 	res, err := faq.Solve(m.query(nil))
 	if err != nil {
@@ -56,6 +52,8 @@ func (m *Model) Partition() (float64, error) {
 }
 
 // VariableMarginal computes the unnormalized marginal P̃(x_v).
+//
+//faqlint:allow deadexport(item 12: the PGM variable marginal (F = {v}), checked by its own tests until it gets a paper-table row)
 func (m *Model) VariableMarginal(v int) (*relation.Relation[float64], error) {
 	if v < 0 || v >= m.H.NumVertices() {
 		return nil, fmt.Errorf("pgm: variable %d out of range", v)
@@ -65,28 +63,13 @@ func (m *Model) VariableMarginal(v int) (*relation.Relation[float64], error) {
 
 // FactorMarginal computes the unnormalized marginal over factor e's
 // scope — the F = e case the paper highlights.
+//
+//faqlint:allow deadexport(item 12: the PGM factor marginal (F = e), checked by its own tests until it gets a paper-table row)
 func (m *Model) FactorMarginal(e int) (*relation.Relation[float64], error) {
 	if e < 0 || e >= m.H.NumEdges() {
 		return nil, fmt.Errorf("pgm: factor %d out of range", e)
 	}
 	return faq.Solve(m.query(m.H.Edge(e)))
-}
-
-// Normalize divides a marginal by Z, returning probabilities.
-func (m *Model) Normalize(marg *relation.Relation[float64]) (map[string]float64, error) {
-	z, err := m.Partition()
-	if err != nil {
-		return nil, err
-	}
-	if z <= 0 {
-		return nil, fmt.Errorf("pgm: partition function %g not positive", z)
-	}
-	out := make(map[string]float64, marg.Len())
-	for i := 0; i < marg.Len(); i++ {
-		key := fmt.Sprint(marg.Tuple(i))
-		out[key] = marg.Value(i) / z
-	}
-	return out, nil
 }
 
 // randomPotential fills a dense positive potential on a scope.

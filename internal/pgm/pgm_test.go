@@ -1,6 +1,7 @@
 package pgm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,4 +124,27 @@ func TestMarginalErrors(t *testing.T) {
 	if _, err := m.FactorMarginal(99); err == nil {
 		t.Error("expected error for bad factor")
 	}
+}
+
+// Validate checks the model's queries will validate.
+func (m *Model) Validate() error {
+	q := m.query(nil)
+	return q.Validate()
+}
+
+// Normalize divides a marginal by Z, returning probabilities.
+func (m *Model) Normalize(marg *relation.Relation[float64]) (map[string]float64, error) {
+	z, err := m.Partition()
+	if err != nil {
+		return nil, err
+	}
+	if z <= 0 {
+		return nil, fmt.Errorf("pgm: partition function %g not positive", z)
+	}
+	out := make(map[string]float64, marg.Len())
+	for i := 0; i < marg.Len(); i++ {
+		key := fmt.Sprint(marg.Tuple(i))
+		out[key] = marg.Value(i) / z
+	}
+	return out, nil
 }

@@ -166,13 +166,6 @@ func entryReady(ent *cacheEntry) bool {
 	}
 }
 
-// Len returns the number of resident entries (including in-flight ones).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
 // CacheStats is the JSON-friendly counter snapshot for /stats.
 type CacheStats struct {
 	Capacity  int   `json:"capacity"`

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/hypergraph"
+	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 )
 
 func pathFingerprint(t *testing.T, k int) *Fingerprint {
@@ -117,7 +120,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	for i := range fps {
 		fps[i] = pathFingerprint(t, i+2)
 		get(fps[i])
-		if got := c.Len(); got > capacity {
+		if got := c.lru.Len(); got > capacity {
 			t.Fatalf("after %d inserts: Len %d > capacity %d", i+1, got, capacity)
 		}
 	}
@@ -152,7 +155,7 @@ func TestCacheFailureNotCached(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("failed compile cached (calls=%d, want 2)", calls)
 	}
-	if got := c.Len(); got != 0 {
+	if got := c.lru.Len(); got != 0 {
 		t.Fatalf("failed entry resident: Len=%d", got)
 	}
 	if s := c.Stats(); s.Failures != 2 {
@@ -195,10 +198,28 @@ func TestCachePanickingCompileDoesNotPoison(t *testing.T) {
 	}
 }
 
+// compileSamples scrapes the sample count of faq_plan_compile_ns.
+func compileSamples(t *testing.T) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := obs.Default().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := obstest.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, ok := s.Value("faq_plan_compile_ns_count", nil)
+	if !ok {
+		t.Fatal("faq_plan_compile_ns_count missing from the exposition")
+	}
+	return n
+}
+
 // TestCacheObservesCompileDuration: every completed compile, and nothing
 // else, lands one sample in faq_plan_compile_ns.
 func TestCacheObservesCompileDuration(t *testing.T) {
-	before := metricCompileNS.Snapshot().Count
+	before := compileSamples(t)
 	c := NewCache(4)
 	fp := pathFingerprint(t, 3)
 	for i := 0; i < 2; i++ { // a compiling miss, then a hit
@@ -209,8 +230,8 @@ func TestCacheObservesCompileDuration(t *testing.T) {
 	if _, _, err := c.Get("k", func() (*Plan, error) { return nil, errors.New("boom") }); err == nil {
 		t.Fatal("failed compile returned no error")
 	}
-	if got := metricCompileNS.Snapshot().Count - before; got != 1 {
-		t.Fatalf("faq_plan_compile_ns observed %d samples, want 1", got)
+	if got := compileSamples(t) - before; got != 1 {
+		t.Fatalf("faq_plan_compile_ns observed %v samples, want 1", got)
 	}
 }
 

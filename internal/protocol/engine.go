@@ -71,13 +71,10 @@ func RunOnGHD[T any](s *Setup[T], gh *ghd.GHD) (*relation.Relation[T], Report, e
 		owner:  make([]int, n),
 		finish: make([]int, n),
 	}
-	for v, es := range p.Edges {
+	for v, e := range p.Factor {
 		r.owner[v] = -1
-		if len(es) > 1 {
-			return nil, rep, fmt.Errorf("protocol: GHD node %d carries %d factors", v, len(es))
-		}
-		if len(es) == 1 {
-			r.rel[v], r.owner[v] = s.Q.Factors[es[0]], s.Assign[es[0]]
+		if e >= 0 {
+			r.rel[v], r.owner[v] = s.Q.Factors[e], s.Assign[e]
 		}
 	}
 

@@ -53,7 +53,10 @@ func TestCountSemiringDistributed(t *testing.T) {
 		t.Error("distributed count != brute force")
 	}
 	// The count must equal the natural join's size.
-	qb := faq.NewNaturalJoin(h, boolFactors(factors), dom)
+	qb := faq.NewBCQ(h, boolFactors(factors), dom)
+	for v := 0; v < h.NumVertices(); v++ {
+		qb.Free = append(qb.Free, v) // the natural join: F = V
+	}
 	join, err := faq.BruteForce(qb)
 	if err != nil {
 		t.Fatal(err)

@@ -149,10 +149,6 @@ func NewBuilderHint[T any](s semiring.Semiring[T], schema []int, capacity int) *
 	return b
 }
 
-// Len returns the number of tuples added so far (before duplicate
-// merging).
-func (b *Builder[T]) Len() int { return len(b.vals) }
-
 // Add appends a tuple (given in the builder's original schema order) with
 // an annotation. Length mismatches panic.
 func (b *Builder[T]) Add(tuple []int, val T) {
@@ -558,47 +554,4 @@ func Equal[T any](s semiring.Semiring[T], a, b *Relation[T]) bool {
 		}
 	}
 	return true
-}
-
-// Rename returns a copy of r with schema variables substituted according
-// to m (old id -> new id); variables absent from m keep their ids. The
-// mapping must remain injective on the schema.
-func Rename[T any](s semiring.Semiring[T], r *Relation[T], m map[int]int) (*Relation[T], error) {
-	newSchema := make([]int, len(r.schema))
-	for i, v := range r.schema {
-		if nv, ok := m[v]; ok {
-			newSchema[i] = nv
-		} else {
-			newSchema[i] = v
-		}
-	}
-	ascending := true
-	for i := 1; i < len(newSchema); i++ {
-		if newSchema[i] <= newSchema[i-1] {
-			ascending = false
-			break
-		}
-	}
-	if ascending {
-		// Order-preserving rename: the column layout and tuple order are
-		// unchanged, so the result shares the immutable storage.
-		return fromSorted(newSchema, r.rows, r.vals), nil
-	}
-	seen := make(map[int]bool, len(newSchema))
-	for _, v := range newSchema {
-		if seen[v] {
-			return nil, fmt.Errorf("relation: rename collapses schema %v via %v", r.schema, m)
-		}
-		seen[v] = true
-	}
-	b := NewBuilderHint(s, newSchema, r.Len())
-	tuple := make([]int, len(newSchema))
-	for i := 0; i < r.Len(); i++ {
-		t := r.Tuple(i)
-		for k := range t {
-			tuple[k] = int(t[k])
-		}
-		b.Add(tuple, r.vals[i])
-	}
-	return b.Build(), nil
 }

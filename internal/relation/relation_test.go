@@ -235,26 +235,6 @@ func TestScalarValue(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	b := NewBuilder[bool](sb, []int{0, 1})
-	b.AddOne(7, 8)
-	r := b.Build()
-	out, err := Rename(sb, r, map[int]int{0: 5, 1: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out.Schema(), []int{2, 5}) {
-		t.Fatalf("renamed schema = %v, want [2 5]", out.Schema())
-	}
-	// var1 (value 8) -> var2; var0 (value 7) -> var5.
-	if out.Tuple(0)[0] != 8 || out.Tuple(0)[1] != 7 {
-		t.Errorf("renamed tuple = %v, want [8 7]", out.Tuple(0))
-	}
-	if _, err := Rename(sb, r, map[int]int{0: 1}); err == nil {
-		t.Error("expected error for collapsing rename")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := NewBuilder[bool](sb, []int{0})
 	a.AddOne(1)

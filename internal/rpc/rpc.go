@@ -148,7 +148,6 @@ type Conn struct {
 	wbuf    []byte
 	timeout time.Duration // per-message default deadline; 0 = none
 	broken  atomic.Bool
-	out, in atomic.Int64
 }
 
 // Dial connects to a cluster peer. msgTimeout, when positive, is both
@@ -175,9 +174,6 @@ func Dial(ctx context.Context, addr string, msgTimeout time.Duration) (*Conn, er
 // Broken reports whether a previous exchange failed, leaving the reply
 // stream in an unknown state. Broken connections must be discarded.
 func (c *Conn) Broken() bool { return c.broken.Load() }
-
-// Bytes returns the cumulative wire bytes written and read.
-func (c *Conn) Bytes() (out, in int64) { return c.out.Load(), c.in.Load() }
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error {
@@ -243,7 +239,6 @@ func (c *Conn) RoundTrip(ctx context.Context, req *Frame) (*Frame, error) {
 	if _, err := c.nc.Write(buf); err != nil {
 		return fail(fmt.Errorf("rpc: write: %w", err))
 	}
-	c.out.Add(int64(len(buf)))
 
 	if err := recvSite.Hit(ctx); err != nil {
 		return fail(fmt.Errorf("rpc: recv: %w", err))
@@ -252,7 +247,6 @@ func (c *Conn) RoundTrip(ctx context.Context, req *Frame) (*Frame, error) {
 	if err != nil {
 		return fail(fmt.Errorf("rpc: read: %w", err))
 	}
-	c.in.Add(int64(resp.WireBytes()))
 	return resp, nil
 }
 

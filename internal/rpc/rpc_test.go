@@ -164,10 +164,6 @@ func TestClientServerExchange(t *testing.T) {
 			t.Fatalf("exchange %d: bad echo %+v", i, resp)
 		}
 	}
-	out, in := c.Bytes()
-	if out == 0 || in == 0 {
-		t.Fatalf("byte counters did not move: out=%d in=%d", out, in)
-	}
 	if c.Broken() {
 		t.Fatal("healthy connection reported broken")
 	}

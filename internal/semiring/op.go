@@ -39,11 +39,3 @@ func (o mulOp[T]) IsProduct() bool  { return true }
 // MulOf returns the product-aggregate operator ⊗ of s, usable as a bound
 // variable's aggregate in a general FAQ.
 func MulOf[T any](s Semiring[T]) Op[T] { return mulOp[T]{s} }
-
-// CompatibleAggregate reports whether alt's addition can serve as a
-// semiring aggregate for a query whose factors live in base: the paper
-// requires the alternative semiring to share the additive identity 0 and
-// multiplicative identity 1 with base.
-func CompatibleAggregate[T any](base, alt Semiring[T]) bool {
-	return base.Equal(base.Zero(), alt.Zero()) && base.Equal(base.One(), alt.One())
-}

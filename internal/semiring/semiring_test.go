@@ -183,18 +183,6 @@ func TestMulOfOp(t *testing.T) {
 	}
 }
 
-func TestCompatibleAggregate(t *testing.T) {
-	// MaxTimes shares identities (0, 1) with SumProduct, so max is a valid
-	// bound-variable aggregate in a sum-product FAQ (Section 5).
-	if !CompatibleAggregate[float64](SumProduct{}, MaxTimes{}) {
-		t.Error("MaxTimes should be a compatible aggregate for SumProduct")
-	}
-	// MinPlus has zero = +Inf and one = 0: incompatible with SumProduct.
-	if CompatibleAggregate[float64](SumProduct{}, MinPlus{}) {
-		t.Error("MinPlus should not be a compatible aggregate for SumProduct")
-	}
-}
-
 // TestQuickBoolDeMorganish uses testing/quick to confirm the Boolean
 // semiring agrees with Go's built-in operators on arbitrary inputs.
 func TestQuickBoolDeMorganish(t *testing.T) {

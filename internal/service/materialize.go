@@ -87,8 +87,5 @@ func (mz *Materialized[T]) Answer() (*relation.Relation[T], error) {
 // Strategy exposes the maintenance strategy in use.
 func (mz *Materialized[T]) Strategy() delta.Strategy { return mz.m.Strategy() }
 
-// DeltaStats exposes the underlying handle's counters.
-func (mz *Materialized[T]) DeltaStats() delta.Stats { return mz.m.Stats() }
-
 // Close releases the retained messages. Idempotent.
 func (mz *Materialized[T]) Close() { mz.m.Close() }

@@ -41,12 +41,6 @@ import (
 // error is a *BudgetError carrying the numbers.
 var ErrOverBudget = errors.New("service: plan memory bound exceeds budget")
 
-// ErrFallbackDisabled is returned when a query shape violates the
-// paper's free-variable restriction (F ⊄ every bag, Appendix G.5) and
-// the service was configured without the brute-force fallback: no GHD
-// plan can deliver the marginal and the exponential path is off.
-var ErrFallbackDisabled = errors.New("service: query requires brute-force fallback, which is disabled")
-
 // BudgetError is the typed admission-control rejection: the structural
 // estimate for executing the plan against this request's data exceeds
 // the configured budget. errors.Is(err, ErrOverBudget) matches it.
@@ -71,7 +65,6 @@ type Option func(*config)
 type config struct {
 	pool        *exec.Pool
 	budget      int64
-	noFallback  bool
 	gate        *Gate
 	deadline    time.Duration
 	metrics     *obs.Registry
@@ -89,14 +82,6 @@ func WithPool(p *exec.Pool) Option { return func(c *config) { c.pool = p } }
 // bytes is rejected with a *BudgetError before execution. bytes <= 0
 // disables the check.
 func WithMemoryBudget(bytes int64) Option { return func(c *config) { c.budget = bytes } }
-
-// WithBruteForceFallback toggles the exponential faq.BruteForce path for
-// shapes violating the free-variable restriction. It defaults to on
-// (mirroring the solver contract); disabled services return
-// ErrFallbackDisabled instead.
-func WithBruteForceFallback(enabled bool) Option {
-	return func(c *config) { c.noFallback = !enabled }
-}
 
 // WithDistributed threads a faq.DistributedSolver for the service's
 // value type into every solve (faq.SolveOptions.Distributed): eligible
@@ -116,7 +101,7 @@ type Info struct {
 	Fallback bool    `json:"fallback"`
 	CanonNS  int64   `json:"canon_ns"`
 	PlanNS   int64   `json:"plan_ns"` // cache round-trip (compile on miss)
-	AdmitNS  int64   `json:"-"`       // admission check (budget + fallback policy)
+	AdmitNS  int64   `json:"-"`       // admission check (budget)
 	BindNS   int64   `json:"bind_ns"`
 	ExecNS   int64   `json:"exec_ns"`
 	TotalNS  int64   `json:"total_ns"`
@@ -151,13 +136,6 @@ func New[T any](s semiring.Semiring[T], name string, cache *plan.Cache, opts ...
 	sv.met = bindMetrics(sv.cfg.metrics, name)
 	return sv
 }
-
-// Cache exposes the underlying plan cache (stats endpoints read it).
-func (sv *Service[T]) Cache() *plan.Cache { return sv.cache }
-
-// Semiring returns the semiring the service evaluates over (wire
-// adapters build typed queries with it).
-func (sv *Service[T]) Semiring() semiring.Semiring[T] { return sv.s }
 
 // Stats is the service-level counter snapshot. The degradation
 // counters (Shed, DeadlineExceeded, Panics) let operators see graceful
@@ -242,15 +220,12 @@ func (sv *Service[T]) Solve(ctx context.Context, q *faq.Query[T]) (ans *relation
 	return ans, info, err
 }
 
-// admit applies admission control and the fallback policy to a resolved
-// plan, before any execution work: over-budget requests are rejected
-// with a *BudgetError, and fallback-requiring shapes error when the
-// exponential path is disabled.
+// admit applies admission control to a resolved plan, before any
+// execution work: over-budget requests are rejected with a
+// *BudgetError. A fallback plan is priced at the brute-force join over
+// every variable, so the budget also decides whether the exponential
+// path may run.
 func (sv *Service[T]) admit(q *faq.Query[T], p *plan.Plan) error {
-	if p.Fallback && sv.cfg.noFallback {
-		sv.met.rejected.Inc()
-		return fmt.Errorf("service: %w: %w", ErrFallbackDisabled, faq.ErrFreeOutsideRoot)
-	}
 	if sv.cfg.budget > 0 {
 		n := q.MaxFactorSize()
 		if est := p.EstimateBytes(n); est > float64(sv.cfg.budget) {

@@ -78,7 +78,7 @@ func TestServiceSolveMatchesDirect(t *testing.T) {
 			t.Fatalf("rep %d: CacheHit = %v", rep, info.CacheHit)
 		}
 	}
-	if st := sv.Cache().Stats(); st.Compiles != 1 || st.Hits != 2 {
+	if st := sv.cache.Stats(); st.Compiles != 1 || st.Hits != 2 {
 		t.Fatalf("cache stats %+v, want 1 compile / 2 hits", st)
 	}
 	if st := sv.Stats(); st.Requests != 3 || st.Errors != 0 {
@@ -107,7 +107,7 @@ func TestServiceFallback(t *testing.T) {
 			t.Fatal("fallback answer differs from BruteForce")
 		}
 	}
-	if st := sv.Cache().Stats(); st.Compiles != 1 {
+	if st := sv.cache.Stats(); st.Compiles != 1 {
 		t.Fatalf("fallback plan not cached: %+v", st)
 	}
 }
@@ -183,7 +183,7 @@ func TestServiceRenamedShapesShareOnePlan(t *testing.T) {
 			t.Fatalf("request %d: service answer differs from direct solve", i)
 		}
 	}
-	if st := sv.Cache().Stats(); st.Compiles != 2 {
+	if st := sv.cache.Stats(); st.Compiles != 2 {
 		t.Fatalf("compiled %d plans for 2 shapes", st.Compiles)
 	}
 	if st := sv.Stats(); st.Requests != int64(len(qs)) || st.Errors != 1 {

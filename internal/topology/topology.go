@@ -155,20 +155,6 @@ func (g *Graph) ShortestPath(u, v int, allowed func(edgeID int) bool) []int {
 	return nil
 }
 
-// Connected reports whether g is connected (vacuously true for n ≤ 1).
-func (g *Graph) Connected() bool {
-	if g.n <= 1 {
-		return true
-	}
-	d := g.BFS(0, nil)
-	for _, x := range d {
-		if x == -1 {
-			return false
-		}
-	}
-	return true
-}
-
 // ConnectsAll reports whether every vertex of K is reachable from the
 // first one.
 func (g *Graph) ConnectsAll(K []int) bool {
@@ -182,32 +168,6 @@ func (g *Graph) ConnectsAll(K []int) bool {
 		}
 	}
 	return true
-}
-
-// Diameter returns the largest finite pairwise distance (0 for n ≤ 1);
-// it errors on disconnected graphs.
-func (g *Graph) Diameter() (int, error) {
-	if !g.Connected() {
-		return 0, fmt.Errorf("topology: diameter of disconnected graph")
-	}
-	max := 0
-	for v := 0; v < g.n; v++ {
-		for _, d := range g.BFS(v, nil) {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max, nil
-}
-
-// Clone returns a deep copy.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph(g.n)
-	for _, e := range g.edges {
-		c.AddEdge(e[0], e[1])
-	}
-	return c
 }
 
 // String renders the graph for diagnostics.
@@ -280,6 +240,8 @@ func RandomTree(n int, r *rand.Rand) *Graph {
 }
 
 // RandomConnected returns a random tree plus extra random edges (deduped).
+//
+//faqlint:allow deadexport(the random topology of the flow, protocol and netsim test suites)
 func RandomConnected(n, extra int, r *rand.Rand) *Graph {
 	g := RandomTree(n, r)
 	for i := 0; i < extra; i++ {

@@ -1,10 +1,42 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 )
+
+// Connected reports whether g is connected (vacuously true for n ≤ 1).
+func (g *Graph) Connected() bool {
+	if g.n <= 1 {
+		return true
+	}
+	d := g.BFS(0, nil)
+	for _, x := range d {
+		if x == -1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Diameter returns the largest finite pairwise distance (0 for n ≤ 1);
+// it errors on disconnected graphs.
+func (g *Graph) Diameter() (int, error) {
+	if !g.Connected() {
+		return 0, fmt.Errorf("topology: diameter of disconnected graph")
+	}
+	max := 0
+	for v := 0; v < g.n; v++ {
+		for _, d := range g.BFS(v, nil) {
+			if d > max {
+				max = d
+			}
+		}
+	}
+	return max, nil
+}
 
 func TestLine(t *testing.T) {
 	g := Line(4)

@@ -284,3 +284,23 @@ func TestExample24TightnessOnLine(t *testing.T) {
 		t.Errorf("measured %d bits below the Ω(mN) = %v bit bound", rep.Bits, LowerBoundBits(emb.M, N))
 	}
 }
+
+// RandomInstance samples m pairs of random subsets (each element kept
+// with probability 1/2), which yields both values of TRIBES.
+func RandomInstance(m, n int, r *rand.Rand) *Instance {
+	in := &Instance{N: n}
+	for i := 0; i < m; i++ {
+		var s, t []int
+		for x := 0; x < n; x++ {
+			if r.Intn(2) == 0 {
+				s = append(s, x)
+			}
+			if r.Intn(2) == 0 {
+				t = append(t, x)
+			}
+		}
+		in.S = append(in.S, s)
+		in.T = append(in.T, t)
+	}
+	return in
+}

@@ -50,6 +50,8 @@ func RandomAnnotated(schema []int, n, dom int, r *rand.Rand) *relation.Relation[
 // MatchingRelation returns a skew-free relation in the sense of the MPC
 // comparisons (Appendix A.1.2): each domain value appears at most once
 // per column. Requires n ≤ dom.
+//
+//faqlint:allow deadexport(item 12: Appendix A.1.2's skew-free instance, for the MPC comparison row)
 func MatchingRelation(schema []int, n, dom int, r *rand.Rand) (*relation.Relation[bool], error) {
 	if n > dom {
 		return nil, fmt.Errorf("workload: matching needs n ≤ dom, got %d > %d", n, dom)
@@ -71,6 +73,8 @@ func MatchingRelation(schema []int, n, dom int, r *rand.Rand) (*relation.Relatio
 
 // FullRelation returns the complete relation over the schema (dom^arity
 // tuples) — the padding relation of the lower-bound embeddings.
+//
+//faqlint:allow deadexport(item 12: the lower-bound embeddings' padding relation, for their paper-table rows)
 func FullRelation(schema []int, dom int) *relation.Relation[bool] {
 	b := relation.NewBuilder[bool](sb, schema)
 	tuple := make([]int, len(schema))
@@ -92,6 +96,8 @@ func FullRelation(schema []int, dom int) *relation.Relation[bool] {
 // SharedValueRelations builds k relations over the given schemas whose
 // projections onto sharedVar all contain the planted value, making the
 // BCQ of a star query true by construction.
+//
+//faqlint:allow deadexport(item 12: a planted true-BCQ instance, for the paper-table rows)
 func SharedValueRelations(h *hypergraph.Hypergraph, n, dom, planted int, r *rand.Rand) []*relation.Relation[bool] {
 	out := make([]*relation.Relation[bool], h.NumEdges())
 	for e := 0; e < h.NumEdges(); e++ {
@@ -125,6 +131,8 @@ func BCQ(h *hypergraph.Hypergraph, n, dom int, r *rand.Rand) *faq.Query[bool] {
 
 // SumProductFAQ assembles an FAQ-SS over (ℝ≥0, +, ×) with the given free
 // variables.
+//
+//faqlint:allow deadexport(item 12: read by the root general-FAQ benchmark)
 func SumProductFAQ(h *hypergraph.Hypergraph, free []int, n, dom int, r *rand.Rand) *faq.Query[float64] {
 	factors := make([]*relation.Relation[float64], h.NumEdges())
 	for e := range factors {
