@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzBuilderDuplicateMerge -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzJoinMergeParallel -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/relation/ -run=NONE -fuzz=FuzzMergeAddRebase -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/faq/ -run=NONE -fuzz=FuzzEvalNodeCore -fuzztime=$(FUZZTIME)
 	$(GO) test ./faqs/ -run=NONE -fuzz=FuzzQueryBuilder -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/delta/ -run=NONE -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/plan/ -run=NONE -fuzz=FuzzCanonicalize -fuzztime=$(FUZZTIME)

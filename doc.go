@@ -52,26 +52,45 @@
 // (a wrapped faq.ErrFreeOutsideRoot). faq.EvalNode is the one node
 // evaluator. Its meaning is a chain: start from the node's factor (the
 // unit when factorless), join the children's relations in order,
-// aggregate to the keep set. It runs as one walk over the factor
-// (relation.EvalFused): each child message becomes a dense array over
-// DomSize^arity, addressed by the row's cells, so each factor row is
-// multiplied by its children's values in child order (a product that
-// turns 0 drops the row, as Join drops it) and folded into its keep
-// group. A keep set that is a schema prefix folds through one
-// accumulator per eliminated variable, closed innermost first, and
-// splits into blocks at keep-group boundaries on the pool; one with a
-// single eliminated variable ahead of its last kept one folds into a
-// dense accumulator over keep. Either way the ⊕ order is the chain's,
-// so answers are bit-identical, floats included, and the walk passes
-// the chain's relation.join, relation.build and relation.eliminate
-// failpoints. A node takes the chain itself when it has no factor
-// (the fat core root; EvalAt(…, nil, …) at the cluster coordinator and
-// in the protocol), no child and nothing to eliminate (the chain hands
-// the factor back as is), aggregates a variable with ⊗ (VarOps), has a
-// child variable outside its factor, a cell outside [0, DomSize) (read
-// from the Builder's recorded range, else scanned: cluster workers never
-// run Validate), dense arrays over relation.FuseSpan·(rows in), or more
-// than one eliminated variable ahead of its last kept one.
+// aggregate to the keep set. It runs as one of two walks, each with the
+// chain's ⊕ order, so answers are bit-identical, floats included, and
+// each passes the chain's relation.join, relation.build and
+// relation.eliminate failpoints.
+//
+// A node with a factor is one walk over the factor (relation.EvalFused):
+// each child message becomes a dense array over DomSize^arity,
+// addressed by the row's cells, so each factor row is multiplied by its
+// children's values in child order (a product that turns 0 drops the
+// row, as Join drops it) and folded into its keep group. A keep set
+// that is a schema prefix folds through one accumulator per eliminated
+// variable, closed innermost first, and splits into blocks at keep-group
+// boundaries on the pool; one with a single eliminated variable ahead of
+// its last kept one folds into a dense accumulator over keep.
+//
+// A factorless node with two or more children, the fat core (the root
+// of a cyclic query; EvalAt(…, nil, …) at the cluster coordinator and in
+// the protocol's core phase), is walked attribute at a time
+// (relation.EvalCore): the children's variables are bound in ascending
+// id order over the messages as stored, each child's first column
+// through an offset array over DomSize and later ones by galloping
+// inside the bound range, so the work is bounded by the join's AGM
+// bound rather than by the chain's intermediates, and nothing is
+// sorted. Each leaf multiplies the children's values in child order;
+// eliminated variables after the last kept one fold innermost first, and
+// each one ahead of it folds into a dense accumulator over the kept
+// variables after it, the accumulators nesting as EliminateVar's
+// re-layouts do.
+//
+// A node takes the chain itself when it aggregates a variable with ⊗
+// (VarOps), has a cell outside [0, DomSize) (read from the Builder's
+// recorded range, else scanned: cluster workers never run Validate), or
+// needs dense arrays over relation.FuseSpan·(rows in). A node with a
+// factor also takes it when it has no child and nothing to eliminate
+// (the chain hands the factor back as is), a child variable outside its
+// factor, or more than one eliminated variable ahead of its last kept
+// one; a factorless node also when it has fewer than two children, or
+// a variable after the first that no child lists beside a smaller one
+// (binding it would cross it with every binding before it).
 //
 // Four walkers run over that plan: the local forest pass (faq.SolveGHD
 // via faq.Messages); the retaining pass of delta.Materialize and the
@@ -111,19 +130,19 @@
 //     Theorem G.3 pass concurrently (exec.Pool.Forest orders children
 //     before parents), joining each node only when its children's
 //     messages resolved.
-//   - Two relation kernels split into blocks once they touch ≥ 2^14
+//   - One relation kernel splits into blocks once it touches ≥ 2^14
 //     tuples and more than one worker is configured, and no other
-//     intra-node work does. The fused GHD-node walk (EvalFused) cuts the
+//     intra-node work does: the fused GHD-node walk (EvalFused) cuts the
 //     factor's rows on keep-group boundaries (binary-searched lower
-//     bounds, so no group straddles a block). A non-prefix Join
-//     radix-sorts both operands on the key, walks them once, and splits
-//     only its emission (emitJoin) into blocks of probe rows. Each block
-//     writes its own range of one output buffer sized up front, and the
-//     ranges are packed in block order. The prefix merge Join, Semijoin,
-//     Project and EliminateVar run sequentially. Every Join orients its
-//     operands so that, when either one's variables all precede the
-//     other's unshared ones, it is the probe side: its rows then come
-//     out already sorted and unique, and the Builder is skipped.
+//     bounds, so no group straddles a block). Each block writes its own
+//     range of one output buffer sized up front, and the ranges are
+//     packed in block order. The core walk (EvalCore), Join, Semijoin,
+//     Project and EliminateVar run sequentially; a non-prefix Join
+//     radix-sorts both operands on the key and walks them once. Every
+//     Join orients its operands so that, when either one's variables all
+//     precede the other's unshared ones, it is the probe side: its rows
+//     then come out already sorted and unique, and the Builder is
+//     skipped.
 //     Builder.Build sorts sequentially: a stable LSD radix sort of
 //     packed keys (arity ≤ 2), a comparison sort of wider rows. Both
 //     yield the strict (key, input-index) order, whose sorted
@@ -138,11 +157,10 @@
 // The scheduler contract is that parallelism is configuration, not
 // semantics: all parallel paths are bit-identical to sequential
 // execution and race-clean (`make race`, CI). Bit-identity holds
-// because both block splits preserve the sequential generation order —
+// because the block split preserves the sequential generation order —
 // blocks are contiguous ranges of the sequential sequence, block
-// outputs are packed in block order, and duplicate groups reach ⊕ (in
-// the fused walk or the Builder's merge) in exactly the sequential
-// sequence. The randomized
+// outputs are packed in block order, and every group reaches ⊕ in
+// exactly the sequential sequence. The randomized
 // equivalence harness (internal/relation/prop_test.go and the protocol
 // worker-sweep tests) pins this across semirings, worker counts, and
 // adversarial key distributions; `make test-workers` re-runs the suites

@@ -13,9 +13,18 @@ import (
 	"repro/internal/semiring"
 )
 
-// nodeCase is one GHD node for the fused-walk differential: a factor,
-// the children's messages in join order, the keep set, and the query
-// context the node reads (DomSize, VarOps).
+// The paths EvalNode can take.
+const (
+	pathAny   = iota // unpinned
+	pathFused        // relation.EvalFused
+	pathCore         // relation.EvalCore
+	pathChain        // Join + AggregateOut
+)
+
+// nodeCase is one GHD node for the walks' differential: a factor (nil
+// for a factorless node), the children's messages in join order, the
+// keep set, the query context the node reads (DomSize, VarOps), and the
+// path it must take.
 type nodeCase[T any] struct {
 	name     string
 	factor   *relation.Relation[T]
@@ -23,7 +32,18 @@ type nodeCase[T any] struct {
 	keep     []int
 	dom      int
 	varOps   map[int]semiring.Op[T]
-	fused    int // 1: must take the fused walk, 0: must take the chain, -1: either
+	path     int
+}
+
+// nodePath reports the path EvalNode takes on c.
+func nodePath[T any](q *Query[T], c nodeCase[T]) int {
+	if _, ok, _ := relation.EvalFused(q.S, c.factor, c.children, c.keep, q.Op, q.DomSize); ok {
+		return pathFused
+	}
+	if _, ok, _ := relation.EvalCore(q.S, c.children, c.keep, q.Op, q.DomSize); ok && c.factor == nil {
+		return pathCore
+	}
+	return pathChain
 }
 
 // chainNode is the reference: Join each child in order, then
@@ -123,12 +143,12 @@ func fusedCases[T any](s semiring.Semiring[T], rng *rand.Rand, gen func(*rand.Ra
 		cs = append(cs, c)
 	}
 	// A product that becomes zero is dropped before the next ⊗ meets it.
-	add(nodeCase[T]{name: "zero-product-drops", fused: 1,
+	add(nodeCase[T]{name: "zero-product-drops", path: pathFused,
 		factor:   rel(s, ab, [][]int{{0, 0}, {0, 1}, {1, 1}}, []T{x, x, one}),
 		children: []*relation.Relation[T]{rel(s, []int{1}, [][]int{{0}, {1}}, []T{y, y}), rel(s, []int{0}, [][]int{{0}, {1}}, []T{poison, poison})},
 		keep:     []int{0}})
 	// A group whose fold is zero is dropped before the next level.
-	add(nodeCase[T]{name: "zero-group-drops", fused: 1,
+	add(nodeCase[T]{name: "zero-group-drops", path: pathFused,
 		factor:   rel(s, []int{0, 1, 2}, [][]int{{0, 0, 0}, {0, 0, 1}, {0, 1, 0}}, []T{x, y, one}),
 		children: []*relation.Relation[T]{rel(s, []int{2}, [][]int{{0}, {1}}, []T{one, one})},
 		keep:     nil})
@@ -136,64 +156,64 @@ func fusedCases[T any](s semiring.Semiring[T], rng *rand.Rand, gen func(*rand.Ra
 	for _, d := range []int{-1, 0, 1} {
 		f := rel(s, ab, [][]int{{0, 0}, {0, 1}, {1, 2}}, ones(3))
 		ch := rel(s, []int{1}, [][]int{{0}, {2}}, ones(2))
-		fused := 1
+		path := pathFused
 		if d > 0 {
-			fused = 0
+			path = pathChain
 		}
-		add(nodeCase[T]{name: fmt.Sprintf("span-bound%+d", d), fused: fused, factor: f,
+		add(nodeCase[T]{name: fmt.Sprintf("span-bound%+d", d), path: path, factor: f,
 			children: []*relation.Relation[T]{ch}, keep: []int{0}, dom: relation.FuseSpan*(f.Len()+ch.Len()) + d})
 	}
 	// The fallbacks.
-	add(nodeCase[T]{name: "fallback-product-aggregate", fused: 0,
+	add(nodeCase[T]{name: "fallback-product-aggregate", path: pathChain,
 		factor: randRel(s, rng, ab, 3, 1, gen), keep: []int{0}, dom: 3,
 		varOps: map[int]semiring.Op[T]{1: semiring.MulOf(s)}})
-	add(nodeCase[T]{name: "fallback-no-factor", fused: 0,
-		children: []*relation.Relation[T]{randRel(s, rng, ab, 3, 0.7, gen), randRel(s, rng, []int{1}, 3, 0.7, gen)}, keep: []int{0}})
-	add(nodeCase[T]{name: "fallback-child-outside-factor", fused: 0,
+	add(nodeCase[T]{name: "fallback-child-outside-factor", path: pathChain,
 		factor:   randRel(s, rng, ab, 3, 0.7, gen),
 		children: []*relation.Relation[T]{randRel(s, rng, []int{1, 2}, 3, 0.7, gen)}, keep: []int{0, 2}})
-	add(nodeCase[T]{name: "fallback-span", fused: 0, dom: 1000,
+	add(nodeCase[T]{name: "fallback-span", path: pathChain, dom: 1000,
 		factor:   rel(s, []int{0, 1, 2}, [][]int{{0, 1, 2}, {3, 4, 5}}, ones(2)),
 		children: []*relation.Relation[T]{rel(s, []int{1, 2}, [][]int{{1, 2}, {4, 5}}, ones(2))}, keep: []int{0}})
-	add(nodeCase[T]{name: "fallback-cell-at-dom", fused: 0,
+	add(nodeCase[T]{name: "fallback-cell-at-dom", path: pathChain,
 		factor: rel(s, ab, [][]int{{0, 1}, {1, 4}}, ones(2)), keep: []int{0}})
-	add(nodeCase[T]{name: "fallback-negative-child-cell", fused: 0,
+	add(nodeCase[T]{name: "fallback-negative-child-cell", path: pathChain,
 		factor:   rel(s, ab, [][]int{{0, 1}, {1, 2}}, ones(2)),
 		children: []*relation.Relation[T]{rel(s, []int{1}, [][]int{{-1}, {1}}, ones(2))}, keep: []int{0}})
 	// A Join output has no recorded range, so its cells are scanned.
 	unranged := relation.Join(s, rel(s, []int{0}, [][]int{{0}, {5}}, ones(2)), rel(s, ab, [][]int{{0, 1}, {5, 1}}, ones(2)))
-	add(nodeCase[T]{name: "fallback-unranged-cell", fused: 0, factor: unranged, keep: []int{1}})
-	add(nodeCase[T]{name: "fallback-nothing-to-do", fused: 0, factor: randRel(s, rng, ab, 3, 0.7, gen), keep: ab})
-	add(nodeCase[T]{name: "fallback-two-before-keep", fused: 0,
+	add(nodeCase[T]{name: "fallback-unranged-cell", path: pathChain, factor: unranged, keep: []int{1}})
+	add(nodeCase[T]{name: "fallback-nothing-to-do", path: pathChain, factor: randRel(s, rng, ab, 3, 0.7, gen), keep: ab})
+	// No child, but a variable to fold ahead of the kept one.
+	add(nodeCase[T]{name: "gather-no-child", path: pathFused, factor: randRel(s, rng, ab, 3, 0.9, gen), keep: []int{1}})
+	add(nodeCase[T]{name: "fallback-two-before-keep", path: pathChain,
 		factor: randRel(s, rng, []int{0, 1, 2}, 3, 0.8, gen), keep: []int{2}})
 	// Keys and keep sets.
 	abc := []int{0, 1, 2}
 	for _, keep := range [][]int{nil, {0}, {0, 1}, {1}, {0, 2}, {1, 2}, abc, {0, 3}} {
-		add(nodeCase[T]{name: fmt.Sprintf("keep%v", keep), fused: -1, factor: randRel(s, rng, abc, 3, 0.7, gen),
+		add(nodeCase[T]{name: fmt.Sprintf("keep%v", keep), path: pathAny, factor: randRel(s, rng, abc, 3, 0.7, gen),
 			children: []*relation.Relation[T]{randRel(s, rng, []int{2}, 3, 0.8, gen), randRel(s, rng, []int{0, 2}, 3, 0.8, gen),
 				randRel(s, rng, nil, 3, 1, gen)},
 			keep: keep})
 	}
-	add(nodeCase[T]{name: "empty-factor", fused: 1, factor: relation.Empty[T](ab),
+	add(nodeCase[T]{name: "empty-factor", path: pathFused, factor: relation.Empty[T](ab),
 		children: []*relation.Relation[T]{randRel(s, rng, []int{1}, 4, 1, gen)}, keep: []int{0}})
-	add(nodeCase[T]{name: "empty-child", fused: 1, factor: randRel(s, rng, ab, 4, 1, gen),
+	add(nodeCase[T]{name: "empty-child", path: pathFused, factor: randRel(s, rng, ab, 4, 1, gen),
 		children: []*relation.Relation[T]{relation.Empty[T]([]int{1})}, keep: []int{0}})
-	add(nodeCase[T]{name: "arity-zero", fused: 1, factor: relation.Unit(s, one),
+	add(nodeCase[T]{name: "arity-zero", path: pathFused, factor: relation.Unit(s, one),
 		children: []*relation.Relation[T]{randRel(s, rng, nil, 1, 1, gen)}})
 	// Above the parallel threshold, so the walk splits into blocks.
-	add(nodeCase[T]{name: "large-path", fused: 1, dom: 180, factor: randRel(s, rng, ab, 180, 0.75, gen),
+	add(nodeCase[T]{name: "large-path", path: pathFused, dom: 180, factor: randRel(s, rng, ab, 180, 0.75, gen),
 		children: []*relation.Relation[T]{randRel(s, rng, []int{1}, 180, 0.9, gen)}, keep: []int{0}})
-	add(nodeCase[T]{name: "large-two-eliminated", fused: 1, dom: 36, factor: randRel(s, rng, abc, 36, 0.5, gen),
+	add(nodeCase[T]{name: "large-two-eliminated", path: pathFused, dom: 36, factor: randRel(s, rng, abc, 36, 0.5, gen),
 		children: []*relation.Relation[T]{randRel(s, rng, []int{2}, 36, 0.9, gen), randRel(s, rng, []int{1, 2}, 36, 0.9, gen)},
 		keep:     []int{0}})
-	add(nodeCase[T]{name: "large-gather", fused: 1, dom: 180, factor: randRel(s, rng, ab, 180, 0.75, gen),
+	add(nodeCase[T]{name: "large-gather", path: pathFused, dom: 180, factor: randRel(s, rng, ab, 180, 0.75, gen),
 		children: []*relation.Relation[T]{randRel(s, rng, []int{0}, 180, 0.9, gen)}, keep: []int{1}})
 	// Random nodes: a factor on up to three of four variables, children
 	// on subsets of it (now and then one that leaves it), random keeps.
 	for i := range 150 {
 		dom := 2 + rng.Intn(3)
 		vs := subset(rng, []int{0, 1, 2, 3})
-		c := nodeCase[T]{name: fmt.Sprintf("random%d", i), fused: -1, dom: dom,
+		c := nodeCase[T]{name: fmt.Sprintf("random%d", i), path: pathAny, dom: dom,
 			factor: randRel(s, rng, vs, dom, rng.Float64(), gen), keep: subset(rng, []int{0, 1, 2, 3})}
 		for range rng.Intn(4) {
 			cv := subset(rng, vs)
@@ -207,15 +227,150 @@ func fusedCases[T any](s semiring.Semiring[T], rng *rand.Rand, gen func(*rand.Ra
 	return cs
 }
 
+// corePath is the path EvalCore's span bound gives a factorless node
+// with at least two children and cells in [0, dom): an offset array of
+// dom+1 cells per child with variables, and one accumulator of
+// dom^(kept after it) cells per variable eliminated ahead of the last
+// kept one, against relation.FuseSpan·Σ|child|.
+func corePath[T any](c nodeCase[T]) int {
+	var vars []int
+	cells, rows := 0, 0
+	for _, ch := range c.children {
+		vars = hypergraph.UnionSorted(vars, ch.Schema())
+		if rows += ch.Len(); ch.Arity() > 0 {
+			cells += c.dom + 1
+		}
+	}
+	keptAfter := 0
+	for i := len(vars) - 1; i >= 0; i-- {
+		if hypergraph.ContainsSorted(c.keep, vars[i]) {
+			keptAfter++
+		} else if keptAfter > 0 {
+			cells += int(math.Pow(float64(c.dom), float64(keptAfter)))
+		}
+	}
+	if cells > relation.FuseSpan*rows {
+		return pathChain
+	}
+	return pathCore
+}
+
+// coreCases lists the factorless cases of one semiring, with x, y and
+// poison as in fusedCases: a triangle, a 4-cycle and K4, each with and
+// without pendants, under every keep set (so kept variables sit before,
+// between and after the eliminated ones), zero products, empty
+// children, the span bound at −1, 0 and +1, the fallbacks, and larger
+// nodes whose ranges take several gallop steps.
+func coreCases[T any](s semiring.Semiring[T], rng *rand.Rand, gen func(*rand.Rand) T, x, y, poison T) []nodeCase[T] {
+	one := s.One()
+	msgs := func(dom int, density float64, edges [][]int) []*relation.Relation[T] {
+		out := make([]*relation.Relation[T], len(edges))
+		for i, e := range edges {
+			out[i] = randRel(s, rng, e, dom, density, gen)
+		}
+		return out
+	}
+	full := func(schema []int, dom int, v T) *relation.Relation[T] {
+		return randRel(s, rng, schema, dom, 1, func(*rand.Rand) T { return v })
+	}
+	tri := [][]int{{0, 1}, {0, 2}, {1, 2}}
+	cycle4 := [][]int{{0, 1}, {1, 2}, {2, 3}, {0, 3}}
+	k4 := [][]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}
+	shapes := []struct {
+		name  string
+		edges [][]int
+	}{
+		{"tri", tri},
+		{"tri-pendant", slices.Concat(tri, [][]int{{2, 3}})},
+		{"cycle4", cycle4},
+		{"cycle4-pendant", slices.Concat(cycle4, [][]int{{3, 4}, {1}})},
+		{"k4", k4},
+		{"k4-pendant", slices.Concat(k4, [][]int{{0, 4}, nil})},
+	}
+	var cs []nodeCase[T]
+	for _, sh := range shapes {
+		var vars []int
+		for _, e := range sh.edges {
+			vars = hypergraph.UnionSorted(vars, e)
+		}
+		for mask := range 1 << len(vars) {
+			var keep []int
+			for i, v := range vars {
+				if mask>>i&1 == 1 {
+					keep = append(keep, v)
+				}
+			}
+			c := nodeCase[T]{name: fmt.Sprintf("core-%s-keep%v", sh.name, keep), dom: 3, children: msgs(3, 0.7, sh.edges), keep: keep}
+			c.path = corePath(c)
+			cs = append(cs, c)
+		}
+	}
+	// A product that becomes zero is dropped before the next ⊗ meets it.
+	cs = append(cs, nodeCase[T]{name: "core-zero-product-drops", path: pathCore, dom: 3, keep: []int{1},
+		children: []*relation.Relation[T]{full([]int{0, 1}, 3, x), full([]int{0, 2}, 3, y), full([]int{1, 2}, 3, poison)}})
+	cs = append(cs, nodeCase[T]{name: "core-zero-product-pendant", path: pathCore, dom: 3, keep: []int{2},
+		children: []*relation.Relation[T]{full([]int{0, 1}, 3, one), full([]int{0, 2}, 3, x), full([]int{1, 2}, 3, one),
+			full([]int{2, 3}, 3, y), full(nil, 3, poison)}})
+	// Empty children, on and off the variables.
+	for i, empty := range []*relation.Relation[T]{relation.Empty[T]([]int{1, 2}), relation.Empty[T](nil)} {
+		cs = append(cs, nodeCase[T]{name: fmt.Sprintf("core-empty-child%d", i), path: pathCore, dom: 3, keep: []int{2},
+			children: append(msgs(3, 0.8, tri[:2]), empty)})
+	}
+	// The span bound: children (A, B) and (B) keeping B give offset
+	// arrays of 2·(dom+1) cells and one accumulator of dom cells, against
+	// FuseSpan·(rows in); pick dom and rows to land at −1, 0 and +1.
+	for _, d := range []int{-1, 0, 1} {
+		for dom := 3; ; dom++ {
+			cells := 2*(dom+1) + dom
+			if (cells-d)%relation.FuseSpan != 0 || (cells-d)/relation.FuseSpan-1 > dom {
+				continue
+			}
+			ab := relation.NewBuilder(s, []int{0, 1})
+			for a := range (cells-d)/relation.FuseSpan - 1 {
+				ab.Add([]int{a, 0}, one)
+			}
+			path := pathCore
+			if d > 0 {
+				path = pathChain
+			}
+			cs = append(cs, nodeCase[T]{name: fmt.Sprintf("core-span-bound%+d", d), path: path, dom: dom, keep: []int{1},
+				children: []*relation.Relation[T]{ab.Build(), full([]int{1}, 1, one)}})
+			break
+		}
+	}
+	// The fallbacks to the chain.
+	cs = append(cs, nodeCase[T]{name: "core-fallback-product-aggregate", path: pathChain, dom: 3, keep: []int{0},
+		children: msgs(3, 0.8, tri), varOps: map[int]semiring.Op[T]{2: semiring.MulOf(s)}})
+	// Variable 2 meets no earlier variable in any child, so the walk
+	// would cross it with every binding of variable 1.
+	cs = append(cs, nodeCase[T]{name: "core-fallback-disconnected-order", path: pathChain, dom: 3, keep: []int{5},
+		children: msgs(3, 0.8, [][]int{{3, 4}, {3, 5}, {4, 5}, {1, 4}, {2, 3}, {1}})})
+	cs = append(cs, nodeCase[T]{name: "core-fallback-one-child", path: pathChain, dom: 3, keep: []int{0},
+		children: msgs(3, 0.8, tri[:1])})
+	cs = append(cs, nodeCase[T]{name: "core-fallback-cell-at-dom", path: pathChain, dom: 3, keep: []int{0},
+		children: append(msgs(3, 0.8, tri[:2]), rel(s, []int{1, 2}, [][]int{{0, 1}, {1, 3}}, []T{one, one}))})
+	cs = append(cs, nodeCase[T]{name: "core-fallback-negative-cell", path: pathChain, dom: 3, keep: []int{0},
+		children: append(msgs(3, 0.8, tri[:2]), rel(s, []int{1, 2}, [][]int{{-1, 1}, {1, 2}}, []T{one, one}))})
+	// Larger nodes, and a keep variable no child lists.
+	tp := slices.Concat(tri, [][]int{{2, 3}})
+	for _, keep := range [][]int{nil, {2}, {0, 2}, {1, 3}, {3}, {2, 9}} {
+		cs = append(cs, nodeCase[T]{name: fmt.Sprintf("core-large-tri-pendant-keep%v", keep), path: pathCore, dom: 40,
+			children: msgs(40, 0.25, tp), keep: keep})
+	}
+	cs = append(cs, nodeCase[T]{name: "core-large-k4", path: pathCore, dom: 16, children: msgs(16, 0.4, k4), keep: []int{1}})
+	return cs
+}
+
 // checkFused runs every case through EvalNode and the chain at 1, 2 and
-// 8 workers and requires bit-identical answers, and the fused walk
-// exactly where the case pins it.
+// 8 workers, and requires bit-identical answers and the path each case
+// pins.
 func checkFused[T any](t *testing.T, s semiring.Semiring[T], gen func(*rand.Rand) T, x, y, poison T) {
 	t.Helper()
-	cases := fusedCases(s, rand.New(rand.NewSource(7)), gen, x, y, poison)
+	rng := rand.New(rand.NewSource(7))
+	cases := slices.Concat(fusedCases(s, rng, gen, x, y, poison), coreCases(s, rng, gen, x, y, poison))
 	for _, w := range []int{1, 2, 8} {
 		prev := exec.SetWorkers(w)
-		fusedN := 0
+		walked := 0
 		for _, c := range cases {
 			q := &Query[T]{S: s, DomSize: c.dom, VarOps: c.varOps}
 			want, err := chainNode(q, c)
@@ -227,29 +382,30 @@ func checkFused[T any](t *testing.T, s semiring.Semiring[T], gen func(*rand.Rand
 				t.Fatalf("w%d %s: EvalNode: %v", w, c.name, err)
 			}
 			if !bitIdentical(got, want) {
-				t.Fatalf("w%d %s: fused %v differs from chain %v", w, c.name, got, want)
+				t.Fatalf("w%d %s: EvalNode %v differs from chain %v", w, c.name, got, want)
 			}
-			_, ok, _ := relation.EvalFused(s, c.factor, c.children, c.keep, q.Op, c.dom)
-			if c.fused >= 0 && ok != (c.fused == 1) {
-				t.Fatalf("w%d %s: fused walk taken = %v, want %v", w, c.name, ok, c.fused == 1)
+			path := nodePath(q, c)
+			if c.path != pathAny && path != c.path {
+				t.Fatalf("w%d %s: took path %d, want %d", w, c.name, path, c.path)
 			}
-			if ok {
-				fusedN++
+			if path != pathChain {
+				walked++
 			}
 		}
 		exec.SetWorkers(prev)
-		if fusedN < len(cases)/2 {
-			t.Fatalf("w%d: only %d of %d nodes took the fused walk", w, fusedN, len(cases))
+		if walked < len(cases)/2 {
+			t.Fatalf("w%d: only %d of %d nodes took a walk", w, walked, len(cases))
 		}
 	}
 }
 
-// TestEvalNodeFusedMatchesChain pins EvalNode's fused walk to the
-// Join + AggregateOut chain bit for bit, under every registry semiring
-// at 1, 2 and 8 workers: zero products that would meet a poison value,
-// the span bound at −1, 0 and +1, every fallback, children keyed off
-// the factor's prefix, prefix and non-prefix keeps, several eliminated
-// variables, empty factors and children, and random nodes.
+// TestEvalNodeFusedMatchesChain pins EvalNode's fused and core walks to
+// the Join + AggregateOut chain bit for bit, under every registry
+// semiring at 1, 2 and 8 workers: zero products that would meet a
+// poison value, the span bounds at −1, 0 and +1, every fallback,
+// children keyed off the factor's prefix, prefix and non-prefix keeps,
+// several eliminated variables, empty factors and children, factorless
+// cyclic cores under every keep set, and random nodes.
 func TestEvalNodeFusedMatchesChain(t *testing.T) {
 	small := []float64{-3, -1, 0.5, 1, 2, 3.25, 1e-3, 7}
 	float := func(r *rand.Rand) float64 {

@@ -85,18 +85,33 @@ func NodeFactor[T any](p *Pass, v int, factors []*relation.Relation[T]) *relatio
 // EvalNode is the node evaluator of the pass. Its meaning is the chain:
 // start from factor (the multiplicative unit when nil), join the
 // children's relations in order, then aggregate out, innermost first,
-// every variable outside keep (sorted). It runs that chain as one walk
-// over the factor (relation.EvalFused): each row is multiplied by every
-// child's value at its key, read from a dense array, and folded into
-// its keep group, with no intermediate relation and no sort. A node
-// takes the chain itself when it has no factor, nothing to join or
-// fold, aggregates a variable with ⊗, has a child variable outside the
-// factor, a cell outside [0, DomSize), dense arrays over
-// relation.FuseSpan·(rows in), or more than one eliminated variable
-// ahead of the last kept one.
+// every variable outside keep (sorted). It runs that chain as one of two
+// walks, with no intermediate relation and no sort:
+//   - a node with a factor is one walk over the factor
+//     (relation.EvalFused): each row is multiplied by every child's
+//     value at its key, read from a dense array, and folded into its
+//     keep group;
+//   - a factorless node with at least two children, the fat core, binds
+//     the children's variables one at a time over their messages as
+//     stored (relation.EvalCore), so its work is bounded by the join's
+//     AGM bound rather than by the chain's intermediates.
+//
+// A node takes the chain itself when it aggregates a variable with ⊗,
+// has a cell outside [0, DomSize), or needs dense arrays over
+// relation.FuseSpan·(rows in); a node with a factor also when it has
+// nothing to join or fold, a child variable outside the factor, or more
+// than one eliminated variable ahead of the last kept one; a factorless
+// node also when it has fewer than two children, or a variable after
+// the first that no child lists beside a smaller one (the walk would
+// cross it with every binding before it).
 func EvalNode[T any](q *Query[T], factor *relation.Relation[T], children []*relation.Relation[T], keep []int) (*relation.Relation[T], error) {
 	if out, ok, err := relation.EvalFused(q.S, factor, children, keep, q.Op, q.DomSize); ok {
 		return out, err
+	}
+	if factor == nil {
+		if out, ok, err := relation.EvalCore(q.S, children, keep, q.Op, q.DomSize); ok {
+			return out, err
+		}
 	}
 	cur := factor
 	if cur == nil {

@@ -70,6 +70,7 @@ func NewFailpoint(cfg FailpointConfig) *Analyzer {
 	var (
 		registered []fpSite
 		covered    []string // string literals inside chaos test files
+		analyzed   = make(map[string]bool)
 	)
 	a := &Analyzer{
 		Name: "failpoint",
@@ -79,6 +80,7 @@ func NewFailpoint(cfg FailpointConfig) *Analyzer {
 		if !strings.HasPrefix(pass.Pkg.ImportPath, ModulePath+"/") && pass.Pkg.ImportPath != ModulePath {
 			return nil
 		}
+		analyzed[strings.TrimSuffix(pass.Pkg.ImportPath, "_test")] = true
 		sitePrefix := pass.Pkg.Name
 		if sitePrefix == "main" {
 			sitePrefix = path.Base(pass.Pkg.ImportPath)
@@ -161,10 +163,10 @@ func NewFailpoint(cfg FailpointConfig) *Analyzer {
 			}
 			byName[s.name] = s
 		}
-		if len(covered) == 0 {
-			// No chaos test files in the analyzed set (partial lint run):
-			// the coverage invariant cannot be evaluated meaningfully.
-			return nil
+		for _, p := range cfg.ChaosPackages {
+			if !analyzed[p] {
+				return errPartialRun // some chaos suites were never loaded
+			}
 		}
 		blob := strings.Join(covered, "\x00")
 		for _, name := range sortedKeys(byName) {

@@ -249,6 +249,23 @@ func TestDeadExportNarrowRunIsSilent(t *testing.T) {
 	}
 }
 
+// TestFailpointNarrowRunIsSilent: a run over one chaos package loads
+// its sweep but not the others', so failpoint must not judge coverage
+// (exec's site is covered by exec's own TestChaos suite, unloaded here).
+func TestFailpointNarrowRunIsSilent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("package-closure lint run skipped in -short mode")
+	}
+	runner := &lint.Runner{Loader: loader(t), Analyzers: []*lint.Analyzer{lint.NewFailpoint(lint.DefaultFailpointConfig())}}
+	diags, err := runner.Run([]string{"./internal/relation/"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("narrow run finding: %s", d)
+	}
+}
+
 // TestGoldenPragmas exercises the pragma grammar itself (malformed,
 // unknown-analyzer, empty-reason, and stale suppressions are all
 // findings) under the full default analyzer suite.

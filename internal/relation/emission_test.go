@@ -39,20 +39,12 @@ var emissionCases = []emissionCase{
 	{"indexed/leading-interleaved", []int{0, 3}, []int{1, 2}, true, false},
 }
 
-// runEmissionCase joins a and b along c's path with the emission split
-// into parts blocks. joinLeading emits sequentially, so an indexed case
-// whose shared variables lead b runs at one part whatever parts is.
-func runEmissionCase[T any](s semiring.Semiring[T], c emissionCase, a, b *Relation[T], parts int) *Relation[T] {
+// runEmissionCase joins a and b along c's path.
+func runEmissionCase[T any](s semiring.Semiring[T], c emissionCase, a, b *Relation[T]) *Relation[T] {
 	if !c.indexed {
-		return join(s, a, b, parts)
+		return Join(s, a, b)
 	}
-	shared := hypergraph.IntersectSorted(a.schema, b.schema)
-	ix := BuildSortedIndex(b, shared)
-	if parts == 1 || ix == nil || ix.order == nil {
-		return JoinIndexed(s, a, b, ix)
-	}
-	aCols, _ := Columns(a.schema, shared)
-	return joinOrdered(s, a, b, orderOn(a, aCols), ix.order, parts)
+	return JoinIndexed(s, a, b, BuildSortedIndex(b, hypergraph.IntersectSorted(a.schema, b.schema)))
 }
 
 // emitsSorted reports whether c's path skips the Builder: Join orients
@@ -110,18 +102,15 @@ func checkJoinEmission[T any](t *testing.T, s semiring.Semiring[T], val func(*ra
 		for _, n := range []int{0, 1, 9, 60, 200} {
 			a := randEmissionRel(s, r, c.a, n, val)
 			b := randEmissionRel(s, r, c.b, r.Intn(200), val)
-			want := joinNestedLoop(s, a, b)
-			for _, parts := range []int{1, 2, 8} {
-				checkEmission(t, s, c.name, runEmissionCase(s, c, a, b, parts), want)
-			}
+			checkEmission(t, s, c.name, runEmissionCase(s, c, a, b), joinNestedLoop(s, a, b))
 		}
 	}
 }
 
 // TestJoinEmissionMatchesBuilder pins the rule for every emission that
 // skips the Builder: it produces exactly the rows and values the Builder
-// would. Every Join path runs at 1, 2 and 8 parts under each semiring of
-// the parallel-equivalence harness.
+// would. Every Join path runs under each semiring of the
+// parallel-equivalence harness.
 func TestJoinEmissionMatchesBuilder(t *testing.T) {
 	t.Run("bool", func(t *testing.T) {
 		checkJoinEmission[bool](t, semiring.Bool{}, func(r *rand.Rand) bool { return r.Intn(4) > 0 }, 401)
@@ -140,7 +129,7 @@ func TestJoinEmissionMatchesBuilder(t *testing.T) {
 // TestJoinDropsProductsThatWrapToZero pins the listing representation
 // where ⊗ of two non-zero values is zero: under semiring.Count the
 // products 2³²·2³², 2³²·2³³ and 2³³·2³³ wrap to exactly 0 in int64, and
-// every Join path, at every part count, must drop those rows.
+// every Join path must drop those rows.
 func TestJoinDropsProductsThatWrapToZero(t *testing.T) {
 	s := semiring.Count{}
 	r := rand.New(rand.NewSource(405))
@@ -162,9 +151,7 @@ func TestJoinDropsProductsThatWrapToZero(t *testing.T) {
 		if pairs := joinNestedLoop(s, one(a), one(b)).Len(); want.Len() >= pairs {
 			t.Fatalf("%s: no product wrapped to zero (%d pairs, %d rows)", c.name, pairs, want.Len())
 		}
-		for _, parts := range []int{1, 2, 8} {
-			checkEmission(t, s, c.name, runEmissionCase(s, c, a, b, parts), want)
-		}
+		checkEmission(t, s, c.name, runEmissionCase(s, c, a, b), want)
 	}
 
 	// One instance by hand: (0,0)·(0,5) = 2³²·2³² wraps and is dropped.

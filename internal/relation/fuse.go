@@ -39,26 +39,18 @@ func EvalFused[T any](s semiring.Semiring[T], factor *Relation[T], children []*R
 	if nd == nil {
 		return nil, false, nil
 	}
-	for range children {
-		joinSite.Inject()
-		buildSite.Inject()
-	}
-	for _, o := range nd.ops {
-		if o == nil {
-			continue
-		}
-		if err := eliminateSite.Hit(nil); err != nil {
-			return nil, true, err
-		}
+	if err := chainSites(len(children), nd.ops); err != nil {
+		return nil, true, err
 	}
 	return nd.run(), true, nil
 }
 
-// planFused returns nil for a node that takes the chain: no factor, no
-// child and nothing to eliminate, a product aggregate, more than one
-// eliminated variable ahead of the last kept one, a child variable
-// outside the factor, a cell outside [0, dom), or dense arrays over the
-// FuseSpan bound.
+// planFused returns nil for a node it does not walk: no factor (EvalCore
+// walks a factorless node with two or more children; the chain runs the
+// rest), or one that takes the chain: no child and nothing to
+// eliminate, a product aggregate, more than one eliminated variable
+// ahead of the last kept one, a child variable outside the factor, a
+// cell outside [0, dom), or dense arrays over the FuseSpan bound.
 func planFused[T any](s semiring.Semiring[T], f *Relation[T], children []*Relation[T], keep []int,
 	op func(v int) semiring.Op[T], dom int) *fusedNode[T] {
 	if f == nil || dom <= 0 || !inDomain(f, dom) {
@@ -75,7 +67,7 @@ func planFused[T any](s semiring.Semiring[T], f *Relation[T], children []*Relati
 			nd.ops[k], nd.ids[k] = o, o.Identity()
 		}
 	}
-	if len(children) == 0 && nd.last == a-1 {
+	if len(children) == 0 && len(nd.kcols) == a {
 		return nil // nothing to join or fold: the chain hands back factor itself
 	}
 	for k := 0; k < nd.last; k++ {
@@ -90,17 +82,10 @@ func planFused[T any](s semiring.Semiring[T], f *Relation[T], children []*Relati
 	}
 	budget *= FuseSpan
 	// dense returns a dom^m array filled with v, or nil when it would
-	// take the budget past zero; it checks before each product, so the
-	// span never overflows.
+	// take the budget past zero.
 	dense := func(m int, v T) []T {
-		span := 1
-		for range m {
-			if span > budget/dom {
-				return nil
-			}
-			span *= dom
-		}
-		if span > budget {
+		span := spanWithin(m, dom, budget)
+		if span < 0 {
 			return nil
 		}
 		budget -= span

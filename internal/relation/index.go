@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"repro/internal/exec"
 	"repro/internal/hypergraph"
 	"repro/internal/keys"
 	"repro/internal/semiring"
@@ -144,52 +143,26 @@ func matchRuns(p, b *keyOrder) []run {
 // joinOrdered is the non-prefix join shared by Join and JoinIndexed: a
 // merge-walk of the operands' key orders finds each a row's run of
 // matching b rows, and emitJoin crosses them.
-func joinOrdered[T any](s semiring.Semiring[T], a, b *Relation[T], ak, bk *keyOrder, parts int) *Relation[T] {
-	return emitJoin(s, a, b, bk.pr, matchRuns(ak, bk), len(ak.cols), parts)
+func joinOrdered[T any](s semiring.Semiring[T], a, b *Relation[T], ak, bk *keyOrder) *Relation[T] {
+	return emitJoin(s, a, b, bk.pr, matchRuns(ak, bk), len(ak.cols))
 }
 
 // emitJoin crosses a's rows with their runs of b (positions into bpr;
 // shared is the number of join variables) in a's row order, each run in
-// b's row order. With parts > 1 the emission splits into blocks of a's
-// rows on the pool. The runs give each block's pair count up front, so
-// every block writes its own range of one buffer sized once, and the
-// rows come out in the same sequence at every worker count. When a's
-// variables lead the output schema that sequence is already sorted and
-// duplicate-free; otherwise the Builder sorts it.
-func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow, runs []run, shared, parts int) *Relation[T] {
+// b's row order, into one buffer sized by the runs' pair count. When
+// a's variables lead the output schema that sequence is already sorted
+// and duplicate-free; otherwise the Builder sorts it.
+func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow, runs []run, shared int) *Relation[T] {
 	outSchema := hypergraph.UnionSorted(a.schema, b.schema)
 	srcs := outputSrcs(outSchema, a.schema, b.schema)
-	w, na := len(outSchema), a.Len()
-	cut, off := make([]int, parts+1), make([]int, parts+1)
-	for i := range parts {
-		cut[i+1], off[i+1] = na*(i+1)/parts, off[i]
-		for _, r := range runs[cut[i]:cut[i+1]] {
-			off[i+1] += int(r.hi - r.lo)
-		}
+	w, pairs := len(outSchema), 0
+	for _, r := range runs {
+		pairs += int(r.hi - r.lo)
 	}
-	rows, vals := make([]int32, off[parts]*w), make([]T, off[parts])
-	wrote := make([]int, parts)
-	emit := func(i int) {
-		wrote[i] = emitRuns(s, a, b, bpr, runs, srcs, cut[i], cut[i+1], rows[off[i]*w:], vals[off[i]:])
-	}
-	if parts > 1 {
-		exec.Default().Map(parts, emit)
-	} else {
-		emit(0)
-	}
-	n := closeGaps(rows, vals, w, off, wrote)
-	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
-}
-
-// emitRuns crosses a's rows [lo, hi) with their matching runs of b
-// (positions into bpr), writes the joined rows and values from the
-// start of rows and vals, and returns how many it wrote: the pair count
-// less the products that were zero.
-func emitRuns[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow, runs []run, srcs []colSrc,
-	lo, hi int, rows []int32, vals []T) int {
-	w, n := len(srcs), 0
-	for x := lo; x < hi; x++ {
-		r, ta := runs[x], a.Tuple(x)
+	rows, vals := make([]int32, pairs*w), make([]T, pairs)
+	n := 0
+	for x, r := range runs {
+		ta := a.Tuple(x)
 		for _, e := range bpr[r.lo:r.hi] {
 			v := s.Mul(a.vals[x], b.vals[e.idx])
 			if s.IsZero(v) {
@@ -208,7 +181,7 @@ func emitRuns[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 			n++
 		}
 	}
-	return n
+	return joinOutput(s, outSchema, restBefore(a.schema, b.schema, shared), rows[:n*w], vals[:n])
 }
 
 // SortedIndex is a reusable build side of the non-prefix join: b's key
@@ -368,7 +341,7 @@ func JoinIndexed[T any](s semiring.Semiring[T], a, b *Relation[T], ix *SortedInd
 	if ix.order == nil {
 		return joinLeading(s, a, b, aCols)
 	}
-	return joinOrdered(s, a, b, orderOn(a, aCols), ix.order, 1)
+	return joinOrdered(s, a, b, orderOn(a, aCols), ix.order)
 }
 
 // joinLeading is JoinIndexed when the shared variables lead b's schema,
@@ -391,5 +364,5 @@ func joinLeading[T any](s semiring.Semiring[T], a, b *Relation[T], aCols []int) 
 		}
 		runs[x] = run{int32(lo), int32(len(matched))}
 	}
-	return emitJoin(s, a, b, matched, runs, p, 1)
+	return emitJoin(s, a, b, matched, runs, p)
 }

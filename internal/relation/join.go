@@ -121,12 +121,6 @@ func restBefore(aSchema, bSchema []int, shared int) bool {
 // sorted union of the input schemas.
 func Join[T any](s semiring.Semiring[T], a, b *Relation[T]) *Relation[T] {
 	joinSite.Inject()
-	return join(s, a, b, parallelParts(a.Len()+b.Len()))
-}
-
-// join is Join with a non-prefix join's emission split into the given
-// number of parts; a prefix merge join runs sequentially.
-func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation[T] {
 	shared := hypergraph.IntersectSorted(a.schema, b.schema)
 	p := len(shared)
 	if !restBefore(a.schema, b.schema, p) && restBefore(b.schema, a.schema, p) {
@@ -137,7 +131,7 @@ func join[T any](s semiring.Semiring[T], a, b *Relation[T], parts int) *Relation
 	}
 	aCols, _ := Columns(a.schema, shared)
 	bCols, _ := Columns(b.schema, shared)
-	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols), parts)
+	return joinOrdered(s, a, b, orderOn(a, aCols), orderOn(b, bCols))
 }
 
 // joinMerge is the sorted-merge join: both operands are sorted by their
@@ -213,8 +207,7 @@ func joinMerge[T any](s semiring.Semiring[T], a, b *Relation[T], p int) *Relatio
 // and skips the Builder, but still passes the Builder's failpoint, so
 // every materialization stays a fault and cancellation point. The
 // unordered one re-sorts through the Builder, whose ⊕-merge sees the
-// rows in exactly the generation order, which emitJoin keeps the same
-// at every part count.
+// rows in exactly the generation order.
 func joinOutput[T any](s semiring.Semiring[T], outSchema []int, ordered bool, rows []int32, vals []T) *Relation[T] {
 	if ordered {
 		buildSite.Inject()

@@ -2,21 +2,19 @@ package relation
 
 import "repro/internal/exec"
 
-// Block splitting. Two kernels split their work across the exec worker
+// Block splitting. One kernel splits its work across the exec worker
 // pool, and nothing else in the package does: the fused GHD-node walk
 // (EvalFused), which cuts the factor's rows at keep-group boundaries
-// (prefixCuts), and the non-prefix Join's emission (emitJoin), which cuts
-// the probe rows into even blocks. Both size each block's range of one
-// output buffer up front, let every block write its own range, and pack
-// the ranges with closeGaps. Join, Semijoin, Project and EliminateVar
-// otherwise run sequentially at every worker count.
+// (prefixCuts), sizes each block's range of one output buffer up front,
+// lets every block write its own range, and packs the ranges with
+// closeGaps. Join, Semijoin, Project, EliminateVar and the core walk
+// (EvalCore) run sequentially at every worker count.
 //
 // Bit-identical guarantee: blocks are contiguous ranges of the
 // sequential row sequence, a block never splits a group it folds, and
 // closeGaps keeps block order, so the output is exactly the sequential
 // one and every group reaches ⊕ in the sequential order. The tests in
-// parallel_test.go, emission_test.go and internal/faq pin this per
-// semiring.
+// internal/faq pin this per semiring at 1, 2 and 8 workers.
 
 // parallelMinTuples is the size threshold below which block-split
 // execution is never worth the fan-out overhead.

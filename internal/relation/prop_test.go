@@ -24,12 +24,11 @@ import (
 // under reordering makes bit-identity equivalent to "the exact
 // sequential ⊕-order was kept" — and min-plus), driven through the
 // public Join and Semijoin at exec.SetWorkers 1/2/8 against the
-// nested-loop references, and through the non-prefix block split at
-// several partition counts. `make test-workers` re-runs the whole suite
+// nested-loop references. `make test-workers` re-runs the whole suite
 // under those worker counts process-wide (FAQ_WORKERS).
 
 // keyDist generates the shared-key column values that decide group
-// boundaries — the axis block splitting can get wrong.
+// boundaries — the axis grouping and merging can get wrong.
 type keyDist struct {
 	name string
 	key  func(r *rand.Rand, i, n int) int
@@ -249,15 +248,14 @@ func TestPublicDispatchWorkerSweep(t *testing.T) {
 // FuzzJoinMergeParallel seeds adversarial packed-key layouts — all-equal
 // keys, one giant group, alternating runs — and asserts that joins and
 // semijoins produce byte-identical output to the nested-loop references.
-// The config byte's low bits pick the partition count; its high bit
-// picks the layout. In the prefix layout the key variable leads every
-// schema: the public merge Join, in both the ordered and the Builder
-// (unordered) orientation, and Semijoin. In the non-prefix layout the
-// key variable trails every schema: joinOrdered's block-split emission,
-// plus the public Join and Semijoin.
+// The config byte's high bit picks the layout. In the prefix layout the
+// key variable leads every schema: the public merge Join, in both the
+// ordered and the Builder (unordered) orientation, and Semijoin. In the
+// non-prefix layout the key variable trails every schema: the public
+// Join, through joinOrdered, and Semijoin.
 func FuzzJoinMergeParallel(f *testing.F) {
 	f.Add([]byte{3}, bytes.Repeat([]byte{5, 1}, 40))                        // all-equal keys: one giant group on both sides
-	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))                        // all-equal at a different parts count
+	f.Add([]byte{7}, bytes.Repeat([]byte{9, 2}, 50))                        // all-equal, another key and payload
 	giant := append(bytes.Repeat([]byte{3, 0}, 45), 200, 1, 201, 2, 202, 3) // one giant group plus outliers
 	f.Add([]byte{5}, giant)
 	alt := make([]byte, 96) // alternating runs: key flips 1/17 every tuple
@@ -277,11 +275,7 @@ func FuzzJoinMergeParallel(f *testing.F) {
 	f.Add([]byte{0x82}, alt)
 
 	f.Fuzz(func(t *testing.T, cfg, data []byte) {
-		parts, nonPrefix := 2, false
-		if len(cfg) > 0 {
-			parts = 2 + int(cfg[0]&0x7f)%7
-			nonPrefix = cfg[0]&0x80 != 0
-		}
+		nonPrefix := len(cfg) > 0 && cfg[0]&0x80 != 0
 		// Every schema pairs the key variable with one payload variable;
 		// the non-prefix layout gives the key the largest id.
 		key := 0
@@ -314,12 +308,6 @@ func FuzzJoinMergeParallel(f *testing.F) {
 				}
 				if got, want := Semijoin(s, x, b), semijoinNestedLoop(x, b, []int{key}); !bitIdentical(got, want) {
 					t.Fatal("non-prefix Semijoin != nested loop")
-				}
-				xk, bk := orderOn(x, []int{1}), orderOn(b, []int{1})
-				for _, pc := range []int{2, parts, 64} {
-					if got := joinOrdered(s, x, b, xk, bk, pc); !bitIdentical(got, want) {
-						t.Fatalf("parts=%d: block-split join != sequential", pc)
-					}
 				}
 			}
 			return
