@@ -10,13 +10,14 @@
 #   make race   — full test suite under the race detector (the parallel
 #                 exec paths must stay race-clean)
 #   make check  — build + vet + lint + test + chaos
-#   make bench-all — every benchmark in the repo (paper tables + kernel)
+#   make bench-all — every Go micro-benchmark in the repo (kernels,
+#                 planner, serving path); the paper's tables come from
+#                 `go run ./cmd/faqbench`
 #   make test-workers — re-run the worker-count equivalence suites with
 #                 the default pool pinned at 1, 2, and 8 workers
-#                 (FAQ_WORKERS, read by internal/exec at init), so both
-#                 intra-node block splits (the fused GHD-node walk and
-#                 the non-prefix join's emission) and the forest pool
-#                 run at each width
+#                 (FAQ_WORKERS, read by internal/exec at init), so the
+#                 one intra-node block split (the fused GHD-node walk)
+#                 and the forest pool run at each width
 #   make examples — build and run every examples/ program (all are
 #                 clients of the public faqs façade; wired into CI)
 #   make lint   — gofmt (fails if `gofmt -l .` lists any file), then

@@ -5,9 +5,9 @@
 //
 //	faqbench [experiment ...]
 //
-// With no arguments every experiment runs. Available experiment ids:
-// widths, table1, examples, example24, setint, taumcf, mcm, entropy,
-// shannon, mpc, pgm.
+// With no arguments every experiment of the internal/experiments
+// catalogue runs, in catalogue order; otherwise the named ones run. An
+// unknown id fails with the list of the catalogue's ids.
 //
 // Engine performance is measured by the bench/ harness, not here.
 package main
@@ -27,19 +27,6 @@ func main() {
 }
 
 func run(args []string) error {
-	registry := map[string]func() (*experiments.Table, error){
-		"widths":    experiments.WidthTable,
-		"table1":    func() (*experiments.Table, error) { return experiments.Table1(128) },
-		"examples":  func() (*experiments.Table, error) { return experiments.ExamplesTable(128) },
-		"example24": func() (*experiments.Table, error) { return experiments.Example24Table(128) },
-		"setint":    func() (*experiments.Table, error) { return experiments.SetIntersectionTable(128) },
-		"taumcf":    func() (*experiments.Table, error) { return experiments.TauMCFTable(256) },
-		"mcm":       experiments.MCMTable,
-		"entropy":   func() (*experiments.Table, error) { return experiments.EntropyTable(200000) },
-		"shannon":   experiments.ShannonTable,
-		"mpc":       func() (*experiments.Table, error) { return experiments.MPCTable(128) },
-		"pgm":       func() (*experiments.Table, error) { return experiments.PGMTable(128) },
-	}
 	if len(args) == 0 {
 		tables, err := experiments.All()
 		if err != nil {
@@ -51,13 +38,9 @@ func run(args []string) error {
 		return nil
 	}
 	for _, id := range args {
-		f, ok := registry[id]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (see -h)", id)
-		}
-		t, err := f()
+		t, err := experiments.Run(id)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return err
 		}
 		fmt.Println(t.Format())
 	}

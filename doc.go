@@ -16,9 +16,9 @@
 // layers (internal/pgm, internal/mpc, internal/workload).
 //
 // Every table, figure, and worked example of the paper is regenerated by
-// `go run ./cmd/faqbench` (paper-claim vs measured tables) and by the
-// benchmarks in bench_test.go. Engine performance is measured by the
-// one harness in bench/ (bench/README.md). See README.md.
+// `go run ./cmd/faqbench` (paper-claim vs measured tables, one catalogue
+// in internal/experiments). Engine performance is measured by the one
+// harness in bench/ (bench/README.md). See README.md.
 //
 // # Public library API (package faqs)
 //

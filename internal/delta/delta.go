@@ -268,9 +268,6 @@ func liftBoolQuery[T any](q *faq.Query[T]) *faq.Query[int64] {
 
 // Strategy reports how the handle maintains its state.
 func (m *Materialized[T]) Strategy() Strategy {
-	if m.strategy == StrategySupport {
-		return StrategySupport
-	}
 	return m.strategy
 }
 

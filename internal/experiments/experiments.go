@@ -2,9 +2,9 @@
 // paper — Table 1, the Figure 1/2 width values, the worked Examples
 // 2.1–2.4, the theorem-level round bounds, the MCM trade-off curves, the
 // entropy experiments of Section 6, and the Appendix A MPC comparison —
-// as text tables of paper-claim vs. measured values. `go run
-// ./cmd/faqbench` renders them; bench_test.go wraps the same runners as
-// Go benchmarks.
+// as text tables of paper-claim vs. measured values. One ordered
+// catalogue names them: All runs it, and `go run ./cmd/faqbench [id ...]`
+// renders all of it or the tables it names.
 package experiments
 
 import (
@@ -20,6 +20,7 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/mcm"
 	"repro/internal/mpc"
+	"repro/internal/netsim"
 	"repro/internal/pgm"
 	"repro/internal/protocol"
 	"repro/internal/relation"
@@ -75,44 +76,26 @@ func itoa(x int) string    { return fmt.Sprintf("%d", x) }
 
 var sbool = semiring.Bool{}
 
-// starQueryTrue builds a star BCQ over k relations of n tuples that is
-// true by construction (one planted common value).
-func starQueryTrue(k, n int, r *rand.Rand) *faq.Query[bool] {
-	h := hypergraph.StarGraph(k)
-	factors := make([]*relation.Relation[bool], h.NumEdges())
-	for e := 0; e < h.NumEdges(); e++ {
-		b := relation.NewBuilder[bool](sbool, h.Edge(e))
-		for x := 0; x < n; x++ {
-			b.AddOne(x, r.Intn(n))
-		}
-		factors[e] = b.Build()
-	}
-	return faq.NewBCQ(h, factors, n)
-}
-
-// runMain executes the main protocol and returns measured rounds.
-func runMain[T any](q *faq.Query[T], g *topology.Graph, assign protocol.Assignment, out int) (int, int64, error) {
-	s := &protocol.Setup[T]{Q: q, G: g, Assign: assign, Output: out}
-	_, rep, err := protocol.Run(s)
-	return rep.Rounds, rep.Bits, err
-}
-
 // WidthTable reproduces the Figure 1 / Figure 2 / Appendix C.2 width
 // values: y(H), n₂(H), degeneracy, arity for the paper's example
-// hypergraphs.
+// hypergraphs. The Construction 2.8 column is the internal-node count of
+// the heuristic GHD alone (witness tree + MD flattening), which y(H)'s
+// exact search can only lower; the random-tree rows exercise that search.
 func WidthTable() (*Table, error) {
 	t := &Table{
 		ID:     "fig1-fig2-widths",
 		Title:  "internal-node-width y(H), core size n2(H) (Figures 1-2, Appendix C.2)",
-		Header: []string{"hypergraph", "y(H)", "n2(H)", "degeneracy", "arity", "acyclic"},
+		Header: []string{"hypergraph", "y(H)", "Constr 2.8", "n2(H)", "degeneracy", "arity", "acyclic"},
 		Notes: []string{
 			"paper: y(H1)=y(H2)=1 (Figure 2, T1 has one internal node); H3's GYO-GHD needs 2 (Appendix C.2 sample 1)",
+			"Constr 2.8 stays within the O(1) factor of y(H) that Appendix F needs",
 		},
 	}
-	cases := []struct {
+	type wcase struct {
 		name string
 		h    *hypergraph.Hypergraph
-	}{
+	}
+	cases := []wcase{
 		{"H0 (4 self-loops, Ex 2.1)", hypergraph.ExampleH0()},
 		{"H1 (star, Fig 1)", hypergraph.ExampleH1()},
 		{"H2 (Fig 1)", hypergraph.ExampleH2()},
@@ -121,14 +104,26 @@ func WidthTable() (*Table, error) {
 		{"cycle C5", hypergraph.CycleGraph(5)},
 		{"clique K4", hypergraph.CliqueGraph(4)},
 	}
+	r := rand.New(rand.NewSource(91))
+	for i := 1; i <= 8; i++ {
+		h := hypergraph.New(7)
+		for v := 1; v < 7; v++ {
+			h.AddEdge(r.Intn(v), v)
+		}
+		cases = append(cases, wcase{fmt.Sprintf("random tree %d (7 vertices)", i), h})
+	}
 	for _, c := range cases {
 		y, err := ghd.Width(c.h)
 		if err != nil {
 			return nil, err
 		}
+		heur, err := ghd.Construct(c.h)
+		if err != nil {
+			return nil, err
+		}
 		d := hypergraph.Decompose(c.h)
 		t.Rows = append(t.Rows, []string{
-			c.name, itoa(y), itoa(d.N2()),
+			c.name, itoa(y), itoa(heur.InternalNodes()), itoa(d.N2()),
 			itoa(hypergraph.Degeneracy(c.h)), itoa(c.h.Arity()),
 			fmt.Sprintf("%v", hypergraph.IsAcyclic(c.h)),
 		})
@@ -136,14 +131,18 @@ func WidthTable() (*Table, error) {
 	return t, nil
 }
 
-// ExamplesTable reproduces Examples 2.1-2.3: measured rounds of the main
-// protocol on the paper's exact instances vs. the claimed counts
-// N+2, N+2, N/2+2.
+// ExamplesTable reproduces Examples 2.1-2.3 and Corollary 4.3: measured
+// rounds of the main protocol on the paper's exact instances vs. the
+// claimed counts N+2, N+2, N/2+2, and N+k for the star with k relations
+// on the k-player line. On the lines the store-and-forward column
+// is what the same N-item payloads cost without pipelining: every hop
+// forwards a whole relation only once it holds all of it
+// (netsim.ConvergeTree toward the output player), N rounds per hop.
 func ExamplesTable(n int) (*Table, error) {
 	t := &Table{
 		ID:     "examples-2.1-2.3",
 		Title:  fmt.Sprintf("worked examples at N=%d: measured rounds vs paper's count", n),
-		Header: []string{"example", "topology", "paper", "measured", "trivial protocol"},
+		Header: []string{"example", "topology", "paper", "measured", "store-and-forward", "trivial protocol"},
 	}
 	r := rand.New(rand.NewSource(11))
 
@@ -164,10 +163,9 @@ func ExamplesTable(n int) (*Table, error) {
 		}
 		f0[i] = b.Build()
 	}
-	// Example 2.2/2.3: star H1 with full A-projections.
-	mk := func() *faq.Query[bool] {
-		h := hypergraph.ExampleH1()
-		fs := make([]*relation.Relation[bool], 4)
+	// Examples 2.2/2.3 and Corollary 4.3: a star with full A-projections.
+	star := func(h *hypergraph.Hypergraph) *faq.Query[bool] {
+		fs := make([]*relation.Relation[bool], h.NumEdges())
 		for i := range fs {
 			b := relation.NewBuilder[bool](sbool, h.Edge(i))
 			for x := 0; x < n; x++ {
@@ -179,11 +177,21 @@ func ExamplesTable(n int) (*Table, error) {
 	}
 	cases := []ex{
 		{"2.1 self-loops", "line G1", "N+2", faq.NewBCQ(h0, f0, n), topology.Line(4), 3, n + 2},
-		{"2.2 star H1", "line G1", "N+2", mk(), topology.Line(4), 1, n + 2},
-		{"2.3 star H1", "clique G2", "N/2+2", mk(), topology.Clique(4), 1, n/2 + 2},
+		{"2.2 star H1", "line G1", "N+2", star(hypergraph.ExampleH1()), topology.Line(4), 1, n + 2},
+		{"2.3 star H1", "clique G2", "N/2+2", star(hypergraph.ExampleH1()), topology.Clique(4), 1, n/2 + 2},
+	}
+	for _, k := range []int{4, 8, 16} {
+		cases = append(cases, ex{
+			fmt.Sprintf("Cor 4.3 star k=%d", k), fmt.Sprintf("line(%d)", k), "N+k",
+			star(hypergraph.StarGraph(k)), topology.Line(k), 0, n + k,
+		})
 	}
 	for _, c := range cases {
-		s := &protocol.Setup[bool]{Q: c.q, G: c.g, Assign: protocol.Assignment{0, 1, 2, 3}, Output: c.out}
+		assign := make(protocol.Assignment, c.q.H.NumEdges())
+		for i := range assign {
+			assign[i] = i
+		}
+		s := &protocol.Setup[bool]{Q: c.q, G: c.g, Assign: assign, Output: c.out}
 		_, rep, err := protocol.Run(s)
 		if err != nil {
 			return nil, err
@@ -192,12 +200,35 @@ func ExamplesTable(n int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		saf := "-"
+		if c.g.M() == c.g.N()-1 { // g is a tree (the lines)
+			rounds, err := storeAndForward(c.g, c.out, n)
+			if err != nil {
+				return nil, err
+			}
+			saf = itoa(rounds)
+		}
 		t.Rows = append(t.Rows, []string{
 			c.name, c.topo, fmt.Sprintf("%s = %d", c.paper, c.claim),
-			itoa(rep.Rounds), itoa(repT.Rounds),
+			itoa(rep.Rounds), saf, itoa(repT.Rounds),
 		})
 	}
 	return t, nil
+}
+
+// storeAndForward returns the rounds a converge-cast of n one-unit items
+// toward root takes over the tree topology g when each node forwards its
+// payload only after receiving all of it.
+func storeAndForward(g *topology.Graph, root, n int) (int, error) {
+	net, err := netsim.New(g, 1)
+	if err != nil {
+		return 0, err
+	}
+	edges := make([]int, g.M())
+	for e := range edges {
+		edges[e] = e
+	}
+	return net.ConvergeTree(&netsim.Tree{Root: root, Edges: edges}, 0, n)
 }
 
 // Example24Table runs the Lemma 4.4 lower-bound pipeline of Example 2.4.
@@ -258,48 +289,39 @@ func Table1(n int) (*Table, error) {
 			"LB~ formula", "gap UB/LB~"},
 		Notes: []string{
 			"rows 1-2: gap Õ(1); row 3: Õ(d); row 4: Õ(d²r²); row 5 (MCM): O(1) — see the mcm experiment",
+			"row 1 FAQ-SS: sum-product FAQ with free variables F={x0,x1} (Theorems 5.1/5.2); its bound columns are the BCQ formulas, which have no free-variable term",
 		},
 	}
 	r := rand.New(rand.NewSource(31))
-	type row struct {
-		name  string
-		q     *faq.Query[bool]
-		g     *topology.Graph
-		gName string
+	path := hypergraph.PathGraph(5)
+	star := hypergraph.StarGraph(4)
+	rows := []func() ([]string, error){
+		func() ([]string, error) {
+			return table1Row("1 FAQ/L", workload.BCQ(path, n, n, r), topology.Line(4), "line")
+		},
+		func() ([]string, error) {
+			q := workload.SumProductFAQ(path, []int{0, 1}, n, n, r)
+			return table1Row("1 FAQ-SS/L", q, topology.Line(4), "line")
+		},
+		func() ([]string, error) {
+			q := faq.NewBCQ(star, workload.SharedValueRelations(star, n, n, 0, r), n)
+			return table1Row("2 FAQ/A", q, topology.Clique(4), "clique")
+		},
+		func() ([]string, error) {
+			q := workload.BCQ(workload.DDegenerateGraph(6, 3, r), n, n, r)
+			return table1Row("3 BCQ/A d", q, topology.Grid(2, 3), "grid")
+		},
+		func() ([]string, error) {
+			q := workload.BCQ(workload.DDegenerateHypergraph(6, 2, 3, r), n, n, r)
+			return table1Row("4 FAQ/A r", q, topology.Grid(2, 3), "grid")
+		},
 	}
-	mkAssign := func(q *faq.Query[bool], g *topology.Graph) protocol.Assignment {
-		players := make([]int, g.N())
-		for i := range players {
-			players[i] = i
-		}
-		return workload.RoundRobinAssignment(q.H.NumEdges(), players)
-	}
-	pathQ := workload.BCQ(hypergraph.PathGraph(5), n, n, r)
-	starQ := starQueryTrue(4, n, r)
-	degQ := workload.BCQ(workload.DDegenerateGraph(6, 3, r), n, n, r)
-	hyperQ := workload.BCQ(workload.DDegenerateHypergraph(6, 2, 3, r), n, n, r)
-	rows := []row{
-		{"1 FAQ/L", pathQ, topology.Line(4), "line"},
-		{"2 FAQ/A", starQ, topology.Clique(4), "clique"},
-		{"3 BCQ/A d", degQ, topology.Grid(2, 3), "grid"},
-		{"4 FAQ/A r", hyperQ, topology.Grid(2, 3), "grid"},
-	}
-	for _, rw := range rows {
-		assign := mkAssign(rw.q, rw.g)
-		rounds, _, err := runMain(rw.q, rw.g, assign, 0)
+	for _, row := range rows {
+		cells, err := row()
 		if err != nil {
 			return nil, err
 		}
-		players := topology.SortedUnique(append([]int(nil), assign...))
-		b, err := core.ComputeBounds(rw.q.H, rw.q.MaxFactorSize(), rw.g, players)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			rw.name, rw.q.H.String()[:min(18, len(rw.q.H.String()))], rw.gName,
-			itoa(b.Degeneracy), itoa(b.Arity), itoa(rounds), itoa(b.Upper),
-			f1(b.LowerTilde), f2s(b.Gap()),
-		})
+		t.Rows = append(t.Rows, cells)
 	}
 	// Row 5: MCM summary (full sweep in the mcm experiment).
 	ins := mcm.RandomInstance(8, 64, r)
@@ -316,12 +338,43 @@ func Table1(n int) (*Table, error) {
 	return t, nil
 }
 
-// SetIntersectionTable measures Theorem 3.11 across topologies.
+// table1Row runs q's main protocol on g, relations placed round-robin
+// over every node and the answer at node 0, and renders the row beside
+// the Table 1 bounds of q's hypergraph.
+func table1Row[T any](name string, q *faq.Query[T], g *topology.Graph, gName string) ([]string, error) {
+	players := make([]int, g.N())
+	for i := range players {
+		players[i] = i
+	}
+	assign := workload.RoundRobinAssignment(q.H.NumEdges(), players)
+	_, rep, err := protocol.Run(&protocol.Setup[T]{Q: q, G: g, Assign: assign, Output: 0})
+	if err != nil {
+		return nil, err
+	}
+	b, err := core.ComputeBounds(q.H, q.MaxFactorSize(), g, topology.SortedUnique(append([]int(nil), assign...)))
+	if err != nil {
+		return nil, err
+	}
+	hs := q.H.String()
+	return []string{
+		name, hs[:min(18, len(hs))], gName,
+		itoa(b.Degeneracy), itoa(b.Arity), itoa(rep.Rounds), itoa(b.Upper),
+		f1(b.LowerTilde), f2s(b.Gap()),
+	}, nil
+}
+
+// SetIntersectionTable measures Theorem 3.11 across topologies: the
+// rounds of distributed set intersection against N/ST + Δ, beside the
+// MinCut(G, K) that a Steiner packing of ST ≥ ⌊MinCut/2⌋ trees attains.
 func SetIntersectionTable(n int) (*Table, error) {
 	t := &Table{
 		ID:     "thm-3.11",
 		Title:  fmt.Sprintf("distributed set intersection (Theorem 3.11), |sets|=%d", n),
-		Header: []string{"topology", "players", "ST", "Δ", "theory N/ST+Δ", "measured"},
+		Header: []string{"topology", "players", "MinCut", "ST", "Δ", "theory N/ST+Δ", "measured"},
+	}
+	all := make([]int, n)
+	for x := range all {
+		all[x] = x
 	}
 	cases := []struct {
 		name string
@@ -332,17 +385,18 @@ func SetIntersectionTable(n int) (*Table, error) {
 		{"line(8)", topology.Line(8), []int{0, 2, 5, 7}},
 		{"clique(4)", topology.Clique(4), []int{0, 1, 2, 3}},
 		{"clique(8)", topology.Clique(8), []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		{"clique(16)", topology.Clique(16), []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
 		{"grid(3x3)", topology.Grid(3, 3), []int{0, 2, 6, 8}},
 		{"mpc0(4,3)", mustMPC0(4, 3), []int{0, 1, 2, 3}},
 	}
 	for _, c := range cases {
 		sets := map[int][]int{}
 		for _, u := range c.K {
-			all := make([]int, n)
-			for x := range all {
-				all[x] = x
-			}
 			sets[u] = all
+		}
+		minCut, _, err := flow.MinCutSeparating(c.g, c.K)
+		if err != nil {
+			return nil, err
 		}
 		delta, trees, bound, err := flow.BestDelta(c.g, c.K, n)
 		if err != nil {
@@ -355,7 +409,7 @@ func SetIntersectionTable(n int) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			c.name, itoa(len(c.K)), itoa(len(trees)), itoa(delta), itoa(bound), itoa(rep.Rounds),
+			c.name, itoa(len(c.K)), itoa(minCut), itoa(len(trees)), itoa(delta), itoa(bound), itoa(rep.Rounds),
 		})
 	}
 	return t, nil
@@ -534,7 +588,7 @@ func MPCTable(n int) (*Table, error) {
 
 // PGMTable runs a distributed PGM factor marginal and compares with the
 // centralized solver.
-func PGMTable(n int) (*Table, error) {
+func PGMTable() (*Table, error) {
 	t := &Table{
 		ID:     "pgm-marginals",
 		Title:  "PGM marginals as FAQ-SS (Section 1), distributed vs centralized",
@@ -577,39 +631,53 @@ func PGMTable(n int) (*Table, error) {
 			itoa(rep.Rounds), itoa(repT.Rounds),
 		})
 	}
-	_ = n
 	return t, nil
 }
 
-// All runs every experiment at the default sizes.
+// experiment is one catalogue entry: the id `faqbench <id>` takes and
+// the runner at its default size.
+type experiment struct {
+	id  string
+	run func() (*Table, error)
+}
+
+// catalogue lists every experiment, in the order All runs them.
+var catalogue = []experiment{
+	{"widths", WidthTable},
+	{"table1", func() (*Table, error) { return Table1(128) }},
+	{"examples", func() (*Table, error) { return ExamplesTable(128) }},
+	{"example24", func() (*Table, error) { return Example24Table(128) }},
+	{"setint", func() (*Table, error) { return SetIntersectionTable(128) }},
+	{"taumcf", func() (*Table, error) { return TauMCFTable(256) }},
+	{"mcm", MCMTable},
+	{"entropy", func() (*Table, error) { return EntropyTable(200000) }},
+	{"shannon", ShannonTable},
+	{"mpc", func() (*Table, error) { return MPCTable(128) }},
+	{"pgm", PGMTable},
+}
+
+// All runs every experiment of the catalogue at its default size.
 func All() ([]*Table, error) {
-	var out []*Table
-	steps := []func() (*Table, error){
-		WidthTable,
-		func() (*Table, error) { return Table1(128) },
-		func() (*Table, error) { return ExamplesTable(128) },
-		func() (*Table, error) { return Example24Table(128) },
-		func() (*Table, error) { return SetIntersectionTable(128) },
-		func() (*Table, error) { return TauMCFTable(256) },
-		MCMTable,
-		func() (*Table, error) { return EntropyTable(200000) },
-		ShannonTable,
-		func() (*Table, error) { return MPCTable(128) },
-		func() (*Table, error) { return PGMTable(128) },
-	}
-	for _, f := range steps {
-		tbl, err := f()
+	out := make([]*Table, 0, len(catalogue))
+	for _, e := range catalogue {
+		tbl, err := e.run()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", e.id, err)
 		}
 		out = append(out, tbl)
 	}
 	return out, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Run runs the catalogue's experiment with the given id at its default
+// size. An unknown id is an error that lists the catalogue's ids.
+func Run(id string) (*Table, error) {
+	ids := make([]string, len(catalogue))
+	for i, e := range catalogue {
+		if e.id == id {
+			return e.run()
+		}
+		ids[i] = e.id
 	}
-	return b
+	return nil, fmt.Errorf("unknown experiment %q (ids: %s)", id, strings.Join(ids, ", "))
 }

@@ -19,8 +19,6 @@ import (
 // For a connected acyclic h the fat root is omitted and the result is the
 // plain reduced-GHD rooted at the tree root, matching the paper's
 // Figure 2 decompositions T₁/T₂ of H₂.
-//
-//faqlint:allow deadexport(item 12: Construction 2.8 alone, read by the root exact-vs-heuristic width ablation benchmark)
 func Construct(h *hypergraph.Hypergraph) (*GHD, error) {
 	return construct(h, hypergraph.Decompose(h))
 }

@@ -307,7 +307,7 @@ func (d *Decomposition) CoreIsEmpty() bool { return len(d.Core) == 0 }
 
 // N2 returns n₂(H) = |V(C(H))| (Definition 3.1). For acyclic H the core
 // term of the paper's bounds is absent (Lemma 4.1 has no τ_MCF term), so
-// N2 returns 0 when the GYO-reduction is empty; see DESIGN.md.
+// N2 returns 0 when the GYO-reduction is empty.
 func (d *Decomposition) N2() int {
 	if d.CoreIsEmpty() {
 		return 0

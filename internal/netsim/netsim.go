@@ -255,22 +255,19 @@ func (n *Network) RoutePath(path []int, start, bits int) (int, error) {
 	return finish, nil
 }
 
-// Tree is a rooted edge subset of the topology used by broadcast and
-// converge-cast.
+// Tree is a rooted edge subset of the topology used by converge-cast.
 type Tree struct {
 	Root  int
 	Edges []int
 }
 
-// children orients the tree away from the root, returning child lists
-// and the parent map.
-func (n *Network) children(t *Tree) (map[int][]int, map[int]int, error) {
+// children orients the tree away from the root, returning child lists.
+func (n *Network) children(t *Tree) (map[int][]int, error) {
 	in := make(map[int]bool, len(t.Edges))
 	for _, e := range t.Edges {
 		in[e] = true
 	}
 	ch := make(map[int][]int)
-	parent := map[int]int{t.Root: -1}
 	queue := []int{t.Root}
 	seen := map[int]bool{t.Root: true}
 	for len(queue) > 0 {
@@ -282,54 +279,16 @@ func (n *Network) children(t *Tree) (map[int][]int, map[int]int, error) {
 				continue
 			}
 			seen[v] = true
-			parent[v] = u
 			ch[u] = append(ch[u], v)
 			queue = append(queue, v)
 		}
 	}
-	reached := 0
-	for range parent {
-		reached++
+	// A tree reaches one node per edge beyond the root; a cycle or a
+	// disconnected edge set reaches fewer.
+	if len(seen) != len(t.Edges)+1 {
+		return nil, fmt.Errorf("netsim: edge set is not a tree rooted at %d", t.Root)
 	}
-	// Count tree edges reached; a cycle or disconnected edge set is a
-	// malformed tree.
-	if reached != len(t.Edges)+1 {
-		return nil, nil, fmt.Errorf("netsim: edge set is not a tree rooted at %d", t.Root)
-	}
-	return ch, parent, nil
-}
-
-// BroadcastTree pushes a message of the given size from the root to
-// every tree node (Step 3 of Algorithm 1). Returns the round at which
-// the last node holds it.
-//
-//faqlint:allow deadexport(item 12: Algorithm 1's broadcast schedule, checked by its own test until it gets a paper-table row)
-func (n *Network) BroadcastTree(t *Tree, start, bits int) (int, error) {
-	ch, _, err := n.children(t)
-	if err != nil {
-		return 0, err
-	}
-	finish := start
-	var walk func(u, ready int) error
-	walk = func(u, ready int) error {
-		for _, v := range ch[u] {
-			done, err := n.SendBits(u, v, ready, bits)
-			if err != nil {
-				return err
-			}
-			if done > finish {
-				finish = done
-			}
-			if err := walk(v, done); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.Root, start); err != nil {
-		return 0, err
-	}
-	return finish, nil
+	return ch, nil
 }
 
 // ConvergeTree aggregates fixed-size messages bottom-up: every non-root
@@ -337,10 +296,8 @@ func (n *Network) BroadcastTree(t *Tree, start, bits int) (int, error) {
 // children (aggregation keeps message size constant, as in the bit-wise
 // AND of Theorem 3.11). Returns the round at which the root has heard
 // from all children.
-//
-//faqlint:allow deadexport(item 12: read by the root converge-pipelining ablation benchmark)
 func (n *Network) ConvergeTree(t *Tree, start, bits int) (int, error) {
-	ch, _, err := n.children(t)
+	ch, err := n.children(t)
 	if err != nil {
 		return 0, err
 	}
@@ -363,50 +320,4 @@ func (n *Network) ConvergeTree(t *Tree, start, bits int) (int, error) {
 		return ready, nil
 	}
 	return walk(t.Root)
-}
-
-// StreamItems pipelines a sequence of fixed-size items along a path with
-// per-node filtering — the semijoin chains of Examples 2.1 and 2.2. Item
-// i leaves the source no earlier than round start+i (one item per round,
-// matching the one-tuple-per-round normalization); each intermediate
-// node forwards an item the round after receiving it, iff
-// keep(node, item) — the source's own filter applies before sending.
-// It returns, for each item, whether it reached the end of the path, and
-// the overall completion round.
-//
-//faqlint:allow deadexport(item 12: the Example 2.1/2.2 semijoin chain, read by the root converge-pipelining ablation benchmark)
-func (n *Network) StreamItems(path []int, start, items, itemBits int, keep func(node, item int) bool) ([]bool, int, error) {
-	if len(path) == 0 {
-		return nil, 0, fmt.Errorf("netsim: empty path")
-	}
-	if itemBits > n.b {
-		return nil, 0, fmt.Errorf("netsim: item size %d exceeds edge capacity %d", itemBits, n.b)
-	}
-	delivered := make([]bool, items)
-	finish := start
-	for i := 0; i < items; i++ {
-		r := start + i
-		alive := true
-		for h := 0; h+1 < len(path); h++ {
-			if keep != nil && !keep(path[h], i) {
-				alive = false
-				break
-			}
-			e, err := n.edgeOf(path[h], path[h+1])
-			if err != nil {
-				return nil, 0, err
-			}
-			r = n.reserve(e, r, itemBits) + 1
-		}
-		if alive && len(path) > 1 {
-			if keep != nil && !keep(path[len(path)-1], i) {
-				alive = false
-			}
-		}
-		delivered[i] = alive
-		if alive && r > finish {
-			finish = r
-		}
-	}
-	return delivered, finish, nil
 }

@@ -109,33 +109,6 @@ func TestRoutePathDisjointEdgesOverlap(t *testing.T) {
 	}
 }
 
-func TestBroadcastTreeStar(t *testing.T) {
-	g := topology.Star(5)
-	n := mustNet(t, g, 8)
-	tree := &Tree{Root: 0, Edges: []int{0, 1, 2, 3}}
-	done, err := n.BroadcastTree(tree, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done != 1 {
-		t.Errorf("star broadcast = %d, want 1 (parallel edges)", done)
-	}
-}
-
-func TestBroadcastTreeLine(t *testing.T) {
-	g := topology.Line(4)
-	n := mustNet(t, g, 8)
-	tree := &Tree{Root: 0, Edges: []int{0, 1, 2}}
-	done, err := n.BroadcastTree(tree, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2 rounds per hop, 3 hops, sequential store-and-forward: 6.
-	if done != 6 {
-		t.Errorf("line broadcast = %d, want 6", done)
-	}
-}
-
 func TestConvergeTreeLine(t *testing.T) {
 	g := topology.Line(4)
 	n := mustNet(t, g, 8)
@@ -167,7 +140,7 @@ func TestTreeValidation(t *testing.T) {
 	n := mustNet(t, g, 8)
 	// All 4 ring edges form a cycle, not a tree.
 	bad := &Tree{Root: 0, Edges: []int{0, 1, 2, 3}}
-	if _, err := n.BroadcastTree(bad, 0, 4); err == nil {
+	if _, err := n.ConvergeTree(bad, 0, 4); err == nil {
 		t.Error("expected error for cyclic edge set")
 	}
 	// Disconnected edge set.
@@ -176,60 +149,8 @@ func TestTreeValidation(t *testing.T) {
 	e02, _ := g2.EdgeID(0, 1)
 	e23, _ := g2.EdgeID(2, 3)
 	bad2 := &Tree{Root: 0, Edges: []int{e02, e23}}
-	if _, err := n2.BroadcastTree(bad2, 0, 4); err == nil {
+	if _, err := n2.ConvergeTree(bad2, 0, 4); err == nil {
 		t.Error("expected error for disconnected edge set")
-	}
-}
-
-func TestStreamItemsExample21Shape(t *testing.T) {
-	// Example 2.1: N values streamed along the 4-player line G1 finish
-	// in N + 2 rounds (N items pipelined over 3 edges: N-1+3).
-	g := topology.Line(4)
-	n := mustNet(t, g, 8)
-	N := 32
-	delivered, finish, err := n.StreamItems([]int{0, 1, 2, 3}, 0, N, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finish != N+2 {
-		t.Errorf("finish = %d, want N+2 = %d", finish, N+2)
-	}
-	for i, ok := range delivered {
-		if !ok {
-			t.Fatalf("item %d dropped without a filter", i)
-		}
-	}
-}
-
-func TestStreamItemsFiltering(t *testing.T) {
-	g := topology.Line(3)
-	n := mustNet(t, g, 8)
-	// Node 1 drops odd items; node 2 (the sink) drops item 0.
-	keep := func(node, item int) bool {
-		if node == 1 {
-			return item%2 == 0
-		}
-		if node == 2 {
-			return item != 0
-		}
-		return true
-	}
-	delivered, _, err := n.StreamItems([]int{0, 1, 2}, 0, 6, 8, keep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{false, false, true, false, true, false}
-	for i := range want {
-		if delivered[i] != want[i] {
-			t.Errorf("delivered[%d] = %v, want %v", i, delivered[i], want[i])
-		}
-	}
-}
-
-func TestStreamItemsTooLarge(t *testing.T) {
-	n := mustNet(t, topology.Line(2), 4)
-	if _, _, err := n.StreamItems([]int{0, 1}, 0, 3, 8, nil); err == nil {
-		t.Error("expected error for item larger than capacity")
 	}
 }
 
@@ -259,12 +180,8 @@ func TestCapacityNeverExceeded(t *testing.T) {
 					}
 				}
 			case 2:
-				items := 1 + r.Intn(6)
-				path := g.ShortestPath(u, (u+2)%g.N(), nil)
-				if len(path) > 1 {
-					if _, _, err := n.StreamItems(path, r.Intn(5), items, 1+r.Intn(b), nil); err != nil {
-						t.Fatal(err)
-					}
+				if _, err := n.Reserve(u, v, r.Intn(5), 1+r.Intn(b)); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}

@@ -191,7 +191,7 @@ func TestCustomBitsPerRound(t *testing.T) {
 
 // TestRunOnGHDAblation runs the same query on the minimized GHD and on
 // a deliberately deep chain GHD: more internal nodes must not change the
-// answer, only the round count (the width ablation of DESIGN.md).
+// answer, only the round count (the y(H) width ablation).
 func TestRunOnGHDAblation(t *testing.T) {
 	sb := semiring.Bool{}
 	N := 64

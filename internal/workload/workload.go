@@ -93,11 +93,9 @@ func FullRelation(schema []int, dom int) *relation.Relation[bool] {
 	return b.Build()
 }
 
-// SharedValueRelations builds k relations over the given schemas whose
-// projections onto sharedVar all contain the planted value, making the
-// BCQ of a star query true by construction.
-//
-//faqlint:allow deadexport(item 12: a planted true-BCQ instance, for the paper-table rows)
+// SharedValueRelations builds one relation of n tuples per edge of h,
+// each holding the tuple with the planted value in every column, so the
+// BCQ over h is true by construction.
 func SharedValueRelations(h *hypergraph.Hypergraph, n, dom, planted int, r *rand.Rand) []*relation.Relation[bool] {
 	out := make([]*relation.Relation[bool], h.NumEdges())
 	for e := 0; e < h.NumEdges(); e++ {
@@ -131,8 +129,6 @@ func BCQ(h *hypergraph.Hypergraph, n, dom int, r *rand.Rand) *faq.Query[bool] {
 
 // SumProductFAQ assembles an FAQ-SS over (ℝ≥0, +, ×) with the given free
 // variables.
-//
-//faqlint:allow deadexport(item 12: read by the root general-FAQ benchmark)
 func SumProductFAQ(h *hypergraph.Hypergraph, free []int, n, dom int, r *rand.Rand) *faq.Query[float64] {
 	factors := make([]*relation.Relation[float64], h.NumEdges())
 	for e := range factors {
