@@ -112,10 +112,10 @@
 // of both operands, Project/EliminateVar reduce contiguous runs without
 // maps when grouping by a schema prefix, and Builder batches row growth
 // (NewBuilderHint presizes from known cardinalities). A standing view
-// (internal/delta) commits a delta with MergeAdd, which splices it into
-// the sorted rows (sharing them when only annotations move), and carries
-// its join indexes across the commit with RebaseIndex instead of
-// re-sorting them. The protocol
+// (internal/delta) commits a delta with MergeAdd into a small sorted
+// tail beside each large base, folds the tail into the base once it
+// outgrows √n, and carries its join indexes across the fold with
+// RebaseIndex instead of re-sorting them. The protocol
 // engine's converge-cast streams key on the same packed integers. The
 // micro-benchmarks in internal/relation/bench_test.go isolate these hot
 // paths; bench/'s kernel_large workload measures them end to end.

@@ -14,16 +14,21 @@
 //	Δmsg(v) = Agg_v(Join(Δ, <unchanged siblings>))
 //	msg'(v) = msg(v) ⊕ Δmsg(v)   (relation.MergeAdd)
 //
-// provided deletions can be expressed as ⊕-inverses (below). Point
-// deltas probe the retained relations through per-site sorted indexes
-// (relation.SortedIndex) instead of re-sorting the retained side per
-// hop. Committing a retained relation splices Δ into it (one gallop per
-// Δ row plus one copy, sharing the row buffer when only annotations
-// move) and carries every index that probes that relation across the
-// commit (relation.RebaseIndex) instead of rebuilding it. A steady-state
-// update thus costs O(path · (|Δ| log n + fanout)) probe work plus, per
-// committed relation, one copy of it and one pass over each of its
-// indexes; it never re-sorts. bench/'s view_churn workload measures it.
+// provided deletions can be expressed as ⊕-inverses (below). A ring
+// view holds every factor and non-root message as base ⊕ tail: a large
+// sorted base, which the per-site sorted indexes (relation.SortedIndex)
+// order, and a small sorted tail of the deltas committed since. A
+// commit ⊕-merges Δ into the tail and leaves the base and its indexes
+// untouched. A probe is JoinIndexed(Δ, base) ⊕ Join(Δ, tail), exact
+// because Join distributes over ⊕. Once |tail|² > |base|, that is
+// |tail| > √n, the tail folds into the base (relation.MergeAdd) and
+// every index of the base is carried across the fold
+// (relation.RebaseIndex) instead of rebuilt. A fold copies the base
+// once, but it comes at most once per √n committed rows, so a point
+// update costs O(path · (|Δ| log n + fanout)) probe work plus, per
+// committed relation, amortized O(|Δ|·√n) copy work; it never re-sorts.
+// The root message is merged directly, so the answer is always one
+// consolidated relation. bench/'s view_churn workload measures it.
 //
 // The ⊕-inverses per semiring:
 //
@@ -145,6 +150,12 @@ type Materialized[T any] struct {
 	p    *faq.Pass
 	msgs []*relation.Relation[T] // per node: its bottom-up message
 
+	// A ring view holds factor e as q.Factors[e] ⊕ ftail[e] and the
+	// message of non-root node v as msgs[v] ⊕ mtail[v] (package comment:
+	// commits go to the tail, which folds into the base once
+	// |tail|² > |base|). The root message has no tail.
+	ftail, mtail []*relation.Relation[T]
+
 	strategy    Strategy
 	neg         func(T) T            // ⊕-inverse (ring strategies)
 	nonNegative bool                 // reject negative annotations (Bool support twin)
@@ -153,13 +164,13 @@ type Materialized[T any] struct {
 	boolAnswer  *relation.Relation[T]
 
 	// fix and mix are the join build sides point deltas probe, one slot
-	// of each per non-root node c: fix[c] orders parent(c)'s factor on
-	// the variables a delta arriving from c shares with it, and mix[c]
-	// orders msgs[c] for the deltas that join it at parent(c). A slot is
-	// built on its first probe and then rebased whenever the relation it
-	// orders is committed, so it never goes stale and no update re-sorts
-	// retained state. Memory is O(n) per indexed slot, the price of a
-	// standing view.
+	// of each per non-root node c: fix[c] orders the base of parent(c)'s
+	// factor on the variables a delta arriving from c shares with it, and
+	// mix[c] orders the base of msgs[c] for the deltas that join it at
+	// parent(c). A slot is built on its first probe. Commits leave the
+	// base alone, and a fold rebases every slot of the base it rewrites,
+	// so a slot never goes stale and no update re-sorts retained state.
+	// Memory is O(n) per indexed slot, the price of a standing view.
 	fix, mix []*relation.SortedIndex
 
 	updates    int64
@@ -247,7 +258,20 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 	if err != nil {
 		return nil, err
 	}
+	if m.strategy == StrategyRing {
+		m.ftail, m.mtail = emptyLike(qc.Factors), emptyLike(m.msgs)
+	}
 	return m, nil
+}
+
+// emptyLike returns one empty relation per relation of rs, over its
+// schema: the tails of a freshly materialized ring view.
+func emptyLike[T any](rs []*relation.Relation[T]) []*relation.Relation[T] {
+	out := make([]*relation.Relation[T], len(rs))
+	for i, r := range rs {
+		out[i] = relation.Empty[T](r.Schema())
+	}
+	return out
 }
 
 // liftBoolQuery builds the Count twin of a Bool query: same hypergraph,
@@ -321,7 +345,7 @@ func (m *Materialized[T]) Close() {
 		return
 	}
 	m.closed = true
-	m.msgs, m.ledgers, m.boolAnswer, m.fix, m.mix = nil, nil, nil, nil, nil
+	m.msgs, m.ftail, m.mtail, m.ledgers, m.boolAnswer, m.fix, m.mix = nil, nil, nil, nil, nil, nil, nil
 	if m.lift != nil {
 		m.lift.Close()
 	}
@@ -452,15 +476,17 @@ func (m *Materialized[T]) deltaFactor(b Batch[T]) *relation.Relation[T] {
 }
 
 // applyRing stages and commits one ring-strategy update: per batch,
-// fold the delta into the base factor with MergeAdd, then walk the
-// edge's node path to the root propagating Δmsg — joining the delta
-// first (it is small, so every intermediate stays small), then the
-// node's factor and the unchanged sibling messages, aggregating to the
-// node's keep set (faq.EvalNode), and ⊕-merging into the retained
-// message. Every commit rebases the index slots that probe the committed
-// relation. Propagation stops early when a Δmsg cancels to empty.
+// commit the delta to the base factor's tail, then walk the edge's node
+// path to the root propagating Δmsg — joining the delta first (it is
+// small, so every intermediate stays small), then the node's factor and
+// the unchanged sibling messages (each as base ⊕ tail, see probe),
+// aggregating to the node's keep set (faq.EvalNode), and committing
+// Δmsg to the node's message: to its tail below the root, into the
+// consolidated answer at the root. Propagation stops early when a Δmsg
+// cancels to empty.
 func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) error {
-	factors, msgs := slices.Clone(m.q.Factors), slices.Clone(m.msgs)
+	factors, ftail := slices.Clone(m.q.Factors), slices.Clone(m.ftail)
+	msgs, mtail := slices.Clone(m.msgs), slices.Clone(m.mtail)
 	fix, mix := slices.Clone(m.fix), slices.Clone(m.mix)
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
@@ -470,22 +496,18 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 		if d.Len() == 0 {
 			continue
 		}
-		nf, err := relation.MergeAdd(m.s, factors[b.Edge], d)
-		if err != nil {
+		e, u := b.Edge, m.p.NodeOf[b.Edge]
+		var err error
+		if factors[e], ftail[e], err = m.commit(factors[e], ftail[e], d, fix, m.p.Children[u]...); err != nil {
 			return err
 		}
 		if m.nonNegative {
 			for i := 0; i < d.Len(); i++ {
-				if v, ok := relation.LookupRow(nf, d.Tuple(i)); ok && isNegative(m.s, v) {
-					return fmt.Errorf("delta: tuple %v on edge %d: %w", d.Tuple(i), b.Edge, ErrNegativeSupport)
+				if isNegative(m.s, m.valueAt(d.Tuple(i), factors[e], ftail[e])) {
+					return fmt.Errorf("delta: tuple %v on edge %d: %w", d.Tuple(i), e, ErrNegativeSupport)
 				}
 			}
 		}
-		u := m.p.NodeOf[b.Edge]
-		for _, c := range m.p.Children[u] {
-			fix[c] = rebase(fix[c], factors[b.Edge], d, nf)
-		}
-		factors[b.Edge] = nf
 		// Walk the root path. from == -1 means the delta replaces the
 		// node's own factor; otherwise it replaces child `from`'s
 		// message and the node's factor joins in.
@@ -495,52 +517,95 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 				return err
 			}
 			cur := dcur
-			if f := faq.NodeFactor(m.p, v, factors); from != -1 && f != nil {
-				cur = m.joinAt(fix, from, cur, f)
+			if f := m.p.Factor[v]; from != -1 && f >= 0 {
+				if cur, err = m.probe(fix, from, cur, factors[f], ftail[f]); err != nil {
+					return err
+				}
 			}
 			for _, c := range m.p.Children[v] {
 				if c != from {
-					cur = m.joinAt(mix, c, cur, msgs[c])
+					if cur, err = m.probe(mix, c, cur, msgs[c], mtail[c]); err != nil {
+						return err
+					}
 				}
 			}
 			dm, err := faq.EvalNode(m.q, cur, nil, m.p.Keep[v])
 			if err != nil {
 				return err
 			}
-			nm, err := relation.MergeAdd(m.s, msgs[v], dm)
+			if v == m.p.Root {
+				msgs[v], err = relation.MergeAdd(m.s, msgs[v], dm)
+			} else {
+				msgs[v], mtail[v], err = m.commit(msgs[v], mtail[v], dm, mix, v)
+			}
 			if err != nil {
 				return err
 			}
-			if v != m.p.Root {
-				mix[v] = rebase(mix[v], msgs[v], dm, nm)
-			}
-			msgs[v] = nm
 			if dm.Len() == 0 || v == m.p.Root {
 				break
 			}
 			dcur, from, v = dm, v, m.p.Parent[v]
 		}
 	}
-	m.q.Factors, m.msgs, m.fix, m.mix = factors, msgs, fix, mix
+	m.q.Factors, m.ftail, m.msgs, m.mtail, m.fix, m.mix = factors, ftail, msgs, mtail, fix, mix
 	return nil
 }
 
-// joinAt joins a delta against one retained relation through index
-// slot c of slots, building the slot's index on its first probe.
-func (m *Materialized[T]) joinAt(slots []*relation.SortedIndex, c int, small, big *relation.Relation[T]) *relation.Relation[T] {
-	shared := hypergraph.IntersectSorted(small.Schema(), big.Schema())
-	if !relation.IndexValidFor(slots[c], big, shared) {
-		if slots[c] = relation.BuildSortedIndex(big, shared); slots[c] == nil {
-			return relation.Join(m.s, small, big)
-		}
-		metricIndexBuilds.Inc()
+// commit ⊕-merges d into the retained relation base ⊕ tail and returns
+// its new parts. d goes into the tail, and base stays as it is until
+// |tail|² > |base|. Then the tail folds into the base, and the index
+// slots of slots named by sites, which order the base, are carried
+// across the fold. Folding at |tail| > √n keeps the tail small enough
+// that probing and re-merging it stays cheap, while the O(n) fold comes
+// at most once per √n committed rows.
+func (m *Materialized[T]) commit(base, tail, d *relation.Relation[T], slots []*relation.SortedIndex, sites ...int) (*relation.Relation[T], *relation.Relation[T], error) {
+	tail, err := relation.MergeAdd(m.s, tail, d)
+	if err != nil || tail.Len()*tail.Len() <= base.Len() {
+		return base, tail, err
 	}
-	return relation.JoinIndexed(m.s, small, big, slots[c])
+	nb, err := relation.MergeAdd(m.s, base, tail)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, c := range sites {
+		slots[c] = rebase(slots[c], base, tail, nb)
+	}
+	metricFolds.Inc()
+	return nb, relation.Empty[T](base.Schema()), nil
 }
 
-// rebase carries a slot's index across the commit old ⊕ d = nw of the
-// relation it orders. A rebase that had to build afresh counts as a
-// build.
+// probe joins a delta against the retained relation base ⊕ tail:
+// JoinIndexed(small, base) through index slot c of slots, built on its
+// first probe, ⊕ Join(small, tail). Join distributes over ⊕, so this is
+// Join(small, base ⊕ tail) exactly for ℤ/2⁶⁴ and XOR, and up to float
+// re-association for ℝ.
+func (m *Materialized[T]) probe(slots []*relation.SortedIndex, c int, small, base, tail *relation.Relation[T]) (*relation.Relation[T], error) {
+	shared := hypergraph.IntersectSorted(small.Schema(), base.Schema())
+	if !relation.IndexValidFor(slots[c], base, shared) {
+		if slots[c] = relation.BuildSortedIndex(base, shared); slots[c] != nil {
+			metricIndexBuilds.Inc()
+		}
+	}
+	out := relation.JoinIndexed(m.s, small, base, slots[c])
+	if tail.Len() == 0 {
+		return out, nil
+	}
+	return relation.MergeAdd(m.s, out, relation.Join(m.s, small, tail))
+}
+
+// valueAt returns row's annotation in the retained relation base ⊕ tail.
+func (m *Materialized[T]) valueAt(row []int32, base, tail *relation.Relation[T]) T {
+	v := m.s.Zero()
+	for _, r := range [...]*relation.Relation[T]{base, tail} {
+		if x, ok := relation.LookupRow(r, row); ok {
+			v = m.s.Add(v, x)
+		}
+	}
+	return v
+}
+
+// rebase carries a slot's index across the fold old ⊕ d = nw of the
+// base it orders. A rebase that had to build afresh counts as a build.
 func rebase[T any](ix *relation.SortedIndex, old, d, nw *relation.Relation[T]) *relation.SortedIndex {
 	nix, rebuilt := relation.RebaseIndex(ix, old, d, nw)
 	switch {

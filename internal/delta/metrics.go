@@ -13,5 +13,7 @@ var (
 	metricIndexBuilds = obs.Default().NewCounter("faq_delta_index_builds_total",
 		"Sorted indexes built from scratch for a view's delta-join probe sites, including rebases that had to build afresh.")
 	metricIndexRebases = obs.Default().NewCounter("faq_delta_index_rebases_total",
-		"Sorted indexes carried across a commit that rewrote the rows they order, instead of rebuilt.")
+		"Sorted indexes carried across a fold that rewrote the base rows they order, instead of rebuilt.")
+	metricFolds = obs.Default().NewCounter("faq_delta_folds_total",
+		"Ring-view tails folded into their base once |tail|^2 > |base|, one per retained factor or message folded.")
 )

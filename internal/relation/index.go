@@ -187,10 +187,12 @@ func emitJoin[T any](s semiring.Semiring[T], a, b *Relation[T], bpr []packedRow,
 // SortedIndex is a reusable build side of the non-prefix join: b's key
 // order on the shared variables, pinned to the exact row buffer it
 // ordered. A standing view (internal/delta) builds one per probe site
-// and carries it across every commit: a value-only MergeAdd shares the
-// row buffer, so the index still serves the result, and a merge that
-// inserts or drops rows is followed by RebaseIndex, which does not
-// re-sort. The build side of a point-delta join is paid once per site.
+// over a retained relation's base, which commits leave alone, and
+// carries it across every fold of the view's tail into that base: a
+// value-only MergeAdd shares the row buffer, so the index still serves
+// the result, and a merge that inserts or drops rows is followed by
+// RebaseIndex, which does not re-sort. The build side of a point-delta
+// join is paid once per site.
 // When the shared variables lead b's schema, b's rows are the key order
 // and the index holds no entries.
 type SortedIndex struct {

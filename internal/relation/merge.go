@@ -24,10 +24,11 @@ type mergeEdit[T any] struct {
 // zero-annotated tuples — so for exact semirings the result is
 // bit-identical to rebuilding the combined relation from scratch.
 //
-// This is the commit kernel of incremental maintenance
-// (internal/delta): new state = MergeAdd(old state, delta). Each row of
-// b is galloped into a from the previous hit, O(|b| log(|a|/|b|))
-// comparisons. When b only moves annotations of rows a already lists
+// Incremental maintenance (internal/delta) merges with it twice: a
+// commit is tail' = MergeAdd(tail, delta) on a view's small tail, and a
+// fold is base' = MergeAdd(base, tail) once the tail outgrows √|base|.
+// Each row of b is galloped into a from the previous hit,
+// O(|b| log(|a|/|b|)) comparisons. When b only moves annotations of rows a already lists
 // (nothing inserted, nothing cancelled to 0) the result shares a's row
 // buffer and patches a copy of the values, so a SortedIndex of a still
 // serves it; otherwise the untouched stretches of a are spliced around
