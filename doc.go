@@ -115,7 +115,13 @@
 // (internal/delta) commits a delta with MergeAdd into a small sorted
 // tail beside each large base, folds the tail into the base once it
 // outgrows √n, and carries its join indexes across the fold with
-// RebaseIndex instead of re-sorting them. The protocol
+// RebaseIndex instead of re-sorting them. A view over an idempotent ⊕
+// (MinPlus, MaxTimes) or a general FAQ recomputes only the groups a
+// delta reaches: it restricts each node on the root path to those
+// groups (Restrict, through the same indexes), re-runs the node task on
+// the restriction, and stops at the first node where no group changed.
+// Changed factor rows and groups go into a tail that overrides its
+// base, folded in with MergeReplace past √n. The protocol
 // engine's converge-cast streams key on the same packed integers. The
 // micro-benchmarks in internal/relation/bench_test.go isolate these hot
 // paths; bench/'s kernel_large workload measures them end to end.

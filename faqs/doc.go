@@ -67,7 +67,7 @@
 // re-answers insert/delete tuple batches by propagating semiring
 // deltas up only the affected path — exact ⊕-deltas for Count,
 // SumProduct, and F2, support counting for Bool, and a documented
-// per-node recompute fallback for the idempotent semirings and general
+// group recompute fallback for the idempotent semirings and general
 // FAQs (Strategy names which one is in use; Stats counts updates and
 // delta_fallbacks). Updates are atomic: on any error the view is
 // unchanged and remains usable. cmd/faqd serves the same handles as

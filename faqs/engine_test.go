@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -572,5 +573,35 @@ func TestEngineCancellation(t *testing.T) {
 	cancel()
 	if _, err := eng.Solve(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled ctx: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestResultTuplesDoNotAlias pins that the answer's tuples, carved from
+// one backing array, stay independent: appending to one leaves the next
+// as it was.
+func TestResultTuplesDoNotAlias(t *testing.T) {
+	rb := NewRelationBuilder(MustSchema("A", "B"))
+	for _, tu := range [][]int{{0, 1}, {1, 2}, {2, 3}} {
+		rb.Add(tu...)
+	}
+	r, err := rb.Relation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuery(Count).Factor(r).Free("A", "B").Domain(4).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewEngine().Solve(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tuples) != 3 {
+		t.Fatalf("answer has %d tuples, want 3", len(res.Tuples))
+	}
+	next := append([]int(nil), res.Tuples[1]...)
+	res.Tuples[0] = append(res.Tuples[0], 99, 99)
+	if !slices.Equal(res.Tuples[1], next) {
+		t.Fatalf("appending to tuple 0 changed tuple 1 to %v, want %v", res.Tuples[1], next)
 	}
 }

@@ -22,7 +22,7 @@ type TupleUpdate struct {
 // engine retains every GHD node's message relation and re-answers
 // updates by propagating semiring deltas up only the affected path
 // (exact delta rules for count/sumproduct/f2, support counting for
-// bool, and a documented per-node recompute fallback for the idempotent
+// bool, and a documented group recompute fallback for the idempotent
 // semirings and general FAQs). Close releases the retained state.
 //
 // A Materialized is safe for concurrent use; each Update is atomic —

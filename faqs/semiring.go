@@ -305,10 +305,14 @@ func (r *typedRunner[T]) toResult(q *Query, ans *relation.Relation[T], info *ser
 	for i, v := range ans.Schema() {
 		res.Schema[i] = q.h.VertexName(v)
 	}
+	// Every tuple is carved from one backing array, its capacity clipped
+	// to its length, so appending to one tuple copies it and never
+	// reaches the next.
+	w := ans.Arity()
+	cells := make([]int, w*ans.Len())
 	for i := 0; i < ans.Len(); i++ {
-		t := ans.Tuple(i)
-		row := make([]int, len(t))
-		for j, x := range t {
+		row := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, x := range ans.Tuple(i) {
 			row[j] = int(x)
 		}
 		res.Tuples[i] = row

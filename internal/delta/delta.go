@@ -44,14 +44,37 @@
 //
 // MinPlus and MaxTimes have idempotent ⊕ (min/max destroy information,
 // no inverse exists), and general FAQs (per-variable aggregate
-// overrides) are not ⊕-linear; both fall back to a documented per-node
-// recompute: the handle keeps a per-edge contribution ledger (a
-// multiset, so deleting one of two equal contributions keeps the
-// other), rebuilds the touched factor, and re-runs the full node task
-// for just the nodes on the edge's root path — still O(path), but
-// O(node) work per node instead of O(|Δ|). These updates are counted
-// separately (Stats.Recomputes, surfaced as delta_fallbacks by the
-// service layer).
+// overrides) are not ⊕-linear; both recompute instead, group by group.
+// The handle keeps a per-edge contribution ledger (a multiset per
+// tuple, so deleting one of two equal contributions keeps the other)
+// and re-folds only the tuples a batch touches. Each node's message is
+// a set of groups, one per value of its variables, and each group
+// depends only on its own rows of the node's inputs (Theorem G.3's
+// pass). So at each node on the root path the handle recomputes just
+// the groups the changed rows below reach: it restricts the factor and
+// the children to them through sorted indexes (relation.Restrict), runs
+// the node task on that restriction, and writes the groups whose value
+// changed over the message. Within a group the rows keep their sorted
+// order, so every group folds exactly as in the full pass, floats bit
+// for bit. The walk stops at the first node where no group changed,
+// appeared or vanished: an insert that does not beat its group's min
+// stops at its first node.
+//
+// A recompute view holds its factors and non-root messages as a ring
+// view does, as a base and a small sorted tail, but its tail overrides
+// the base instead of adding to it: it lists the rows written since the
+// last fold, the semiring's 0 for a base row that went. A restriction
+// reads the base's rows through its index and writes the tail's over
+// them. The tail folds into the base (relation.MergeReplace) under the
+// same √n rule, and the base's indexes are carried across by
+// RebaseIndex. The root message has no tail, so the answer is always
+// one consolidated relation. So a point update costs O(path · (|Δ| + group) log n)
+// search and node work plus amortized O(|Δ|·√n) copy work per written
+// relation, whatever the size of the view. Nodes whose factor does not
+// cover their message's and children's variables (a factorless core, a
+// scalar message) re-run whole over their inputs' bases and tails
+// merged, O(node). These updates are counted separately
+// (Stats.Recomputes, surfaced as delta_fallbacks by the service layer).
 //
 // Updates are atomic: state is staged and committed only after every
 // batch applied, so an error (including an injected fault at the
@@ -65,6 +88,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -102,8 +126,9 @@ const (
 	StrategyRing Strategy = "ring"
 	// StrategySupport lifts Bool to a support-counting Count twin.
 	StrategySupport Strategy = "support"
-	// StrategyRecompute re-runs the node task along the affected path
-	// (MinPlus, MaxTimes, general FAQs — idempotent or non-linear ⊕).
+	// StrategyRecompute recomputes the message groups a delta reaches
+	// along the affected path (MinPlus, MaxTimes, general FAQs —
+	// idempotent or non-linear ⊕).
 	StrategyRecompute Strategy = "recompute"
 )
 
@@ -132,8 +157,8 @@ type Options struct {
 type Stats struct {
 	// Updates is the number of successfully applied Update calls.
 	Updates int64
-	// Recomputes counts the Updates served by the per-node recompute
-	// fallback instead of delta propagation.
+	// Recomputes counts the Updates served by group recompute (the
+	// recompute strategy) instead of delta propagation.
 	Recomputes int64
 }
 
@@ -153,14 +178,17 @@ type Materialized[T any] struct {
 	// A ring view holds factor e as q.Factors[e] ⊕ ftail[e] and the
 	// message of non-root node v as msgs[v] ⊕ mtail[v] (package comment:
 	// commits go to the tail, which folds into the base once
-	// |tail|² > |base|). The root message has no tail.
+	// |tail|² > |base|). The root message has no tail. A recompute view
+	// holds them alike, but its tail overrides the base instead of
+	// adding to it (override): it lists the rows whose annotation
+	// differs from the base's, the semiring's 0 for a base row that went.
 	ftail, mtail []*relation.Relation[T]
 
 	strategy    Strategy
-	neg         func(T) T            // ⊕-inverse (ring strategies)
-	nonNegative bool                 // reject negative annotations (Bool support twin)
-	ledgers     []*ledger[T]         // per-edge contribution multisets (recompute)
-	lift        *Materialized[int64] // the Count twin (support strategy)
+	neg         func(T) T                 // ⊕-inverse (ring strategies)
+	nonNegative bool                      // reject negative annotations (Bool support twin)
+	ledgers     []*relation.Relation[[]T] // per-edge contribution ledgers (recompute, see stage)
+	lift        *Materialized[int64]      // the Count twin (support strategy)
 	boolAnswer  *relation.Relation[T]
 
 	// fix and mix are the join build sides point deltas probe, one slot
@@ -171,7 +199,14 @@ type Materialized[T any] struct {
 	// base alone, and a fold rebases every slot of the base it rewrites,
 	// so a slot never goes stale and no update re-sorts retained state.
 	// Memory is O(n) per indexed slot, the price of a standing view.
+	// A recompute view uses fix the same way, to find the factor rows a
+	// child's changed groups join.
 	fix, mix []*relation.SortedIndex
+	// gix[v] orders the factor base of node v of a recompute view on the
+	// variables of v's message, for regroup's restriction to groups;
+	// grouped[v] reports that v is recomputed group by group (groupable).
+	gix     []*relation.SortedIndex
+	grouped []bool
 
 	updates    int64
 	recomputes int64
@@ -249,23 +284,29 @@ func Materialize[T any](ctx context.Context, q *faq.Query[T], g *ghd.GHD, opts O
 		m.fix = make([]*relation.SortedIndex, len(p.Parent))
 		m.mix = make([]*relation.SortedIndex, len(p.Parent))
 	case StrategyRecompute:
-		m.ledgers = make([]*ledger[T], len(qc.Factors))
+		m.ledgers = make([]*relation.Relation[[]T], len(qc.Factors))
 		for e, f := range qc.Factors {
-			m.ledgers[e] = ledgerOf(f)
+			m.ledgers[e] = relation.Empty[[]T](f.Schema())
 		}
+		m.fix = make([]*relation.SortedIndex, len(p.Parent))
+		m.gix = make([]*relation.SortedIndex, len(p.Parent))
 	}
 	m.msgs, _, err = faq.Messages(ctx, &qc, p, faq.SolveOptions{Pool: opts.Pool})
 	if err != nil {
 		return nil, err
 	}
-	if m.strategy == StrategyRing {
-		m.ftail, m.mtail = emptyLike(qc.Factors), emptyLike(m.msgs)
+	m.ftail, m.mtail = emptyLike(qc.Factors), emptyLike(m.msgs)
+	if m.strategy == StrategyRecompute {
+		m.grouped = make([]bool, len(p.Parent))
+		for v := range m.grouped {
+			m.grouped[v] = groupable(p, v, qc.Factors, m.msgs)
+		}
 	}
 	return m, nil
 }
 
 // emptyLike returns one empty relation per relation of rs, over its
-// schema: the tails of a freshly materialized ring view.
+// schema: the tails of a freshly materialized view.
 func emptyLike[T any](rs []*relation.Relation[T]) []*relation.Relation[T] {
 	out := make([]*relation.Relation[T], len(rs))
 	for i, r := range rs {
@@ -325,15 +366,13 @@ func (m *Materialized[T]) Answer() (*relation.Relation[T], error) {
 	return m.msgs[m.p.Root], nil
 }
 
-// oneOf maps every listed tuple of c onto the semiring's 1 — the
-// Bool view of a non-negative support count (count > 0 ⇔ true).
+// oneOf is the Bool view of a support count: every tuple c lists (its
+// count is positive) annotated with the semiring's 1. c is the lifted
+// answer, sorted, consolidated and zero-free already, so the Bool
+// answer shares its row buffer and sorts nothing.
 func oneOf[T any, U any](s semiring.Semiring[T], c *relation.Relation[U]) *relation.Relation[T] {
-	b := relation.NewBuilderHint(s, c.Schema(), c.Len())
 	one := s.One()
-	for i := 0; i < c.Len(); i++ {
-		b.AddRow(c.Tuple(i), one)
-	}
-	return b.Build()
+	return relation.Relabel(c, func(int) T { return one })
 }
 
 // Close releases the handle's retained state. Further Update/Answer
@@ -345,7 +384,7 @@ func (m *Materialized[T]) Close() {
 		return
 	}
 	m.closed = true
-	m.msgs, m.ftail, m.mtail, m.ledgers, m.boolAnswer, m.fix, m.mix = nil, nil, nil, nil, nil, nil, nil
+	m.msgs, m.ftail, m.mtail, m.ledgers, m.boolAnswer, m.fix, m.mix, m.gix = nil, nil, nil, nil, nil, nil, nil, nil
 	if m.lift != nil {
 		m.lift.Close()
 	}
@@ -553,25 +592,29 @@ func (m *Materialized[T]) applyRing(ctx context.Context, batches []Batch[T]) err
 
 // commit ⊕-merges d into the retained relation base ⊕ tail and returns
 // its new parts. d goes into the tail, and base stays as it is until
-// |tail|² > |base|. Then the tail folds into the base, and the index
-// slots of slots named by sites, which order the base, are carried
-// across the fold. Folding at |tail| > √n keeps the tail small enough
-// that probing and re-merging it stays cheap, while the O(n) fold comes
-// at most once per √n committed rows.
+// the tail has outgrown it. Then the tail folds into the base, and the
+// index slots of slots named by sites, which order the base, are
+// carried across the fold.
 func (m *Materialized[T]) commit(base, tail, d *relation.Relation[T], slots []*relation.SortedIndex, sites ...int) (*relation.Relation[T], *relation.Relation[T], error) {
 	tail, err := relation.MergeAdd(m.s, tail, d)
-	if err != nil || tail.Len()*tail.Len() <= base.Len() {
+	if err != nil || !outgrown(base, tail) {
 		return base, tail, err
 	}
 	nb, err := relation.MergeAdd(m.s, base, tail)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, c := range sites {
-		slots[c] = rebase(slots[c], base, tail, nb)
-	}
+	rebaseSites(slots, sites, base, tail, nb)
 	metricFolds.Inc()
 	return nb, relation.Empty[T](base.Schema()), nil
+}
+
+// outgrown is the fold rule: a tail folds into its base once
+// |tail|² > |base|. Folding at |tail| > √n keeps the tail small enough
+// that probing and re-merging it stays cheap, while the O(n) fold comes
+// at most once per √n committed rows.
+func outgrown[T any](base, tail *relation.Relation[T]) bool {
+	return tail.Len()*tail.Len() > base.Len()
 }
 
 // probe joins a delta against the retained relation base ⊕ tail:
@@ -617,6 +660,21 @@ func rebase[T any](ix *relation.SortedIndex, old, d, nw *relation.Relation[T]) *
 	return nix
 }
 
+// rebaseSites carries the index slots of sites, which order old, across
+// its merge old → nw with d. Slots that share an index share its
+// rebase.
+func rebaseSites[T any](slots []*relation.SortedIndex, sites []int, old, d, nw *relation.Relation[T]) {
+	prev := make([]*relation.SortedIndex, len(sites))
+	for i, c := range sites {
+		prev[i] = slots[c]
+		if j := slices.Index(prev[:i], prev[i]); j >= 0 && prev[i] != nil {
+			slots[c] = slots[sites[j]]
+		} else {
+			slots[c] = rebase(prev[i], old, d, nw)
+		}
+	}
+}
+
 // isNegative reports a negative annotation (only meaningful for the
 // Count support twin).
 func isNegative[T any](s semiring.Semiring[T], v T) bool {
@@ -626,51 +684,317 @@ func isNegative[T any](s semiring.Semiring[T], v T) bool {
 	return false
 }
 
-// applyRecompute stages and commits one recompute-strategy update: per
-// batch, fold the inserts/deletes into the edge's contribution ledger
-// (copy-on-write), rebuild the factor by ⊕-folding each tuple's
-// contributions, and re-run the full node task for every node on the
-// edge's root path against the staged state. Sibling subtrees'
-// messages depend only on their own factors and are reused untouched —
-// the documented O(path × node) fallback for idempotent ⊕.
+// applyRecompute stages and commits one recompute-strategy update. Per
+// batch it stages the edge's contribution ledger (stage), re-folds the
+// touched tuples, and writes only those whose annotation changed over
+// the factor (override). Then it walks the edge's root path: at each
+// node regroup recomputes just the groups of the node's message that
+// the changed rows below reach and writes the ones whose value changed
+// over the message. The walk stops at the first node, or already at the
+// factor, where nothing changed, so an insert that does not beat the
+// current min stops at its first node. Sibling subtrees' messages
+// depend only on their own factors and are reused untouched.
 func (m *Materialized[T]) applyRecompute(ctx context.Context, batches []Batch[T]) error {
-	factors := append([]*relation.Relation[T](nil), m.q.Factors...)
-	msgs := append([]*relation.Relation[T](nil), m.msgs...)
-	ledgers := append([]*ledger[T](nil), m.ledgers...)
-	staged := make([]bool, len(ledgers))
+	st := &staged[T]{
+		factors: slices.Clone(m.q.Factors), ftail: slices.Clone(m.ftail),
+		msgs: slices.Clone(m.msgs), mtail: slices.Clone(m.mtail),
+		fix: slices.Clone(m.fix), gix: slices.Clone(m.gix),
+	}
+	ledgers := slices.Clone(m.ledgers)
 	for _, b := range batches {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lg := ledgers[b.Edge]
-		if !staged[b.Edge] {
-			lg = lg.clone()
-			ledgers[b.Edge] = lg
-			staged[b.Edge] = true
+		e, u := b.Edge, m.p.NodeOf[b.Edge]
+		f, ft := st.factors[e], st.ftail[e]
+		var touched *relation.Relation[[]T]
+		var err error
+		if ledgers[e], touched, err = stage(m.s, ledgers[e], f, ft, b); err != nil {
+			return err
 		}
-		for _, t := range b.Inserts {
-			lg.insert(t.Row, t.Val)
+		var d edits[T]
+		for i := 0; i < touched.Len(); i++ {
+			ov, listed := overridden(m.s, touched.Tuple(i), f, ft)
+			d.note(m.s, touched.Tuple(i), ov, listed, fold(m.s, touched.Value(i)))
 		}
-		for _, t := range b.Deletes {
-			if !lg.remove(m.s, t.Row, t.Val) {
-				return fmt.Errorf("delta: tuple %v value %s on edge %d: %w", t.Row, m.s.Format(t.Val), b.Edge, ErrNoSuchTuple)
-			}
+		if len(d.vals) == 0 {
+			continue
 		}
-		factors[b.Edge] = lg.build(m.s, m.q.H.Edge(b.Edge))
-		for v := m.p.NodeOf[b.Edge]; ; v = m.p.Parent[v] {
+		dr := d.relation(f.Schema())
+		st.factors[e], st.ftail[e], err = m.override(f, ft, dr, func(old, folded, nw *relation.Relation[T]) {
+			rebaseSites(st.fix, m.p.Children[u], old, folded, nw)
+			st.gix[u] = rebase(st.gix[u], old, folded, nw)
+		})
+		if err != nil {
+			return err
+		}
+		for v, from := u, -1; ; v, from = m.p.Parent[v], v {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			nm, err := faq.EvalAt(m.q, m.p, v, faq.NodeFactor(m.p, v, factors), msgs)
-			if err != nil {
+			if dr, err = m.regroup(st, v, from, dr); err != nil {
 				return err
 			}
-			msgs[v] = nm
-			if v == m.p.Root {
+			if dr.Len() == 0 || v == m.p.Root {
 				break
 			}
 		}
 	}
-	m.q.Factors, m.msgs, m.ledgers = factors, msgs, ledgers
+	m.q.Factors, m.ftail, m.msgs, m.mtail, m.fix, m.gix, m.ledgers = st.factors, st.ftail, st.msgs, st.mtail, st.fix, st.gix, ledgers
 	return nil
+}
+
+// staged is the state a recompute update works on: copies of the
+// handle's slices, committed whole once every batch applied.
+type staged[T any] struct {
+	factors, ftail, msgs, mtail []*relation.Relation[T]
+	fix, gix                    []*relation.SortedIndex
+}
+
+// override writes the edit list d over a relation of a recompute view
+// held as base overridden by tail (the ftail field comment), and
+// returns its new parts. d goes into the tail, and base stays as it is
+// until commit's fold rule folds the tail into it; then carry, when not
+// nil, carries the base's index slots across the fold.
+func (m *Materialized[T]) override(base, tail, d *relation.Relation[T], carry func(old, folded, nw *relation.Relation[T])) (*relation.Relation[T], *relation.Relation[T], error) {
+	tail, err := relation.MergeReplace(tail, d, func(T) bool { return false })
+	if err != nil || !outgrown(base, tail) {
+		return base, tail, err
+	}
+	// A 0 on a row the base does not list, one written and then emptied
+	// since the last fold, is no edit: it leaves the tail first, so that
+	// RebaseIndex carries the slots over the fold instead of rebuilding.
+	var gone edits[T]
+	for i := 0; i < tail.Len(); i++ {
+		if !m.s.IsZero(tail.Value(i)) {
+			continue
+		}
+		if _, listed := relation.LookupRow(base, tail.Tuple(i)); !listed {
+			gone.rows, gone.vals = append(gone.rows, tail.Tuple(i)...), append(gone.vals, tail.Value(i))
+		}
+	}
+	if tail, err = relation.MergeReplace(tail, gone.relation(base.Schema()), m.s.IsZero); err != nil {
+		return nil, nil, err
+	}
+	nb, err := relation.MergeReplace(base, tail, m.s.IsZero)
+	if err != nil {
+		return nil, nil, err
+	}
+	if carry != nil {
+		carry(base, tail, nb)
+	}
+	metricFolds.Inc()
+	return nb, relation.Empty[T](base.Schema()), nil
+}
+
+// overridden returns row's annotation in a recompute view's relation,
+// base overridden by tail, and whether the relation lists it.
+func overridden[T any](s semiring.Semiring[T], row []int32, base, tail *relation.Relation[T]) (T, bool) {
+	if v, ok := relation.LookupRow(tail, row); ok {
+		return v, !s.IsZero(v)
+	}
+	return relation.LookupRow(base, row)
+}
+
+// merged returns a recompute view's relation, base overridden by tail,
+// as one relation.
+func merged[T any](s semiring.Semiring[T], base, tail *relation.Relation[T]) *relation.Relation[T] {
+	r, _ := relation.MergeReplace(base, tail, s.IsZero) // one schema
+	return r
+}
+
+// regroup recomputes node v's message after one of its inputs changed
+// by the edit list d: its factor when from is -1, else child from's
+// message. The groups d reaches are the keep-projections of the factor
+// rows it changed or, for a child, the factor rows it joins (through
+// index slot fix[from]). regroup restricts the factor to those groups
+// (slot gix[v]) and each child to the restricted factor's rows, runs
+// faq.EvalNode on the restriction, and writes the groups whose value
+// changed over msgs[v]: into its tail below the root (override), into
+// the consolidated answer at the root. Each group keeps its rows in
+// their sorted order, so every group folds exactly as in the full pass.
+// A node that does not pass groupable re-runs its whole node task
+// instead, over its factor and children merged with their tails. It
+// returns the edit list of v's message: the changed groups, with a
+// deleted one annotated with the semiring's 0.
+func (m *Materialized[T]) regroup(st *staged[T], v, from int, d *relation.Relation[T]) (*relation.Relation[T], error) {
+	var dm edits[T]
+	old, ot := st.msgs[v], st.mtail[v]
+	f, ft := faq.NodeFactor(m.p, v, st.factors), faq.NodeFactor(m.p, v, st.ftail)
+	if m.grouped[v] {
+		reached := d
+		if from >= 0 {
+			reached = restrict(m.s, st.fix, from, f, ft, d, m.p.Children[v]...)
+		}
+		groups := keysOf(reached, old.Schema())
+		fk := restrict(m.s, st.gix, v, f, ft, groups)
+		kids := make([]*relation.Relation[T], len(m.p.Children[v]))
+		for i, c := range m.p.Children[v] {
+			kids[i] = within(m.s, st.msgs[c], st.mtail[c], keysOf(fk, st.msgs[c].Schema()), nil)
+		}
+		out, err := faq.EvalNode(m.q, fk, kids, m.p.Keep[v])
+		if err != nil {
+			return nil, err
+		}
+		for i, j := 0, 0; i < groups.Len(); i++ {
+			g, nv := groups.Tuple(i), m.s.Zero()
+			if j < out.Len() && slices.Equal(out.Tuple(j), g) {
+				nv = out.Value(j)
+				j++
+			}
+			ov, listed := overridden(m.s, g, old, ot)
+			dm.note(m.s, g, ov, listed, nv)
+		}
+	} else {
+		msgs := slices.Clone(st.msgs)
+		for _, c := range m.p.Children[v] {
+			msgs[c] = merged(m.s, msgs[c], st.mtail[c])
+		}
+		if f != nil {
+			f = merged(m.s, f, ft)
+		}
+		nm, err := faq.EvalAt(m.q, m.p, v, f, msgs)
+		if err != nil {
+			return nil, err
+		}
+		dm.diff(m.s, merged(m.s, old, ot), nm)
+	}
+	dr := dm.relation(old.Schema())
+	var err error
+	if v == m.p.Root {
+		st.msgs[v], err = relation.MergeReplace(old, dr, m.s.IsZero)
+	} else {
+		st.msgs[v], st.mtail[v], err = m.override(old, ot, dr, nil)
+	}
+	return dr, err
+}
+
+// groupable reports whether regroup can recompute node v group by group:
+// v has a factor, its message has at least one variable, and the factor
+// lists every variable of the message and of each child's message, so
+// restricting the factor to some groups restricts the whole node to
+// them. The retained messages fix the schemas, which no update changes.
+func groupable[T any](p *faq.Pass, v int, factors, msgs []*relation.Relation[T]) bool {
+	f := faq.NodeFactor(p, v, factors)
+	if f == nil || len(msgs[v].Schema()) == 0 || !hypergraph.SubsetSorted(msgs[v].Schema(), f.Schema()) {
+		return false
+	}
+	for _, c := range p.Children[v] {
+		if !hypergraph.SubsetSorted(msgs[c].Schema(), f.Schema()) {
+			return false
+		}
+	}
+	return true
+}
+
+// restrict returns the rows of a recompute view's factor, base
+// overridden by tail, whose values on keys' variables match a row of
+// keys (within), through index slot c of slots for the base. A slot
+// that does not serve base takes the index of a peer slot that does, on
+// the same variables, and is built only when none does: sibling
+// children that share their variables share one index of their
+// parent's factor.
+func restrict[T, U any](s semiring.Semiring[T], slots []*relation.SortedIndex, c int, base, tail *relation.Relation[T], keys *relation.Relation[U], peers ...int) *relation.Relation[T] {
+	shared := keys.Schema()
+	for _, p := range peers {
+		if relation.IndexValidFor(slots[c], base, shared) {
+			break
+		}
+		slots[c] = slots[p]
+	}
+	if !relation.IndexValidFor(slots[c], base, shared) {
+		if slots[c] = relation.BuildSortedIndex(base, shared); slots[c] != nil {
+			metricIndexBuilds.Inc()
+		}
+	}
+	return within(s, base, tail, keys, slots[c])
+}
+
+// within returns the rows of base overridden by tail whose values on
+// keys' variables match a row of keys (relation.Restrict): the base's,
+// through ix, with the tail's written over them.
+func within[T, U any](s semiring.Semiring[T], base, tail *relation.Relation[T], keys *relation.Relation[U], ix *relation.SortedIndex) *relation.Relation[T] {
+	r := relation.Restrict(base, keys, ix)
+	if tail.Len() == 0 {
+		return r
+	}
+	return merged(s, r, relation.Restrict(tail, keys, nil))
+}
+
+// keysOf returns the distinct projections of r's rows on vars, a sorted
+// subset of r's schema, as a key set.
+func keysOf[T any](r *relation.Relation[T], vars []int) *relation.Relation[bool] {
+	cols, _ := relation.Columns(r.Schema(), vars)
+	b := relation.NewBuilderHint(semiring.Bool{}, vars, r.Len())
+	key := make([]int32, len(cols))
+	for i := 0; i < r.Len(); i++ {
+		for k, c := range cols {
+			key[k] = r.Tuple(i)[c]
+		}
+		b.AddRow(key, true)
+	}
+	return b.Build()
+}
+
+// edits collects an edit list for relation.MergeReplace in ascending
+// row order: each row with its new annotation, the semiring's 0 for a
+// row that goes.
+type edits[T any] struct {
+	rows []int32
+	vals []T
+}
+
+// note records row when its annotation changes from ov (listed says it
+// was listed) to nv, the semiring's 0 when it goes. A float counts as
+// changed unless its bits are the same, since a value that moved within
+// the semiring's tolerance still differs from a from-scratch pass.
+func (x *edits[T]) note(s semiring.Semiring[T], row []int32, ov T, listed bool, nv T) {
+	if listed == s.IsZero(nv) || listed && !same(ov, nv) {
+		x.rows = append(x.rows, row...)
+		x.vals = append(x.vals, nv)
+	}
+}
+
+// diff records every row whose annotation differs between old and nw,
+// two relations over the same schema, by one merge walk.
+func (x *edits[T]) diff(s semiring.Semiring[T], old, nw *relation.Relation[T]) {
+	i, j := 0, 0
+	for i < old.Len() || j < nw.Len() {
+		c := -1
+		switch {
+		case i == old.Len():
+			c = 1
+		case j < nw.Len():
+			c = slices.Compare(old.Tuple(i), nw.Tuple(j))
+		}
+		switch {
+		case c < 0:
+			x.note(s, old.Tuple(i), old.Value(i), true, s.Zero())
+			i++
+		case c > 0:
+			x.note(s, nw.Tuple(j), s.Zero(), false, nw.Value(j))
+			j++
+		default:
+			x.note(s, old.Tuple(i), old.Value(i), true, nw.Value(j))
+			i, j = i+1, j+1
+		}
+	}
+}
+
+// relation returns the collected edit list over schema.
+func (x *edits[T]) relation(schema []int) *relation.Relation[T] {
+	b := relation.NewBuilderHint(semiring.Bool{}, schema, len(x.vals))
+	for i := range x.vals {
+		b.AddRow(x.rows[i*len(schema):(i+1)*len(schema)], true)
+	}
+	return relation.Relabel(b.Build(), func(i int) T { return x.vals[i] })
+}
+
+// same reports whether two annotations are the same value, floats bit
+// for bit.
+func same[T any](a, b T) bool {
+	if x, ok := any(a).(float64); ok {
+		return math.Float64bits(x) == math.Float64bits(any(b).(float64))
+	}
+	return any(a) == any(b)
 }

@@ -1,113 +1,100 @@
 package delta
 
 import (
-	"maps"
+	"fmt"
 	"slices"
+	"sort"
 
-	"repro/internal/keys"
 	"repro/internal/relation"
 	"repro/internal/semiring"
 )
 
-// ledger is the per-edge contribution multiset of the recompute
-// strategy: idempotent ⊕ (min, max) destroys information, so the
-// factor annotation alone cannot answer "what remains after deleting
-// this contribution?". Each listed tuple keeps the full multiset of
-// values inserted for it; the factor is rebuilt by ⊕-folding each
-// tuple's contributions. The pre-existing relation seeds one
-// contribution per listed tuple (its merged annotation).
+// stage applies one batch to the contribution ledger lg of its edge,
+// whose factor is base overridden by tail. Every insert appends a contribution to its tuple's
+// multiset, then every delete removes the first semiring-equal
+// contribution of its tuple, or fails with ErrNoSuchTuple when none is
+// listed. It returns the staged ledger and the touched tuples, sorted,
+// each annotated with its new multiset (empty when drained).
 //
-// entries is the iteration source (insertion order, deterministic);
-// index is lookup-only, so the mapiter determinism contract holds.
-type ledger[T any] struct {
-	index   map[string]int
-	entries []ledgerEntry[T]
-}
-
-type ledgerEntry[T any] struct {
-	row  []int32
-	vals []T // contribution multiset, insertion order
-}
-
-// ledgerOf seeds a ledger from an existing relation.
-func ledgerOf[T any](f *relation.Relation[T]) *ledger[T] {
-	lg := &ledger[T]{index: make(map[string]int, f.Len())}
-	for i := 0; i < f.Len(); i++ {
-		row := append([]int32(nil), f.Tuple(i)...)
-		lg.index[keys.EncodeCols(row, nil)] = len(lg.entries)
-		lg.entries = append(lg.entries, ledgerEntry[T]{row: row, vals: []T{f.Value(i)}})
+// A ledger is the recompute strategy's record of what the factor alone
+// cannot answer: idempotent ⊕ (min, max) destroys information, so a
+// factor annotation does not tell what remains after deleting one
+// contribution. A tuple's contributions are the multiset of values
+// inserted for it, in insertion order, and the factor lists it at their
+// ⊕-fold. The ledger is a relation over the edge's schema that lists
+// only the tuples the factor cannot stand for: those with two or more
+// live contributions, and those with one whose annotation is the
+// semiring's 0 (the factor omits it). A tuple with one non-zero
+// contribution is its factor row, and a tuple with none is listed
+// nowhere, so the ledger never outgrows the live contributions and
+// starts empty (each listed tuple of the materialized relation is one
+// contribution, its merged annotation).
+//
+// Neither lg nor the factor is modified: the staged ledger is a
+// relation.MergeReplace of the touched entries, found by gallop, which
+// the handle commits with the factors and messages, and a touched
+// multiset is clipped before it changes, so the change copies it.
+func stage[T any](s semiring.Semiring[T], lg *relation.Relation[[]T], base, tail *relation.Relation[T], b Batch[T]) (*relation.Relation[[]T], *relation.Relation[[]T], error) {
+	keys := relation.NewBuilderHint(semiring.Bool{}, lg.Schema(), len(b.Inserts)+len(b.Deletes))
+	row := make([]int32, lg.Arity())
+	for _, ts := range [...][]Tuple[T]{b.Inserts, b.Deletes} {
+		for _, t := range ts {
+			keys.AddRow(rowOf(row, t.Row), true)
+		}
 	}
-	return lg
-}
-
-// clone copies the ledger for copy-on-write staging: a failed update
-// must leave the committed ledger untouched. Rows are immutable and
-// shared. Each contribution list is shared with its capacity clipped to
-// its length, so insert's append and remove's splice always write a
-// fresh array and never reach the committed ledger's.
-func (lg *ledger[T]) clone() *ledger[T] {
-	out := &ledger[T]{index: maps.Clone(lg.index), entries: slices.Clone(lg.entries)}
-	for i := range out.entries {
-		out.entries[i].vals = slices.Clip(out.entries[i].vals)
+	touched := keys.Build()
+	sets := make([][]T, touched.Len())
+	for i := range sets {
+		if ms, ok := relation.LookupRow(lg, touched.Tuple(i)); ok {
+			sets[i] = slices.Clip(ms)
+		} else if v, ok := overridden(s, touched.Tuple(i), base, tail); ok {
+			sets[i] = []T{v}
+		}
 	}
-	return out
+	for _, t := range b.Inserts {
+		i := find(touched, rowOf(row, t.Row))
+		sets[i] = append(sets[i], t.Val)
+	}
+	for _, t := range b.Deletes {
+		i := find(touched, rowOf(row, t.Row))
+		j := slices.IndexFunc(sets[i], func(v T) bool { return s.Equal(v, t.Val) })
+		if j < 0 {
+			return nil, nil, fmt.Errorf("delta: tuple %v value %s on edge %d: %w", t.Row, s.Format(t.Val), b.Edge, ErrNoSuchTuple)
+		}
+		sets[i] = append(sets[i][:j:j], sets[i][j+1:]...)
+	}
+	listed := relation.Relabel(touched, func(i int) []T {
+		if ms := sets[i]; len(ms) > 1 || len(ms) == 1 && s.IsZero(ms[0]) {
+			return ms
+		}
+		return nil
+	})
+	next, err := relation.MergeReplace(lg, listed, func(ms []T) bool { return len(ms) == 0 })
+	return next, relation.Relabel(touched, func(i int) []T { return sets[i] }), err
 }
 
-func rowOf(t []int) []int32 {
-	row := make([]int32, len(t))
+// fold returns the ⊕-fold of a multiset in insertion order, the
+// semiring's 0 when it is empty.
+func fold[T any](s semiring.Semiring[T], ms []T) T {
+	if len(ms) == 0 {
+		return s.Zero()
+	}
+	v := ms[0]
+	for _, w := range ms[1:] {
+		v = s.Add(v, w)
+	}
+	return v
+}
+
+// rowOf writes a batch tuple into row as int32s and returns row.
+func rowOf(row []int32, t []int) []int32 {
 	for i, x := range t {
 		row[i] = int32(x)
 	}
 	return row
 }
 
-// insert appends one contribution for the tuple.
-func (lg *ledger[T]) insert(t []int, val T) {
-	row := rowOf(t)
-	k := keys.EncodeCols(row, nil)
-	if i, ok := lg.index[k]; ok {
-		lg.entries[i].vals = append(lg.entries[i].vals, val)
-		return
-	}
-	lg.index[k] = len(lg.entries)
-	lg.entries = append(lg.entries, ledgerEntry[T]{row: row, vals: []T{val}})
-}
-
-// remove deletes one semiring-equal contribution of the tuple,
-// reporting false when none is listed. Emptied entries remain as
-// tombstones (build skips them); the index stays intact.
-func (lg *ledger[T]) remove(s semiring.Semiring[T], t []int, val T) bool {
-	row := rowOf(t)
-	i, ok := lg.index[keys.EncodeCols(row, nil)]
-	if !ok {
-		return false
-	}
-	vals := lg.entries[i].vals
-	for j, v := range vals {
-		if s.Equal(v, val) {
-			lg.entries[i].vals = append(vals[:j:j], vals[j+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// build rebuilds the factor: one row per tuple with a non-empty
-// contribution multiset, annotated with the ⊕-fold of its
-// contributions (Build re-sorts and drops ⊕-zeros, so the result is
-// exactly what a from-scratch Builder over the same contributions
-// produces).
-func (lg *ledger[T]) build(s semiring.Semiring[T], schema []int) *relation.Relation[T] {
-	b := relation.NewBuilderHint(s, schema, len(lg.entries))
-	for _, e := range lg.entries {
-		if len(e.vals) == 0 {
-			continue
-		}
-		v := e.vals[0]
-		for _, w := range e.vals[1:] {
-			v = s.Add(v, w)
-		}
-		b.AddRow(e.row, v)
-	}
-	return b.Build()
+// find returns the position of row in r, which lists it.
+func find[U any](r *relation.Relation[U], row []int32) int {
+	return sort.Search(r.Len(), func(i int) bool { return slices.Compare(r.Tuple(i), row) >= 0 })
 }

@@ -6,8 +6,8 @@
 // converge-casts of Theorem 3.11 — all need to identify tuples by a
 // subset of their columns. Packing up to two int32 attribute values into
 // one uint64 keeps those lookups allocation-free and lets sorted-merge
-// code compare keys with a single integer comparison; the big-endian
-// string codec remains for keys of arbitrary arity held in hash maps.
+// code compare keys with a single integer comparison; wider keys compare
+// column by column past the packed head, so no key is a string.
 //
 // Packed keys are order-preserving: if tuple u precedes tuple v in the
 // lexicographic (signed int32) order the relations maintain, then
@@ -19,10 +19,7 @@
 // with it, and the cluster splits relations across workers.
 package keys
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // MaxPacked is the largest number of int32 columns a uint64 key can hold.
 const MaxPacked = 2
@@ -71,30 +68,6 @@ func PackCols(t []int32, cols []int) uint64 {
 	}
 	//faqlint:allow nopanic(programmer-error precondition: callers gate on MaxPacked before packing)
 	panic("keys: PackCols on more than MaxPacked columns")
-}
-
-// Encode packs int32 values into a big-endian string key; sorting keys
-// sorts the tuples lexicographically on the raw uint32 bit patterns
-// (attribute values are domain indices ≥ 0, where the two orders agree).
-func Encode(vals ...int32) string {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
-}
-
-// EncodeCols encodes selected columns (all columns when cols is nil) of
-// a tuple as a string key.
-func EncodeCols(t []int32, cols []int) string {
-	if cols == nil {
-		return Encode(t...)
-	}
-	buf := make([]byte, 4*len(cols))
-	for i, c := range cols {
-		binary.BigEndian.PutUint32(buf[4*i:], uint32(t[c]))
-	}
-	return string(buf)
 }
 
 // FNV-1a (32-bit) parameters, as in hash/fnv.

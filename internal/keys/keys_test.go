@@ -51,23 +51,6 @@ func TestPackCols(t *testing.T) {
 	}
 }
 
-func TestEncodeDecode(t *testing.T) {
-	k := Encode(5, -3, 1<<30)
-	if len(k) != 12 {
-		t.Fatalf("len = %d, want 12", len(k))
-	}
-	if k[0] != 0 || k[3] != 5 || k[4] != 0xff {
-		t.Errorf("Encode not big-endian: % x", k)
-	}
-	row := []int32{7, 8, 9}
-	if EncodeCols(row, []int{2, 0}) != Encode(9, 7) {
-		t.Error("EncodeCols mismatch")
-	}
-	if EncodeCols(row, nil) != Encode(7, 8, 9) {
-		t.Error("EncodeCols nil mismatch")
-	}
-}
-
 // fnvChunk is the reference placement: hash/fnv's FNV-1a over the
 // big-endian uint32 bytes of the values, modulo n.
 func fnvChunk(vals []int32, n int) int {

@@ -12,16 +12,18 @@ type HotPathConfig struct {
 }
 
 // DefaultHotPathConfig covers the relation kernels, the packed-key
-// package, and the two layers that match rows with them — the protocol
-// engine (converge-cast streams are sorted relations) and cluster
-// sharding — whose allocation discipline depends on packed keys and
-// sorted order instead of string-keyed state.
+// package, and the three layers that match rows with them — the
+// protocol engine (converge-cast streams are sorted relations), cluster
+// sharding, and incremental views (whose contribution ledgers are
+// sorted relations) — whose allocation discipline depends on packed
+// keys and sorted order instead of string-keyed state.
 func DefaultHotPathConfig() HotPathConfig {
 	return HotPathConfig{Packages: []string{
 		"repro/internal/relation",
 		"repro/internal/keys",
 		"repro/internal/protocol",
 		"repro/internal/shard",
+		"repro/internal/delta",
 	}}
 }
 

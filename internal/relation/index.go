@@ -368,3 +368,60 @@ func joinLeading[T any](s semiring.Semiring[T], a, b *Relation[T], aCols []int) 
 	}
 	return emitJoin(s, a, b, matched, runs, p)
 }
+
+// Restrict returns the rows of b whose values on keys' variables (a
+// sorted subset of b's schema) match a row of keys, with their
+// annotations and in b's order: b restricted to the groups keys names.
+// When keys' variables lead b's schema each key is one gallop through
+// b; otherwise ix, an index of b on keys' variables, finds each key's
+// run in O(log |b|), and an ix that does not serve b is built afresh.
+// The cost is O(|keys| log |b| + out log out), independent of |b|'s
+// unmatched rows. A variable of keys outside b's schema restricts b to
+// nothing.
+func Restrict[T, U any](b *Relation[T], keys *Relation[U], ix *SortedIndex) *Relation[T] {
+	shared := keys.schema
+	bCols, err := Columns(b.schema, shared)
+	if err != nil || keys.Len() == 0 || b.Len() == 0 {
+		return Empty[T](b.schema)
+	}
+	if len(shared) == 0 {
+		return b
+	}
+	w, n, p := len(b.schema), b.Len(), len(shared)
+	var rows []int32
+	var vals []T
+	if isIdentPrefix(bCols) {
+		for k, lo := 0, 0; k < keys.Len(); k++ {
+			key := keys.Tuple(k)
+			for lo = gallopShared(b.rows, w, n, lo, key, p); lo < n && compareShared(b.Tuple(lo), key, p) == 0; lo++ {
+				rows = append(rows, b.Tuple(lo)...)
+				vals = append(vals, b.vals[lo])
+			}
+		}
+		return fromSorted(b.schema, rows, vals)
+	}
+	if !IndexValidFor(ix, b, shared) {
+		ix = BuildSortedIndex(b, shared)
+	}
+	var at []int32
+	for _, r := range matchRuns(orderOn(keys, identCols(p)), ix.order) {
+		for _, e := range ix.order.pr[r.lo:r.hi] {
+			at = append(at, e.idx)
+		}
+	}
+	slices.Sort(at)
+	for _, i := range at {
+		rows = append(rows, b.Tuple(int(i))...)
+		vals = append(vals, b.vals[i])
+	}
+	return fromSorted(b.schema, rows, vals)
+}
+
+// identCols returns the column list 0, 1, …, n-1.
+func identCols(n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}

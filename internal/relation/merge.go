@@ -7,13 +7,14 @@ import (
 	"repro/internal/semiring"
 )
 
-// mergeEdit is where MergeAdd puts one row of b: at is the first row of
-// a not below it, listed says a holds the row itself, and sum is the
-// row's annotation in the result.
+// mergeEdit is where a merge puts one row of b: at is the first row of
+// a not below it, listed says a holds the row itself, and sum and keep
+// are the row's annotation in the result and whether it is listed there.
 type mergeEdit[T any] struct {
 	at     int
 	listed bool
 	sum    T
+	keep   bool
 }
 
 // MergeAdd returns a ⊕ b pointwise: the relation whose annotation on
@@ -44,28 +45,78 @@ func MergeAdd[T any](s semiring.Semiring[T], a, b *Relation[T]) (*Relation[T], e
 	if a.Len() == 0 {
 		return b, nil
 	}
+	return splice(a, b, func(j int, av T, listed bool) (T, bool) {
+		if !listed {
+			return b.vals[j], true
+		}
+		sum := s.Add(av, b.vals[j])
+		return sum, !s.IsZero(sum)
+	}), nil
+}
+
+// MergeReplace returns a with the rows of d written over it: a row of d
+// replaces a's annotation of the row, or inserts the row when a does not
+// list it, and a row whose d annotation drop reports deletes a's row (or
+// is no edit, when a does not list it). Both operands must share the
+// same schema, and d is an edit list: Relabel builds one, with whatever
+// annotation marks a deletion. It gallops and splices exactly as
+// MergeAdd, so a result that only moved annotations shares a's row
+// buffer, and RebaseIndex carries a's indexes over any other result
+// when d lists no deletion of a row a does not list. a is never
+// modified.
+//
+// Incremental maintenance merges with it where ⊕ has no inverse
+// (internal/delta's recompute strategy): the re-folded tuples of a
+// factor and the recomputed groups of a message into their tails, a
+// tail into its base when it folds, and the contribution ledger's
+// changed entries.
+func MergeReplace[T any](a, d *Relation[T], drop func(T) bool) (*Relation[T], error) {
+	if !slices.Equal(a.schema, d.schema) {
+		return nil, fmt.Errorf("relation: MergeReplace schema mismatch %v vs %v", a.schema, d.schema)
+	}
+	if d.Len() == 0 {
+		return a, nil
+	}
+	return splice(a, d, func(j int, _ T, _ bool) (T, bool) {
+		return d.vals[j], !drop(d.vals[j])
+	}), nil
+}
+
+// splice merges b's rows into a, whose schema it shares: edit gives the
+// result's annotation of b's row j, and whether the row stays listed,
+// from a's annotation of the row when listed says a lists it. Each row
+// of b is galloped into a from the previous hit. When no row is
+// inserted or dropped the result shares a's row buffer; otherwise the
+// untouched stretches of a are copied around the edits.
+func splice[T any](a, b *Relation[T], edit func(j int, av T, listed bool) (T, bool)) *Relation[T] {
 	w, na := len(a.schema), a.Len()
 	edits := make([]mergeEdit[T], b.Len())
 	inserts, drops := 0, 0
 	for j, lo := 0, 0; j < len(edits); j++ {
 		row, e := b.Tuple(j), &edits[j]
-		e.at, e.sum = gallopShared(a.rows, w, na, lo, row, w), b.vals[j]
+		e.at = gallopShared(a.rows, w, na, lo, row, w)
 		lo = e.at
-		if e.listed = e.at < na && compareShared(a.Tuple(e.at), row, w) == 0; !e.listed {
-			inserts++
-			continue
+		var av T
+		if e.listed = e.at < na && compareShared(a.Tuple(e.at), row, w) == 0; e.listed {
+			av = a.vals[e.at]
+			lo++
 		}
-		lo++
-		if e.sum = s.Add(a.vals[e.at], b.vals[j]); s.IsZero(e.sum) {
+		e.sum, e.keep = edit(j, av, e.listed)
+		switch {
+		case e.listed && !e.keep:
 			drops++
+		case !e.listed && e.keep:
+			inserts++
 		}
 	}
 	if inserts == 0 && drops == 0 {
 		vals := append([]T(nil), a.vals...)
 		for _, e := range edits {
-			vals[e.at] = e.sum
+			if e.listed {
+				vals[e.at] = e.sum
+			}
 		}
-		return &Relation[T]{schema: a.schema, rows: a.rows, vals: vals}, nil
+		return &Relation[T]{schema: a.schema, rows: a.rows, vals: vals}
 	}
 	n := na + inserts - drops
 	rows := make([]int32, n*w)
@@ -77,7 +128,7 @@ func MergeAdd[T any](s semiring.Semiring[T], a, b *Relation[T]) (*Relation[T], e
 		if src = e.at; e.listed {
 			src++
 		}
-		if !s.IsZero(e.sum) {
+		if e.keep {
 			copy(rows[dst*w:], b.Tuple(j))
 			vals[dst] = e.sum
 			dst++
@@ -85,7 +136,20 @@ func MergeAdd[T any](s semiring.Semiring[T], a, b *Relation[T]) (*Relation[T], e
 	}
 	copy(rows[dst*w:], a.rows[src*w:])
 	copy(vals[dst:], a.vals[src:])
-	return fromSorted(a.schema, rows, vals), nil
+	return fromSorted(a.schema, rows, vals)
+}
+
+// Relabel returns r's rows annotated by val, val(i) on row i. The result
+// shares r's row buffer, so an index of r serves it too. It keeps every
+// annotation val gives, zeros included: besides re-typing a relation's
+// listing (a Bool view of a support count), it builds MergeReplace's
+// edit lists.
+func Relabel[T, U any](r *Relation[U], val func(i int) T) *Relation[T] {
+	vals := make([]T, r.Len())
+	for i := range vals {
+		vals[i] = val(i)
+	}
+	return &Relation[T]{schema: r.schema, rows: r.rows, vals: vals, lo: r.lo, hi: r.hi, ranged: r.ranged}
 }
 
 // LookupRow returns the annotation of the given row (in sorted-schema

@@ -425,3 +425,82 @@ func FuzzMergeAddRebase(f *testing.F) {
 		}
 	})
 }
+
+// TestMergeReplaceAndRestrict checks MergeReplace against a rebuild
+// from its definition (a's rows d does not list, then d's rows whose
+// annotation is not a deletion), RebaseIndex across it against a fresh
+// build, and Restrict, through an index and without one, against a
+// filter of b's rows on every subset of the schema.
+func TestMergeReplaceAndRestrict(t *testing.T) {
+	s := semiring.Count{}
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 300; trial++ {
+		arity := 1 + trial%3
+		schema := []int{0, 1, 2}[:arity]
+		dom := 2 + rng.Intn(4)
+		a := randRel(rng, s, schema, rng.Intn(30), dom)
+		// d overwrites, inserts and deletes (annotation 0) rows; a
+		// deletion of a row a does not list is dropped from d, as
+		// RebaseIndex requires.
+		edit := randRel(rng, s, schema, rng.Intn(8), dom)
+		var drows []int32
+		var dvals []int64
+		for i := 0; i < edit.Len(); i++ {
+			_, listed := LookupRow(a, edit.Tuple(i))
+			v := edit.Value(i)
+			if listed && rng.Intn(3) == 0 {
+				v = 0
+			} else if !listed && v == 2 {
+				continue
+			}
+			drows, dvals = append(drows, edit.Tuple(i)...), append(dvals, v)
+		}
+		d := fromSorted(a.schema, drows, dvals)
+		got, err := MergeReplace(a, d, s.IsZero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := NewBuilder(s, schema)
+		for i := 0; i < a.Len(); i++ {
+			if _, ok := LookupRow(d, a.Tuple(i)); !ok {
+				want.AddRow(a.Tuple(i), a.Value(i))
+			}
+		}
+		for i := 0; i < d.Len(); i++ {
+			want.AddRow(d.Tuple(i), d.Value(i))
+		}
+		if w := want.Build(); !Equal(s, got, w) {
+			t.Fatalf("trial %d: MergeReplace = %v rows, want %v", trial, got.Len(), w.Len())
+		}
+		for _, shared := range subsets(schema) {
+			if len(shared) == 0 {
+				continue
+			}
+			if ix := BuildSortedIndex(a, shared); ix != nil {
+				nix, rebuilt := RebaseIndex(ix, a, d, got)
+				if fresh := BuildSortedIndex(got, shared); rebuilt || (nix == nil) != (fresh == nil) ||
+					nix != nil && nix.order != nil && !slices.Equal(nix.order.pr, fresh.order.pr) {
+					t.Fatalf("trial %d: index on %v not carried across MergeReplace (rebuilt %v)", trial, shared, rebuilt)
+				}
+			}
+			keys := randRel(rng, semiring.Count{}, shared, rng.Intn(4), dom)
+			filter := NewBuilder(s, schema)
+			cols, _ := Columns(schema, shared)
+			for i := 0; i < got.Len(); i++ {
+				key := make([]int32, len(cols))
+				for k, c := range cols {
+					key[k] = got.Tuple(i)[c]
+				}
+				if _, ok := LookupRow(keys, key); ok {
+					filter.AddRow(got.Tuple(i), got.Value(i))
+				}
+			}
+			w := filter.Build()
+			for _, ix := range []*SortedIndex{nil, BuildSortedIndex(got, shared)} {
+				if r := Restrict(got, keys, ix); !Equal(s, r, w) {
+					t.Fatalf("trial %d: Restrict on %v lists %d rows, want %d", trial, shared, r.Len(), w.Len())
+				}
+			}
+		}
+	}
+}

@@ -63,7 +63,7 @@ func (sv *Service[T]) Materialize(ctx context.Context, q *faq.Query[T]) (mz *Mat
 
 // Update applies insert/delete batches atomically under the service's
 // resilience envelope. Successful updates increment the updates
-// counter; updates served by the per-node recompute fallback (MinPlus,
+// counter; updates served by the group recompute fallback (MinPlus,
 // MaxTimes, general FAQ) also increment delta_fallbacks.
 func (mz *Materialized[T]) Update(ctx context.Context, batches ...delta.Batch[T]) error {
 	sv := mz.sv

@@ -54,7 +54,7 @@ func bindMetrics(r *obs.Registry, name string) svcMetrics {
 			"Materialized-view update batches applied.",
 			"semiring").With(name),
 		deltaFallbacks: r.NewCounterVec("faq_service_delta_fallbacks_total",
-			"Updates served by the per-node recompute fallback.",
+			"Updates served by the group recompute fallback.",
 			"semiring").With(name),
 		latency: r.NewHistogramVec("faq_service_request_ns",
 			"End-to-end request latency (admission to answer), nanoseconds.",

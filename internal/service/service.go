@@ -155,7 +155,7 @@ type Stats struct {
 	DeadlineExceeded int64  `json:"deadline_exceeded"` // per-request deadline hits
 	Panics           int64  `json:"panics"`            // panics recovered to ErrInternal
 	Updates          int64  `json:"updates"`           // materialized-handle update batches applied
-	DeltaFallbacks   int64  `json:"delta_fallbacks"`   // updates served by per-node recompute fallback
+	DeltaFallbacks   int64  `json:"delta_fallbacks"`   // updates served by group recompute fallback
 }
 
 // Stats snapshots the current counters through the registry. Each
